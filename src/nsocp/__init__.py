@@ -27,7 +27,7 @@ from .kkt_solver import (
     recover_control,
     solve_kkt,
 )
-from .sparse_core import CsrMatrix, SingularMatrixError, Triplet
+from .sparse_core import CsrMatrix, SingularMatrixError
 from .state_solver import (
     NewtonReport,
     StateProblem,

@@ -34,7 +34,6 @@ class RunConfig:
     alpha_list: list[float] = field(default_factory=lambda: [1e-4])
     gamma_list: list[float] = field(default_factory=lambda: [1e-4])
     eps_schedule: list[float] = field(default_factory=lambda: [10.0 ** -k for k in range(1, 7)])
-    mode: str = "sweep"
     output_dir: str = "out"
 
     def validate(self):

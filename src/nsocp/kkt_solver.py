@@ -11,11 +11,12 @@ chi_i in the convex subdifferential of max at y_i; it is scaled by the
 lumped mass matrix for uniform residual scaling. Nodes where p_i ~ 0 and
 y_i + gamma chi_i in [0, gamma] make the Newton matrix singular; their
 chi components are frozen for the step (active-set fix).
+``solve_kkt`` runs ``state_solver.newton`` on the stacked vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,8 +25,8 @@ import scipy.sparse as sp
 from . import sparse_core
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import BlockSpec, CsrMatrix, SingularMatrixError, assemble_block
-from .state_solver import NewtonReport
+from .sparse_core import BlockSpec, CsrMatrix, assemble_block
+from .state_solver import newton
 
 __all__ = [
     "KktPoint",
@@ -188,31 +189,21 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     n = ops.space.n
     cfg = data.config
     pt = init if init is not None else zero_point(ops)
-    y = pt.y.coeffs.copy()
-    p = pt.p.coeffs.copy()
-    chi = pt.chi.coeffs.copy()
 
-    history = []
-    for it in range(cfg.max_iter + 1):
-        pt = KktPoint(ops.space.function(y), ops.space.function(p), ops.space.function(chi))
-        r = residual(data, pt)
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn < cfg.tol_residual:
-            return pt, NewtonReport(True, it, history)
-        if it == cfg.max_iter:
-            break
+    def point(x):
+        return KktPoint(ops.space.function(x[:n]), ops.space.function(x[n:2 * n]),
+                        ops.space.function(x[2 * n:]))
+
+    def step(x, r):
+        pt = point(x)
         sets = index_sets(pt, cfg)
-        jac = newton_matrix(data, pt, sets)
-        jac, rhs = apply_active_set_fix(jac, -r, sets)
-        try:
-            step = sparse_core.solve_linear(jac, rhs)
-        except SingularMatrixError as exc:
-            return pt, NewtonReport(False, it, history, str(exc))
-        y = y + step[:n]
-        p = p + step[n:2 * n]
-        chi = chi + step[2 * n:]
-    return pt, NewtonReport(False, cfg.max_iter, history, "no convergence within iteration limit")
+        jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
+        return sparse_core.solve_linear(jac, rhs)
+
+    x, report = newton(np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs]),
+                       lambda x: residual(data, point(x)), step,
+                       cfg.tol_residual, cfg.max_iter)
+    return point(x), report
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

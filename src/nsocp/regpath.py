@@ -6,12 +6,13 @@ For a fixed smoothing width eps the coupled first-order system reads
     A p + D (max_eps'(y) o p)          = M (y - y_d)
 
 Driving eps -> 0 with warm starts recovers a solution of the limit
-system, with the multiplier extracted as chi = max_eps'(y).
+system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
+solve runs ``state_solver.newton`` on the stacked vector (y, p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,9 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .state_solver import NewtonReport, StateProblem, m_norm, solve_state, solve_state_regularized
+from .sparse_core import SingularMatrixError
+from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
+                           solve_state_regularized)
 
 __all__ = [
     "RegPathConfig",
@@ -44,7 +47,6 @@ class RegPathConfig:
     eps_schedule: tuple
     tol_residual: float = 1e-12
     max_iter: int = 50
-    warm_start: bool = True
 
     def __post_init__(self):
         sched = tuple(self.eps_schedule)
@@ -70,38 +72,26 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
 
-    if init is None:
-        y = np.zeros(n)
-        p = np.zeros(n)
-    else:
-        y, p = init[0].copy(), init[1].copy()
-
-    history = []
-    for it in range(max_iter + 1):
+    def residual(x):
+        y, p = x[:n], x[n:]
         r1 = a @ y + d * smoothed_max(params, y) + (m @ p) / alpha - fvec
         r2 = a @ p + d * (smoothed_max_prime(params, y) * p) - m @ (y - ydvec)
-        rn = float(np.sqrt(np.dot(r1, r1) + np.dot(r2, r2)))
-        history.append(rn)
-        if rn <= tol_residual:
-            return (ops.space.function(y), ops.space.function(p)), NewtonReport(True, it, history)
-        if it == max_iter:
-            break
-        dprime = d * smoothed_max_prime(params, y)
-        j11 = a + sp.diags(dprime)
-        j12 = m / alpha
+        return np.concatenate([r1, r2])
+
+    def step(x, r):
+        y, p = x[:n], x[n:]
+        j11 = a + sp.diags(d * smoothed_max_prime(params, y))
         j21 = sp.diags(d * smoothed_max_second(params, y) * p) - m
-        j22 = a + sp.diags(dprime)
-        jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
+        jac = sp.bmat([[j11, m / alpha], [j21, j11]], format="csc")
         try:
             lu = splu(jac, permc_spec="COLAMD")
         except RuntimeError as exc:
-            return (ops.space.function(y), ops.space.function(p)), \
-                NewtonReport(False, it, history, f"singular Newton matrix: {exc}")
-        step = lu.solve(np.concatenate([-r1, -r2]))
-        y = y + step[:n]
-        p = p + step[n:]
-    return (ops.space.function(y), ops.space.function(p)), \
-        NewtonReport(False, max_iter, history, "no convergence within iteration limit")
+            raise SingularMatrixError(-1) from exc
+        return lu.solve(-r)
+
+    x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
+    x, report = newton(x0, residual, step, tol_residual, max_iter)
+    return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
 
 
 @dataclass
@@ -122,10 +112,9 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     init = None
     y = p = None
     for eps in cfg.eps_schedule:
-        start = init if cfg.warm_start else None
         (yf, pf), rep = solve_regularized_kkt(
-            data, eps, start, cfg.tol_residual, cfg.max_iter)
-        if not rep.converged and start is not None:
+            data, eps, init, cfg.tol_residual, cfg.max_iter)
+        if not rep.converged and init is not None:
             # one cold-start retry before giving up on the path
             (yf, pf), rep = solve_regularized_kkt(
                 data, eps, None, cfg.tol_residual, cfg.max_iter)

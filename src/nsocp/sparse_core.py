@@ -8,7 +8,7 @@ package relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,16 +17,11 @@ from scipy.sparse.linalg import splu
 __all__ = [
     "SparseError",
     "SingularMatrixError",
-    "Triplet",
     "CsrMatrix",
     "BlockSpec",
-    "from_triplets",
-    "spmv",
     "solve_linear",
     "assemble_block",
-    "identity",
     "diagonal",
-    "write_matrix_market",
 ]
 
 # Pivot smaller than this times the largest initial row magnitude is
@@ -39,18 +34,14 @@ class SparseError(ValueError):
 
 
 class SingularMatrixError(SparseError):
-    """Structurally or numerically singular matrix in a direct solve."""
+    """Structurally or numerically singular matrix in a direct solve.
+
+    ``pivot_row`` is -1 when the factorisation does not name a row.
+    """
 
     def __init__(self, pivot_row: int):
         self.pivot_row = pivot_row
         super().__init__(f"matrix is singular (deficient pivot in row {pivot_row})")
-
-
-@dataclass(frozen=True)
-class Triplet:
-    row: int
-    col: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -87,10 +78,6 @@ class CsrMatrix:
                 raise SparseError(f"row {row}: column indices not strictly increasing")
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    @property
     def nnz(self) -> int:
         return len(self.values)
 
@@ -114,40 +101,9 @@ class CsrMatrix:
             values=m.data.astype(np.float64),
         )
 
-    def to_triplets(self) -> list[Triplet]:
-        out = []
-        for i in range(self.n_rows):
-            for k in range(self.row_offsets[i], self.row_offsets[i + 1]):
-                out.append(Triplet(i, int(self.col_indices[k]), float(self.values[k])))
-        return out
-
-
-def from_triplets(n_rows: int, n_cols: int, entries: Sequence[Triplet]) -> CsrMatrix:
-    """Build a CSR matrix from (row, col, value) entries; duplicates are summed."""
-    rows = np.array([e.row for e in entries], dtype=np.int64)
-    cols = np.array([e.col for e in entries], dtype=np.int64)
-    vals = np.array([e.value for e in entries], dtype=np.float64)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-        raise SparseError("row index out of range")
-    if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
-        raise SparseError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return CsrMatrix.from_scipy(coo)
-
-
-def identity(n: int) -> CsrMatrix:
-    return CsrMatrix.from_scipy(sp.identity(n, format="csr"))
-
 
 def diagonal(d: np.ndarray) -> CsrMatrix:
     return CsrMatrix.from_scipy(sp.diags(np.asarray(d, dtype=float), format="csr"))
-
-
-def spmv(m: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.n_cols,):
-        raise SparseError(f"dimension mismatch: matrix has {m.n_cols} columns, vector has {x.shape}")
-    return m.to_scipy() @ x
 
 
 def _factorize(m_sp: sp.csc_matrix):
@@ -164,7 +120,9 @@ def _factorize(m_sp: sp.csc_matrix):
     udiag = np.abs(lu.U.diagonal())
     bad = np.flatnonzero(udiag < PIVOT_RTOL)
     if len(bad):
-        raise SingularMatrixError(int(lu.perm_r[bad[0]]) if lu.perm_r is not None else int(bad[0]))
+        # SuperLU factorises Pr A Pc = L U with Pr[perm_r[i], i] = 1, so row k
+        # of U comes from the original row i with perm_r[i] == k
+        raise SingularMatrixError(int(np.argsort(lu.perm_r)[bad[0]]))
     return lu
 
 
@@ -264,11 +222,3 @@ def assemble_block(spec: BlockSpec) -> CsrMatrix:
         grid.append(row)
     return CsrMatrix.from_scipy(sp.bmat(grid, format="csr"))
 
-
-def write_matrix_market(m: CsrMatrix, path) -> None:
-    """Debug dump in MatrixMarket coordinate text format."""
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{m.n_rows} {m.n_cols} {m.nnz}\n")
-        for t in m.to_triplets():
-            fh.write(f"{t.row + 1} {t.col + 1} {t.value:.17g}\n")

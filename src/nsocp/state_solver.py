@@ -1,9 +1,12 @@
-"""Forward solvers for -Δy + max(0,y) = u + f and its linearizations.
+"""The semi-smooth Newton driver, and forward solvers for
+-Δy + max(0,y) = u + f and its linearizations.
 
-Discrete form (lumped non-smooth term): A y + D max(0, y) = M (u + f).
-Also provides the regularized forward map, the directional derivative of
-the control-to-state map, and the linear operators G_chi representing
-generalized-derivative elements.
+``newton`` is the package's one Newton loop; every solve supplies it a
+residual and a step. Discrete form (lumped non-smooth term):
+A y + D max(0, y) = M (u + f). The state, the regularized state and the
+directional derivative of the control-to-state map are one forward solve
+of A y + D phi(y) = M g with different phi. Also provides the linear
+operators G_chi representing generalized-derivative elements.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "StateProblem",
     "NewtonReport",
     "FiniteDifferenceReport",
+    "newton",
     "solve_state",
     "solve_state_regularized",
     "directional_derivative",
@@ -61,65 +65,68 @@ def m_norm(ops: FeOperators, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ mv, 0.0)))
 
 
-def _newton(residual, jacobian, n: int, tol: float, max_iter: int = MAX_NEWTON_ITER):
-    """Undamped (semi-smooth) Newton from the zero vector."""
-    y = np.zeros(n)
+def newton(x0: np.ndarray, residual, step, tol: float, max_iter: int):
+    """Undamped semi-smooth Newton: x <- x + step(x, r) until ||r|| <= tol.
+
+    ``step(x, r)`` returns the correction and raises SingularMatrixError
+    when the Jacobian cannot be factorised; that, a non-finite residual and
+    the iteration limit end the run with a failure reason.
+    """
+    x = x0
     history = []
     for it in range(max_iter + 1):
-        r = residual(y)
+        r = residual(x)
         rn = float(np.linalg.norm(r))
         history.append(rn)
         if rn <= tol:
-            return y, NewtonReport(True, it, history)
+            return x, NewtonReport(True, it, history)
+        if not np.isfinite(rn):
+            return x, NewtonReport(False, it, history, "non-finite residual")
         if it == max_iter:
             break
-        j = jacobian(y)
         try:
-            lu = splu(j.tocsc(), permc_spec="COLAMD")
-        except RuntimeError as exc:
-            return y, NewtonReport(False, it, history, f"singular Newton matrix: {exc}")
-        y = y - lu.solve(r)
-    return y, NewtonReport(False, max_iter, history, "no convergence within iteration limit")
+            x = x + step(x, r)
+        except SingularMatrixError as exc:
+            return x, NewtonReport(False, it, history, str(exc))
+    return x, NewtonReport(False, max_iter, history, "no convergence within iteration limit")
+
+
+def _lu_solve(a, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + diag(diag)) x = rhs by sparse LU."""
+    try:
+        lu = splu((a + sp.diags(diag)).tocsc(), permc_spec="COLAMD")
+    except RuntimeError as exc:
+        raise SingularMatrixError(-1) from exc
+    return lu.solve(rhs)
+
+
+def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi, max_iter: int):
+    """Newton solve of A y + D phi(y) = M g from y = 0; dphi(y) is an element
+    of the generalized derivative of phi at y."""
+    a = ops.A.to_scipy()
+    d = ops.d_diag()
+    b = ops.M.to_scipy() @ g
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
+    y, rep = newton(np.zeros(ops.space.n),
+                    lambda y: a @ y + d * phi(y) - b,
+                    lambda y, r: _lu_solve(a, d * dphi(y), -r),
+                    tol, max_iter)
+    return ops.space.function(y), rep
 
 
 def solve_state(prob: StateProblem, u: FeFunction, max_iter: int = MAX_NEWTON_ITER):
     """Semi-smooth Newton solve of A y + D max(0,y) = M (u + f)."""
-    ops = prob.ops
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
-    d = ops.d_diag()
-    b = m @ (u.coeffs + prob.f.coeffs)
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-
-    def residual(y):
-        return a @ y + d * max0(y) - b
-
-    def jacobian(y):
-        return a + sp.diags(d * (y > 0).astype(float))
-
-    y, rep = _newton(residual, jacobian, ops.space.n, tol, max_iter)
-    return ops.space.function(y), rep
+    return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs, max0,
+                          lambda y: (y > 0).astype(float), max_iter)
 
 
 def solve_state_regularized(prob: StateProblem, u: FeFunction, eps: float,
                             max_iter: int = MAX_NEWTON_ITER):
     """Newton solve of the smoothed state equation A y + D max_eps(y) = M (u + f)."""
     params = SmoothedMaxParams(eps)
-    ops = prob.ops
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
-    d = ops.d_diag()
-    b = m @ (u.coeffs + prob.f.coeffs)
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-
-    def residual(y):
-        return a @ y + d * smoothed_max(params, y) - b
-
-    def jacobian(y):
-        return a + sp.diags(d * smoothed_max_prime(params, y))
-
-    y, rep = _newton(residual, jacobian, ops.space.n, tol, max_iter)
-    return ops.space.function(y), rep
+    return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs,
+                          lambda y: smoothed_max(params, y),
+                          lambda y: smoothed_max_prime(params, y), max_iter)
 
 
 def directional_derivative(prob: StateProblem, y: FeFunction, h: FeFunction,
@@ -131,24 +138,13 @@ def directional_derivative(prob: StateProblem, y: FeFunction, h: FeFunction,
     """
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    ops = prob.ops
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
-    dd = ops.d_diag()
     zero_band = np.abs(y.coeffs) <= zero_tol
     positive = y.coeffs > zero_tol
-    b = m @ h.coeffs
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-
-    def residual(delta):
-        return a @ delta + dd * (zero_band * max0(delta) + positive * delta) - b
-
-    def jacobian(delta):
-        chi = zero_band * (delta > 0).astype(float) + positive.astype(float)
-        return a + sp.diags(dd * chi)
-
-    delta, rep = _newton(residual, jacobian, ops.space.n, tol)
-    return ops.space.function(delta), rep
+    return _solve_forward(
+        prob.ops, h.coeffs,
+        lambda delta: zero_band * max0(delta) + positive * delta,
+        lambda delta: zero_band * (delta > 0).astype(float) + positive.astype(float),
+        MAX_NEWTON_ITER)
 
 
 @dataclass
@@ -214,13 +210,7 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     c = chi.coeffs
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError("chi must take values in [0, 1]")
-    a = ops.A.to_scipy()
-    j = (a + sp.diags(ops.d_diag() * c)).tocsc()
-    try:
-        lu = splu(j, permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SingularMatrixError(-1) from exc
-    eta = lu.solve(ops.M.to_scipy() @ h.coeffs)
+    eta = _lu_solve(ops.A.to_scipy(), ops.d_diag() * c, ops.M.to_scipy() @ h.coeffs)
     return ops.space.function(eta)
 
 

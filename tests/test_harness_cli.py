@@ -167,10 +167,12 @@ class TestCli:
         assert code == EXIT_CONFIG_ERROR
 
     def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = main(["sweep", "--config", str(cfg)])
-        assert code == EXIT_CONFIG_ERROR
+        # the subcommand picks the mode; a "mode" key is not a RunConfig field
+        for raw in ({"bogus": 1}, {"mode": "kkt"}):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(raw))
+            code = main(["sweep", "--config", str(cfg)])
+            assert code == EXIT_CONFIG_ERROR, raw
 
     def test_invalid_config_value(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+
+import scipy.sparse as sp
 
 from nsocp.sparse_core import (
     BlockSpec,
     CsrMatrix,
     SingularMatrixError,
     SparseError,
-    Triplet,
     assemble_block,
     diagonal,
-    from_triplets,
-    identity,
     solve_linear,
-    spmv,
-    write_matrix_market,
 )
 
 
@@ -38,59 +34,25 @@ def dense_gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-class TestFromTriplets:
+def csr(dense) -> CsrMatrix:
+    return CsrMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+class TestFromScipy:
     def test_duplicates_summed(self):
-        m = from_triplets(1, 1, [Triplet(0, 0, 2.0), Triplet(0, 0, 3.0)])
+        coo = sp.coo_matrix(([2.0, 3.0], ([0, 0], [0, 0])), shape=(1, 1))
+        m = CsrMatrix.from_scipy(coo)
         assert m.nnz == 1
         assert m.values[0] == 5.0
-
-    def test_empty(self):
-        m = from_triplets(2, 2, [])
-        assert m.nnz == 0
-        assert np.allclose(spmv(m, np.array([5.0, 7.0])), 0.0)
-
-    def test_permutation_like(self):
-        m = from_triplets(2, 2, [Triplet(0, 1, 1.0), Triplet(1, 0, 1.0)])
-        assert np.allclose(spmv(m, np.array([3.0, 4.0])), [4.0, 3.0])
-
-    def test_index_out_of_range(self):
-        with pytest.raises(SparseError):
-            from_triplets(2, 2, [Triplet(2, 0, 1.0)])
-        with pytest.raises(SparseError):
-            from_triplets(2, 2, [Triplet(0, -1, 1.0)])
-
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                              st.floats(-10, 10)), max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, entries):
-        trips = [Triplet(r, c, v) for r, c, v in entries]
-        m = from_triplets(5, 5, trips)
-        again = from_triplets(5, 5, m.to_triplets())
-        assert np.allclose(m.to_scipy().toarray(), again.to_scipy().toarray())
-
-
-class TestSpmv:
-    def test_identity(self):
-        assert np.allclose(spmv(identity(3), np.array([1.0, 2.0, 3.0])), [1, 2, 3])
-
-    def test_row_sum(self):
-        m = from_triplets(2, 2, [Triplet(0, 0, 2.0), Triplet(0, 1, -1.0),
-                                 Triplet(1, 0, -1.0), Triplet(1, 1, 2.0)])
-        assert np.allclose(spmv(m, np.ones(2)), [1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SparseError):
-            spmv(identity(3), np.ones(4))
 
 
 class TestSolveLinear:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(solve_linear(identity(4), b), b)
+        assert np.allclose(solve_linear(CsrMatrix.from_scipy(sp.identity(4)), b), b)
 
     def test_small_system(self):
-        m = from_triplets(2, 2, [Triplet(0, 0, 4.0), Triplet(0, 1, -1.0),
-                                 Triplet(1, 0, -1.0), Triplet(1, 1, 4.0)])
+        m = csr([[4.0, -1.0], [-1.0, 4.0]])
         x = solve_linear(m, np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-13)
 
@@ -102,9 +64,7 @@ class TestSolveLinear:
             i, j = rng.integers(0, n, 2)
             dense[i, j] += rng.standard_normal()
         dense = dense @ dense.T + n * np.eye(n)  # SPD
-        trips = [Triplet(i, j, dense[i, j]) for i in range(n) for j in range(n)
-                 if dense[i, j] != 0.0]
-        m = from_triplets(n, n, trips)
+        m = csr(dense)
         b = rng.standard_normal(n)
         x = solve_linear(m, b)
         x_oracle = dense_gauss_solve(dense, b)
@@ -135,33 +95,44 @@ class TestSolveLinear:
         assert abs(x @ sy - y @ sx) <= 1e-12 * max(1.0, abs(x @ sy))
 
     def test_singular_names_pivot_row(self):
-        m = from_triplets(2, 2, [Triplet(0, 0, 1.0), Triplet(0, 1, 1.0),
-                                 Triplet(1, 0, 1.0), Triplet(1, 1, 1.0)])
+        m = csr([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError) as exc:
             solve_linear(m, np.ones(2))
         assert exc.value.pivot_row in (0, 1)
 
+    def test_singular_row_lies_in_dependent_rows(self):
+        # row k = row i + row j up to 1e-17 noise: LU ends on a tiny pivot,
+        # and the row it names must be one of the three dependent rows
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((8, 8))
+            i, j, k = rng.choice(8, 3, replace=False)
+            dense[k] = dense[i] + dense[j] + 1e-17 * rng.standard_normal(8)
+            with pytest.raises(SingularMatrixError) as exc:
+                solve_linear(csr(dense), np.ones(8))
+            assert exc.value.pivot_row in (i, j, k), seed
+
     def test_zero_row_singular(self):
-        m = from_triplets(2, 2, [Triplet(0, 0, 1.0)])
+        m = csr([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularMatrixError) as exc:
             solve_linear(m, np.ones(2))
         assert exc.value.pivot_row == 1
 
     def test_non_square(self):
-        m = from_triplets(2, 3, [Triplet(0, 0, 1.0)])
+        m = csr([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SparseError):
             solve_linear(m, np.ones(2))
 
 
 class TestAssembleBlock:
     def test_diagonal_identities(self):
-        i2 = identity(2)
+        i2 = csr(np.eye(2))
         spec = BlockSpec(blocks=[[i2, None, None], [None, i2, None], [None, None, i2]])
         out = assemble_block(spec)
         assert np.allclose(out.to_scipy().toarray(), np.eye(6))
 
     def test_single_offdiag_with_multiplier(self):
-        one = from_triplets(1, 1, [Triplet(0, 0, 1.0)])
+        one = csr([[1.0]])
         spec = BlockSpec(blocks=[[one, one], [one, one]],
                          multipliers=[[0.0, 2.0], [0.0, 0.0]])
         out = assemble_block(spec)
@@ -170,21 +141,20 @@ class TestAssembleBlock:
         assert np.allclose(out.to_scipy().toarray(), expect)
 
     def test_inconsistent_dimensions(self):
-        spec = BlockSpec(blocks=[[identity(2), identity(3)]])
+        spec = BlockSpec(blocks=[[csr(np.eye(2)), csr(np.eye(3))]])
         with pytest.raises(SparseError):
             assemble_block(spec)
 
     def test_kkt_layout_single_node(self):
         # 3x3 saddle-point layout on a one-unknown mesh, checked against a
         # hand-assembled dense matrix
-        a = from_triplets(1, 1, [Triplet(0, 0, 4.0)])
-        m = from_triplets(1, 1, [Triplet(0, 0, 0.125)])
+        m = csr([[0.125]])
         d = diagonal(np.array([0.25]))
         alpha, gamma = 1.0, 1.0
         chi, p = 0.0, 2.0
         # y = 2 > 0 and y + gamma*chi = 2 outside [0, gamma]
-        b11 = from_triplets(1, 1, [Triplet(0, 0, 4.0 + 0.25)])
-        b22 = from_triplets(1, 1, [Triplet(0, 0, 4.0 + 0.25 * chi)])
+        b11 = csr([[4.0 + 0.25]])
+        b22 = csr([[4.0 + 0.25 * chi]])
         b23 = diagonal(np.array([0.25 * p]))
         b31 = diagonal(np.array([0.0]))
         b33 = diagonal(np.array([0.25]))
@@ -202,12 +172,3 @@ class TestAssembleBlock:
         ])
         assert np.allclose(out, expect)
 
-
-def test_matrix_market_dump(tmp_path):
-    m = from_triplets(2, 3, [Triplet(0, 1, 1.5), Triplet(1, 2, -2.0)])
-    path = tmp_path / "m.mtx"
-    write_matrix_market(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[1] == "2 3 2"
-    assert lines[2].split() == ["1", "2", "1.5"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
@@ -11,9 +12,11 @@ from nsocp.state_solver import (
     finite_difference_check,
     gateaux_zero_fraction,
     m_norm,
+    newton,
     solve_state,
     solve_state_regularized,
 )
+from nsocp.sparse_core import SingularMatrixError
 
 PI = np.pi
 
@@ -38,6 +41,79 @@ def poisson_solve(ops, rhs_coeffs):
     """Independent linear path: (A) y = M g via scipy."""
     from scipy.sparse.linalg import spsolve
     return spsolve(ops.A.to_scipy().tocsc(), ops.M.to_scipy() @ rhs_coeffs)
+
+
+def piecewise_linear_problem(n: int, seed: int, nan_at=None, singular_at=None):
+    """Residual A x + d max(0, x) - b with a Newton step, on random data.
+
+    The residual call with index ``nan_at`` returns NaNs and the step call
+    with index ``singular_at`` raises SingularMatrixError; both indices are
+    the Newton iteration at which the call happens.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 2 * n * np.eye(n)
+    d = rng.uniform(0.0, 1.0, n)
+    b = rng.standard_normal(n)
+    calls = {"residual": 0, "step": 0}
+
+    def residual(x):
+        k = calls["residual"]
+        calls["residual"] += 1
+        r = a @ x + d * np.maximum(x, 0.0) - b
+        return r * np.nan if k == nan_at else r
+
+    def step(x, r):
+        k = calls["step"]
+        calls["step"] += 1
+        if k == singular_at:
+            raise SingularMatrixError(3)
+        return np.linalg.solve(a + np.diag(d * (x > 0)), -r)
+
+    return residual, step, calls
+
+
+class TestNewtonDriver:
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+           tol=st.floats(1e-14, 1.0), max_iter=st.integers(0, 8),
+           nan_at=st.none() | st.integers(0, 8),
+           singular_at=st.none() | st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_report_contract(self, n, seed, tol, max_iter, nan_at, singular_at):
+        residual, step, calls = piecewise_linear_problem(n, seed, nan_at, singular_at)
+        _, rep = newton(np.zeros(n), residual, step, tol, max_iter)
+        history = rep.residual_history
+        assert rep.iterations == len(history) - 1 <= max_iter
+        if rep.converged:
+            assert history[-1] <= tol and rep.failure_reason is None
+        else:
+            assert rep.failure_reason
+        if singular_at is not None and calls["step"] > singular_at:
+            assert rep.failure_reason == str(SingularMatrixError(3))
+            assert rep.iterations == singular_at
+        if nan_at is not None and calls["residual"] > nan_at:
+            assert rep.failure_reason == "non-finite residual"
+            assert rep.iterations == nan_at
+
+    def test_stops_at_first_non_finite_residual(self):
+        residual, step, calls = piecewise_linear_problem(3, 0, nan_at=1)
+        x, rep = newton(np.zeros(3), residual, step, 1e-300, 50)
+        assert not rep.converged
+        assert rep.failure_reason == "non-finite residual"
+        assert rep.iterations == 1 and calls == {"residual": 2, "step": 1}
+        assert np.isfinite(rep.residual_history[0]) and np.isnan(rep.residual_history[1])
+
+    def test_singular_step_ends_the_run(self):
+        residual, step, calls = piecewise_linear_problem(3, 0, singular_at=0)
+        x, rep = newton(np.zeros(3), residual, step, 1e-12, 50)
+        assert not rep.converged and rep.iterations == 0
+        assert rep.failure_reason == "matrix is singular (deficient pivot in row 3)"
+        assert np.array_equal(x, np.zeros(3))
+
+    def test_converges_on_piecewise_linear_problem(self):
+        residual, step, _ = piecewise_linear_problem(4, 5)
+        x, rep = newton(np.zeros(4), residual, step, 1e-12, 50)
+        assert rep.converged and rep.failure_reason is None
+        assert np.linalg.norm(residual(x)) <= 1e-12
 
 
 class TestSolveState:
