@@ -63,7 +63,7 @@ def _load_config(args) -> RunConfig:
         cfg.output_dir = args.out
     try:
         cfg.validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return cfg
 

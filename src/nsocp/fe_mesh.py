@@ -69,13 +69,12 @@ class FeFunction:
 
 @dataclass(frozen=True)
 class FeOperators:
+    """P1 operators on the interior nodes; the lumped mass D = diag(d) is kept as d."""
+
     space: FeSpace
     A: CsrMatrix  # stiffness
     M: CsrMatrix  # consistent mass
-    D: CsrMatrix  # lumped mass, D_ii = |supp phi_i| / 3
-
-    def d_diag(self) -> np.ndarray:
-        return self.D.to_scipy().diagonal()
+    d: np.ndarray  # lumped mass, d_i = |supp phi_i| / 3
 
 
 def build_mesh(m: int) -> TriMesh:
@@ -143,12 +142,11 @@ def assemble_operators(space: FeSpace) -> FeOperators:
     ix = space.interior_nodes
     a_int = a_full[np.ix_(ix, ix)]
     m_int = m_full[np.ix_(ix, ix)]
-    d_int = sp.diags(d_full[ix], format="csr")
     return FeOperators(
         space=space,
         A=CsrMatrix.from_scipy(a_int),
         M=CsrMatrix.from_scipy(m_int),
-        D=CsrMatrix.from_scipy(d_int),
+        d=d_full[ix],
     )
 
 

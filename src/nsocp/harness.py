@@ -11,7 +11,8 @@ import numpy as np
 
 from .examples import build_example
 from .fe_mesh import build_mesh, build_space, interpolate, linf_nodal_error
-from .kkt_solver import solve_kkt
+from .kkt_solver import KktConfig, solve_kkt
+from .regpath import RegPathConfig
 from .state_solver import m_norm
 
 __all__ = [
@@ -45,6 +46,10 @@ class RunConfig:
             raise ValueError("mesh subdivisions must be at least 2")
         if self.example == 1 and any(m % 2 == 0 for m in self.m_list):
             raise ValueError("example 1 requires odd mesh subdivisions")
+        for alpha in self.alpha_list:
+            for gamma in self.gamma_list:
+                KktConfig(alpha=alpha, gamma=gamma)
+        RegPathConfig(tuple(self.eps_schedule))
 
 
 @dataclass

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import sparse_core
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import BlockSpec, CsrMatrix, assemble_block
+from .sparse_core import assemble_block
 from .state_solver import newton
 
 __all__ = [
@@ -63,9 +63,9 @@ class KktConfig:
     tol_p_critical: float = 1e-14
 
     def __post_init__(self):
-        if min(self.alpha, self.gamma, self.tol_residual, self.tol_p_critical) <= 0 \
-                or self.max_iter <= 0:
-            raise ValueError("all KKT configuration values must be positive")
+        values = (self.alpha, self.gamma, self.tol_residual, self.tol_p_critical)
+        if not all(np.isfinite(v) and v > 0 for v in values) or self.max_iter <= 0:
+            raise ValueError("all KKT configuration values must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,8 @@ class ProblemData:
     def __post_init__(self):
         if not (self.f.space is self.ops.space and self.y_d.space is self.ops.space):
             raise ValueError("data functions must live on the operator space")
+        if not (np.all(np.isfinite(self.f.coeffs)) and np.all(np.isfinite(self.y_d.coeffs))):
+            raise ValueError("data functions must be finite")
 
 
 def zero_point(ops: FeOperators) -> KktPoint:
@@ -97,7 +99,7 @@ def residual(data: ProblemData, pt: KktPoint) -> np.ndarray:
     ops = data.ops
     a = ops.A.to_scipy()
     m = ops.M.to_scipy()
-    d = ops.d_diag()
+    d = ops.d
     alpha, gamma = data.config.alpha, data.config.gamma
     y, p, chi = pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs
 
@@ -120,13 +122,13 @@ def index_sets(pt: KktPoint, config: KktConfig) -> IndexSets:
     )
 
 
-def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets) -> CsrMatrix:
+def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets) -> sp.csr_matrix:
     """3n x 3n generalized Jacobian of the stacked residual."""
     ops = data.ops
     n = ops.space.n
-    a = ops.A
-    m = ops.M
-    d = ops.d_diag()
+    a = ops.A.to_scipy()
+    m = ops.M.to_scipy()
+    d = ops.d
     alpha, gamma = data.config.alpha, data.config.gamma
 
     ind_plus = np.zeros(n)
@@ -134,29 +136,15 @@ def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets) -> CsrMatrix
     ind_gam = np.zeros(n)
     ind_gam[sets.i_gamma] = 1.0
 
-    a_sp = a.to_scipy()
-    b11 = CsrMatrix.from_scipy(a_sp + sp.diags(d * ind_plus))
-    b22 = CsrMatrix.from_scipy(a_sp + sp.diags(d * pt.chi.coeffs))
-    b23 = sparse_core.diagonal(d * pt.p.coeffs)
-    b31 = sparse_core.diagonal(d * (1.0 - ind_gam))
-    b33 = sparse_core.diagonal(d * ind_gam)
-
-    spec = BlockSpec(
-        blocks=[
-            [b11, m, None],
-            [m, b22, b23],
-            [b31, None, b33],
-        ],
-        multipliers=[
-            [1.0, 1.0 / alpha, 1.0],
-            [-1.0, 1.0, 1.0],
-            [1.0, 1.0, -gamma],
-        ],
-    )
-    return assemble_block(spec)
+    return assemble_block([
+        [a + sp.diags(d * ind_plus), (1.0 / alpha) * m, None],
+        [-1.0 * m, a + sp.diags(d * pt.chi.coeffs), sp.diags(d * pt.p.coeffs, format="csr")],
+        [sp.diags(d * (1.0 - ind_gam), format="csr"), None,
+         -gamma * sp.diags(d * ind_gam, format="csr")],
+    ])
 
 
-def apply_active_set_fix(matrix: CsrMatrix, rhs: np.ndarray, sets: IndexSets):
+def apply_active_set_fix(matrix: sp.csr_matrix, rhs: np.ndarray, sets: IndexSets):
     """Freeze the critical chi components for this Newton step.
 
     The prox-equation row of each critical node is replaced by the unit
@@ -165,15 +153,11 @@ def apply_active_set_fix(matrix: CsrMatrix, rhs: np.ndarray, sets: IndexSets):
     """
     if len(sets.i_crit) == 0:
         return matrix, rhs
-    n = matrix.n_rows // 3
-    m_sp = matrix.to_scipy().copy()
+    n = matrix.shape[0] // 3
     rows = 2 * n + sets.i_crit
-    for r in rows:
-        m_sp.data[m_sp.indptr[r]:m_sp.indptr[r + 1]] = 0.0
-    unit = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, rows)), shape=m_sp.shape
-    )
-    fixed = CsrMatrix.from_scipy(m_sp + unit)
+    frozen = np.zeros(3 * n)
+    frozen[rows] = 1.0
+    fixed = (sp.diags(1.0 - frozen) @ matrix + sp.diags(frozen)).tocsr()
     rhs = rhs.copy()
     rhs[rows] = 0.0
     return fixed, rhs

@@ -52,9 +52,9 @@ class RegPathConfig:
         sched = tuple(self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must be nonempty")
-        if any(e <= 0 for e in sched) or any(
+        if not all(np.isfinite(e) and e > 0 for e in sched) or any(
                 sched[k + 1] >= sched[k] for k in range(len(sched) - 1)):
-            raise ValueError("eps schedule must be positive and strictly decreasing")
+            raise ValueError("eps schedule must be finite, positive and strictly decreasing")
         object.__setattr__(self, "eps_schedule", sched)
 
 
@@ -67,7 +67,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     n = ops.space.n
     a = ops.A.to_scipy()
     m = ops.M.to_scipy()
-    d = ops.d_diag()
+    d = ops.d
     alpha = data.config.alpha
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs

@@ -1,14 +1,14 @@
-"""Sparse CSR matrices, block assembly, and deterministic direct solves.
+"""Block assembly and deterministic direct solves on scipy.sparse matrices.
 
 All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
-module pins down the storage invariants and error behavior the rest of the
-package relies on.
+module pins down the error behavior the rest of the package relies on.
+``CsrMatrix`` is the validated storage type of the stiffness and mass
+matrices; everything else here takes and returns scipy matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,10 +18,8 @@ __all__ = [
     "SparseError",
     "SingularMatrixError",
     "CsrMatrix",
-    "BlockSpec",
     "solve_linear",
     "assemble_block",
-    "diagonal",
 ]
 
 # Pivot smaller than this times the largest initial row magnitude is
@@ -77,10 +75,6 @@ class CsrMatrix:
                 row = int(np.searchsorted(off, bad, side="right")) - 1
                 raise SparseError(f"row {row}: column indices not strictly increasing")
 
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
     def to_scipy(self) -> sp.csr_matrix:
         m = sp.csr_matrix(
             (self.values, self.col_indices, self.row_offsets),
@@ -100,10 +94,6 @@ class CsrMatrix:
             col_indices=m.indices.astype(np.int64),
             values=m.data.astype(np.float64),
         )
-
-
-def diagonal(d: np.ndarray) -> CsrMatrix:
-    return CsrMatrix.from_scipy(sp.diags(np.asarray(d, dtype=float), format="csr"))
 
 
 def _factorize(m_sp: sp.csc_matrix):
@@ -145,21 +135,22 @@ def _first_deficient_row(m_sp) -> int:
     return -1
 
 
-def solve_linear(m: CsrMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b by sparse LU with partial pivoting (deterministic).
+def solve_linear(m, b: np.ndarray) -> np.ndarray:
+    """Solve m x = b by sparse LU with partial pivoting (deterministic);
+    ``m`` is a square scipy sparse matrix.
 
     Rows are equilibrated first so the singularity test is invariant under
     row scaling (the prox rows of the KKT system carry entries of order
     gamma times a mesh factor and are perfectly well conditioned). One
     refinement step keeps the relative residual below 1e-10.
     """
-    if m.n_rows != m.n_cols:
+    if m.shape[0] != m.shape[1]:
         raise SparseError("solve_linear requires a square matrix")
     b = np.asarray(b, dtype=float)
-    if b.shape != (m.n_rows,):
+    if b.shape != (m.shape[0],):
         raise SparseError("right-hand side has wrong length")
-    m_sp = m.to_scipy()
-    row_mags = np.abs(m_sp).max(axis=1).toarray().ravel() if m.nnz else np.zeros(m.n_rows)
+    m_sp = sp.csr_matrix(m)
+    row_mags = np.abs(m_sp).max(axis=1).toarray().ravel() if m_sp.nnz else np.zeros(len(b))
     dead = np.flatnonzero(row_mags == 0)
     if len(dead):
         raise SingularMatrixError(int(dead[0]))
@@ -174,51 +165,10 @@ def solve_linear(m: CsrMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class BlockSpec:
-    """3x3 (or general) grid of optional blocks with scalar multipliers.
-
-    ``blocks[i][j]`` is either a CsrMatrix or None (zero block);
-    ``multipliers[i][j]`` scales the block.
-    """
-
-    blocks: list[list[Optional[CsrMatrix]]]
-    multipliers: Optional[list[list[float]]] = None
-
-
-def assemble_block(spec: BlockSpec) -> CsrMatrix:
-    """Concatenate a grid of sparse blocks into one CSR matrix."""
-    nbr = len(spec.blocks)
-    nbc = len(spec.blocks[0]) if nbr else 0
-    mult = spec.multipliers or [[1.0] * nbc for _ in range(nbr)]
-
-    row_dims = [None] * nbr
-    col_dims = [None] * nbc
-    for i in range(nbr):
-        for j in range(nbc):
-            blk = spec.blocks[i][j]
-            if blk is None:
-                continue
-            if row_dims[i] is None:
-                row_dims[i] = blk.n_rows
-            elif row_dims[i] != blk.n_rows:
-                raise SparseError(f"inconsistent row dimension in block row {i}")
-            if col_dims[j] is None:
-                col_dims[j] = blk.n_cols
-            elif col_dims[j] != blk.n_cols:
-                raise SparseError(f"inconsistent column dimension in block column {j}")
-    if any(d is None for d in row_dims) or any(d is None for d in col_dims):
-        raise SparseError("every block row and column needs at least one block")
-
-    grid = []
-    for i in range(nbr):
-        row = []
-        for j in range(nbc):
-            blk = spec.blocks[i][j]
-            if blk is None:
-                row.append(None)
-            else:
-                row.append(mult[i][j] * blk.to_scipy())
-        grid.append(row)
-    return CsrMatrix.from_scipy(sp.bmat(grid, format="csr"))
-
+def assemble_block(blocks) -> sp.csr_matrix:
+    """Concatenate a grid of scipy sparse blocks (None for a zero block) into
+    one CSR matrix."""
+    try:
+        return sp.bmat(blocks, format="csr")
+    except ValueError as exc:
+        raise SparseError(str(exc)) from exc

@@ -49,6 +49,8 @@ class StateProblem:
     def __post_init__(self):
         if self.f.space is not self.ops.space:
             raise ValueError("inhomogeneity must live on the operator space")
+        if not np.all(np.isfinite(self.f.coeffs)):
+            raise ValueError("inhomogeneity must be finite")
 
 
 @dataclass
@@ -104,7 +106,7 @@ def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi, max_iter: int):
     """Newton solve of A y + D phi(y) = M g from y = 0; dphi(y) is an element
     of the generalized derivative of phi at y."""
     a = ops.A.to_scipy()
-    d = ops.d_diag()
+    d = ops.d
     b = ops.M.to_scipy() @ g
     tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
     y, rep = newton(np.zeros(ops.space.n),
@@ -210,7 +212,7 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     c = chi.coeffs
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError("chi must take values in [0, 1]")
-    eta = _lu_solve(ops.A.to_scipy(), ops.d_diag() * c, ops.M.to_scipy() @ h.coeffs)
+    eta = _lu_solve(ops.A.to_scipy(), ops.d * c, ops.M.to_scipy() @ h.coeffs)
     return ops.space.function(eta)
 
 

@@ -179,7 +179,7 @@ def test_criterion_8_directional_derivative(report):
     y_c = interpolate(space_f, exact2.y)
     u_c = spsolve(data2.ops.M.to_scipy().tocsc(),
                   data2.ops.A.to_scipy() @ y_c.coeffs
-                  + data2.ops.d_diag() * np.maximum(0.0, y_c.coeffs))
+                  + data2.ops.d * np.maximum(0.0, y_c.coeffs))
     u_c = space_f.function(u_c - data2.f.coeffs)
     rng = np.random.default_rng(8)
     pts = space_f.mesh.vertices[space_f.interior_nodes]

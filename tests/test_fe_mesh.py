@@ -49,7 +49,7 @@ class TestAssembleOperators:
         ops = assemble_operators(build_space(build_mesh(2)))
         assert np.allclose(ops.A.to_scipy().toarray(), [[4.0]])
         assert np.allclose(ops.M.to_scipy().toarray(), [[0.125]])
-        assert np.allclose(ops.D.to_scipy().toarray(), [[0.25]])
+        assert np.allclose(ops.d, [0.25])
 
     def test_five_point_stencil(self):
         # interior rows: diagonal 4, -1 to each of the four grid neighbors
@@ -82,7 +82,7 @@ class TestAssembleOperators:
     def test_lumped_mass_consistency(self):
         space = build_space(build_mesh(6))
         ops = assemble_operators(space)
-        d = ops.D.to_scipy().diagonal()
+        d = ops.d
         assert np.all(d > 0)
         assert d.sum() <= 1.0 + 1e-12
         # sum over triangles of |T| * (#interior vertices) / 3
@@ -96,7 +96,7 @@ class TestAssembleOperators:
         space = build_space(build_mesh(6))
         ops = assemble_operators(space)
         m = ops.M.to_scipy()
-        d = ops.D.to_scipy().diagonal()
+        d = ops.d
         pts = space.mesh.vertices[space.interior_nodes]
         h = space.mesh.h
         deep = ((pts[:, 0] > h + 1e-12) & (pts[:, 0] < 1 - h - 1e-12)

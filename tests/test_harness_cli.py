@@ -47,7 +47,7 @@ class TestExampleConstruction:
         u = interpolate(space, exact.u)
         a = data.ops.A.to_scipy()
         m = data.ops.M.to_scipy()
-        d = data.ops.d_diag()
+        d = data.ops.d
         res = a @ y.coeffs + d * np.maximum(y.coeffs, 0.0) \
             - m @ (u.coeffs + data.f.coeffs)
         assert np.linalg.norm(res) < 1e-2 * np.linalg.norm(m @ data.f.coeffs)
@@ -175,10 +175,13 @@ class TestCli:
             assert code == EXIT_CONFIG_ERROR, raw
 
     def test_invalid_config_value(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"example": 3}))
-        code = main(["sweep", "--config", str(cfg)])
-        assert code == EXIT_CONFIG_ERROR
+        for raw in ({"example": 3}, {"alpha_list": [-1]}, {"gamma_list": [float("nan")]},
+                    {"eps_schedule": [float("nan")]}):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(raw))
+            code = main(["regpath", "--m", "5", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG_ERROR, raw
 
     def test_config_file_drives_sweep(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
@@ -18,6 +20,7 @@ from nsocp.kkt_solver import (
 )
 from nsocp.nonsmooth import subdiff_max_contains
 from nsocp.sparse_core import SingularMatrixError, solve_linear
+from nsocp.state_solver import StateProblem
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +110,7 @@ class TestNewtonMatrix:
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 2.0, 2.0, 0.0)
         sets = index_sets(pt, data.config)
-        out = newton_matrix(data, pt, sets).to_scipy().toarray()
+        out = newton_matrix(data, pt, sets).toarray()
         expect = np.array([
             [4.0 + 0.25, 0.125, 0.0],       # A + D 1_{y>0}, (1/alpha) M, 0
             [-0.125, 4.0, 0.25 * 2.0],      # -M, A + D chi, D p
@@ -115,13 +118,46 @@ class TestNewtonMatrix:
         ])
         assert np.allclose(out, expect)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_central_differences_of_residual(self, seed):
+        # at least 0.02 away from the kinks of max (y = 0) and of prox
+        # (y + gamma chi in {0, gamma}) the residual is a polynomial of degree
+        # at most 2, so central differences reproduce its Jacobian up to rounding
+        space = build_space(build_mesh(5))
+        ops = assemble_operators(space)
+        n, gamma, h = space.n, 0.5, 1e-3
+        rng = np.random.default_rng(seed)
+        data = ProblemData(ops=ops, f=space.function(rng.standard_normal(n)),
+                           y_d=space.function(rng.standard_normal(n)),
+                           config=KktConfig(alpha=1e-2, gamma=gamma))
+
+        def away_from_zero():
+            return rng.choice([-1.0, 1.0], n) * rng.uniform(0.02, 1.0, n)
+
+        y = away_from_zero()
+        # w = y + gamma chi below 0, inside [0, gamma] or above gamma
+        region = rng.integers(0, 3, n)
+        w = rng.uniform(np.array([-1.0, 0.02, gamma + 0.02])[region],
+                        np.array([-0.02, gamma - 0.02, gamma + 1.0])[region])
+        x = np.concatenate([y, away_from_zero(), (w - y) / gamma])
+
+        def point(x):
+            return make_point(space, x[:n], x[n:2 * n], x[2 * n:])
+
+        pt = point(x)
+        jac = newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
+        fd = np.column_stack([(residual(data, point(x + h * e)) - residual(data, point(x - h * e)))
+                              / (2 * h) for e in np.eye(3 * n)])
+        assert np.abs(jac - fd).max() <= 1e-10 * np.abs(jac).max()
+
     def test_adjoint_coupling_block_is_minus_mass(self):
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         data = make_data(space, ops)
         pt = zero_point(ops)
         n = space.n
-        full = newton_matrix(data, pt, index_sets(pt, data.config)).to_scipy().toarray()
+        full = newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
         assert np.allclose(full[n:2 * n, :n], -ops.M.to_scipy().toarray())
 
     def test_critical_node_singular_without_fix(self, tiny):
@@ -132,7 +168,7 @@ class TestNewtonMatrix:
         pt = make_point(space, 0.0, 0.0, 0.5)
         sets = index_sets(pt, data.config)
         mat = newton_matrix(data, pt, sets)
-        assert np.allclose(mat.to_scipy().toarray()[:, 2], 0.0)
+        assert np.allclose(mat.toarray()[:, 2], 0.0)
         with pytest.raises(SingularMatrixError):
             solve_linear(mat, np.ones(3))
 
@@ -144,13 +180,25 @@ class TestNewtonMatrix:
         mat = newton_matrix(data, pt, sets)
         rhs = np.array([1.0, -1.0, 5.0])
         fixed, frhs = apply_active_set_fix(mat, rhs, sets)
-        dense = fixed.to_scipy().toarray()
+        dense = fixed.toarray()
         assert np.allclose(dense[2], [0.0, 0.0, 1.0])
         assert frhs[2] == 0.0
         step = solve_linear(fixed, frhs)
         assert step[2] == 0.0  # chi component frozen
         # first two rows still solve the original 2x2 system
         assert np.allclose(dense[:2] @ step, rhs[:2])
+
+    def test_fix_matches_row_by_row_reference(self):
+        # reference: replace each critical prox row by its unit row in place
+        rng = np.random.default_rng(5)
+        n = 6
+        dense = rng.standard_normal((3 * n, 3 * n)) * (rng.random((3 * n, 3 * n)) < 0.4)
+        crit = np.array([0, 2, 5])
+        sets = IndexSets(np.array([], dtype=int), np.array([], dtype=int), crit)
+        fixed, _ = apply_active_set_fix(sp.csr_matrix(dense), np.ones(3 * n), sets)
+        dense[2 * n + crit] = 0.0
+        dense[2 * n + crit, 2 * n + crit] = 1.0
+        assert np.array_equal(fixed.toarray(), dense)
 
     def test_fix_noop_without_critical_nodes(self, tiny):
         space, ops = tiny
@@ -251,6 +299,23 @@ class TestConfigValidation:
             KktConfig(alpha=1.0, gamma=-1.0)
         with pytest.raises(ValueError):
             KktConfig(alpha=1.0, gamma=1.0, max_iter=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                KktConfig(alpha=bad, gamma=1.0)
+            with pytest.raises(ValueError):
+                KktConfig(alpha=1.0, gamma=bad)
+            with pytest.raises(ValueError):
+                KktConfig(alpha=1.0, gamma=1.0, tol_residual=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_data_rejected(self, tiny, bad):
+        space, ops = tiny
+        with pytest.raises(ValueError):
+            make_data(space, ops, f=bad)
+        with pytest.raises(ValueError):
+            make_data(space, ops, y_d=bad)
+        with pytest.raises(ValueError):
+            StateProblem(ops, space.function(np.full(space.n, bad)))
 
     def test_point_space_mismatch(self):
         s1 = build_space(build_mesh(3))

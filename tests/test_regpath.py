@@ -39,8 +39,9 @@ class TestConfig:
             RegPathConfig((1e-1, 1e-1))
 
     def test_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RegPathConfig((1e-1, 0.0))
+        for sched in ((1e-1, 0.0), (1e-1, np.nan), (np.inf, 1e-1)):
+            with pytest.raises(ValueError):
+                RegPathConfig(sched)
 
 
 class TestSolveRegularizedKkt:

@@ -156,7 +156,7 @@ class TestSolveState:
         ops = prob1_33.ops
         y, rep = solve_state(prob1_33, space33.zero())
         b = ops.M.to_scipy() @ prob1_33.f.coeffs
-        r = ops.A.to_scipy() @ y.coeffs + ops.d_diag() * np.maximum(0, y.coeffs) - b
+        r = ops.A.to_scipy() @ y.coeffs + ops.d * np.maximum(0, y.coeffs) - b
         assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.linalg.norm(b))
 
 
@@ -204,7 +204,7 @@ class TestDirectionalDerivative:
         d, rep = directional_derivative(prob, y, h)
         assert rep.converged
         import scipy.sparse as sp
-        jac = ops.A.to_scipy() + sp.diags(ops.d_diag())
+        jac = ops.A.to_scipy() + sp.diags(ops.d)
         d_direct = spsolve(jac.tocsc(), ops.M.to_scipy() @ h.coeffs)
         assert np.allclose(d.coeffs, d_direct, atol=1e-10)
 
@@ -329,7 +329,7 @@ class TestSymmetricDerivative:
         y_c = interpolate(space, exact.y)
         msp = ops.M.to_scipy()
         u_c = spsolve(msp.tocsc(),
-                      ops.A.to_scipy() @ y_c.coeffs + ops.d_diag() * np.maximum(0, y_c.coeffs))
+                      ops.A.to_scipy() @ y_c.coeffs + ops.d * np.maximum(0, y_c.coeffs))
         u_c = space.function(u_c - data.f.coeffs)
         rng = np.random.default_rng(8)
         pts = space.mesh.vertices[space.interior_nodes]
