@@ -15,8 +15,6 @@ from .fe_mesh import (
     build_space,
     export_vtk,
     interpolate,
-    l2_error,
-    l2_norm,
     linf_nodal_error,
 )
 from .kkt_solver import (

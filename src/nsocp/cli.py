@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +128,12 @@ def _cmd_regpath(cfg: RunConfig) -> int:
 
 def _cmd_check(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    row, pt, rep = run_cell(cfg.example, cfg.m_list[0], cfg.alpha_list[0], cfg.gamma_list[0])
+    space = build_space(build_mesh(cfg.m_list[0]))
+    data, _ = build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
+    pt, rep = solve_kkt(data)
     if not rep.converged:
         print("solver did not converge; nothing to check")
         return EXIT_SOLVER_FAILURE
-    space = pt.y.space
-    data, _ = build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
     chi_rep = check_chi_admissible(pt.y, pt.chi, chi_tol=1e-6)
     sign_rep = check_strong_sign(pt.y, pt.p)
     primal_rep = check_primal_stationarity(data, pt, sample_directions(space))

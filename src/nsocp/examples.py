@@ -34,14 +34,13 @@ class ExactSolution:
     p_error_relative: bool
 
 
-def build_example1(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-4,
-                   config: Optional[KktConfig] = None):
+def build_example1(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-4):
     """Smooth manufactured solution; requires odd mesh subdivision so that
     no node hits the zero line {x2 = 1/2} of the exact state."""
     if space.mesh.m % 2 == 0:
         raise ValueError("example 1 needs an odd subdivision count "
                          "(even meshes place nodes on the zero set of the state)")
-    cfg = config or KktConfig(alpha=alpha, gamma=gamma)
+    cfg = KktConfig(alpha=alpha, gamma=gamma)
 
     def y_exact(x1, x2):
         return np.sin(PI * x1) * np.sin(2 * PI * x2)
@@ -77,11 +76,9 @@ def _profile_dd(x1):
     return np.where(t < 0, 12.0 * t ** 2 + 3.0 * t, 0.0)
 
 
-def build_example2(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-12,
-                   config: Optional[KktConfig] = None):
+def build_example2(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-12):
     """Nonpositive state vanishing on the right half of the square."""
-    cfg = config or KktConfig(alpha=alpha, gamma=gamma)
-    a = cfg.alpha
+    cfg = KktConfig(alpha=alpha, gamma=gamma)
 
     def y_exact(x1, x2):
         return _profile(x1) * np.sin(PI * x2)
@@ -92,11 +89,11 @@ def build_example2(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-12,
         return (_profile_dd(x1) - PI * PI * _profile(x1)) * np.sin(PI * x2)
 
     def u_exact(x1, x2):
-        return -p_exact(x1, x2) / a
+        return -p_exact(x1, x2) / alpha
 
     def f_fun(x1, x2):
         # state equation with max(0, y) = 0: f = -Lap(y) - u
-        return -laplace_y(x1, x2) + y_exact(x1, x2) / a
+        return -laplace_y(x1, x2) + y_exact(x1, x2) / alpha
 
     def yd_fun(x1, x2):
         # adjoint with chi = 0: y_d = y + Lap(p), and p = y here

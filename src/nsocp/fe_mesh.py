@@ -25,8 +25,6 @@ __all__ = [
     "build_space",
     "assemble_operators",
     "interpolate",
-    "l2_error",
-    "l2_norm",
     "linf_nodal_error",
     "export_vtk",
 ]
@@ -80,38 +78,26 @@ class FeOperators:
 def build_mesh(m: int) -> TriMesh:
     """Uniform triangulation of [0,1]^2, each cell split along its
     bottom-left to top-right diagonal."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise MeshError("mesh subdivisions must be an integer")
     if m < 2:
         raise MeshError("need at least 2 subdivisions per side")
     xs = np.arange(m + 1) / m
     jj, ii = np.meshgrid(xs, xs, indexing="ij")  # row j (y), column i (x)
     vertices = np.column_stack([ii.ravel(), jj.ravel()])  # index = j*(m+1)+i
 
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            v00 = j * (m + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (m + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return TriMesh(m=m, vertices=vertices, triangles=np.array(tris, dtype=np.int64), h=1.0 / m)
+    j, i = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    v00 = j * (m + 1) + i
+    v11 = v00 + m + 2
+    tris = np.stack([v00, v00 + 1, v11, v00, v11, v00 + m + 1], axis=1).reshape(-1, 3)
+    return TriMesh(m=m, vertices=vertices, triangles=tris, h=1.0 / m)
 
 
 def build_space(mesh: TriMesh) -> FeSpace:
     m = mesh.m
-    interior = []
-    for j in range(1, m):
-        for i in range(1, m):
-            interior.append(j * (m + 1) + i)
-    return FeSpace(mesh=mesh, interior_nodes=np.array(interior, dtype=np.int64), n=(m - 1) ** 2)
-
-
-def _full_to_interior(space: FeSpace) -> np.ndarray:
-    nv = len(space.mesh.vertices)
-    idx = np.full(nv, -1, dtype=np.int64)
-    idx[space.interior_nodes] = np.arange(space.n)
-    return idx
+    j, i = np.divmod(np.arange((m - 1) ** 2, dtype=np.int64), m - 1)
+    interior = (j + 1) * (m + 1) + i + 1
+    return FeSpace(mesh=mesh, interior_nodes=interior, n=(m - 1) ** 2)
 
 
 def assemble_operators(space: FeSpace) -> FeOperators:
@@ -160,73 +146,10 @@ def interpolate(space: FeSpace, g: Callable) -> FeFunction:
     return FeFunction(space, vals)
 
 
-# 6-point triangle quadrature, exact for polynomials of degree 4.
-_QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-_QB = np.array([
-    [0.108103018168070, 0.445948490915965, 0.445948490915965],
-    [0.445948490915965, 0.108103018168070, 0.445948490915965],
-    [0.445948490915965, 0.445948490915965, 0.108103018168070],
-    [0.816847572980459, 0.091576213509771, 0.091576213509771],
-    [0.091576213509771, 0.816847572980459, 0.091576213509771],
-    [0.091576213509771, 0.091576213509771, 0.816847572980459],
-])
-
-
 def _full_coeffs(fe: FeFunction) -> np.ndarray:
     full = np.zeros(len(fe.space.mesh.vertices))
     full[fe.space.interior_nodes] = fe.coeffs
     return full
-
-
-def l2_error(fe: FeFunction, exact: Callable, refine: int = 1) -> float:
-    """Continuous L2 norm of (fe - exact) by per-triangle quadrature.
-
-    ``refine`` uniformly subdivides each triangle before applying the rule
-    (used as an independent cross-check of quadrature accuracy).
-    """
-    mesh = fe.space.mesh
-    full = _full_coeffs(fe)
-    tri = mesh.triangles
-    p = mesh.vertices[tri]  # (nt, 3, 2)
-    cval = full[tri]        # (nt, 3)
-    area = 0.5 * mesh.h * mesh.h / (refine * refine)
-
-    total = 0.0
-    for bary in _subdivided(refine):
-        qp_bary = _QB @ bary  # (6, 3) quadrature points in parent barycentric coords
-        xq = np.einsum("qk,tkd->tqd", qp_bary, p)   # (nt, 6, 2)
-        feq = np.einsum("qk,tk->tq", qp_bary, cval)  # (nt, 6)
-        exq = exact(xq[:, :, 0], xq[:, :, 1])
-        total += area * np.sum(_QW[None, :] * (feq - exq) ** 2)
-    return float(np.sqrt(total))
-
-
-def _subdivided(refine: int):
-    """Barycentric corner triples of a uniform refinement of the reference triangle."""
-    r = refine
-    subs = []
-    for i in range(r):
-        for j in range(r - i):
-            a = np.array([i, j, r - i - j], dtype=float) / r
-            b = np.array([i + 1, j, r - i - j - 1], dtype=float) / r
-            c = np.array([i, j + 1, r - i - j - 1], dtype=float) / r
-            subs.append(np.stack([a, b, c]))
-            if i + j < r - 1:
-                d = np.array([i + 1, j + 1, r - i - j - 2], dtype=float) / r
-                subs.append(np.stack([b, d, c]))
-    return subs
-
-
-def l2_norm(fe: FeFunction) -> float:
-    """Exact continuous L2 norm of the P1 function (element-level mass)."""
-    mesh = fe.space.mesh
-    full = _full_coeffs(fe)
-    tri = mesh.triangles
-    cval = full[tri]
-    area = 0.5 * mesh.h * mesh.h
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    quad = np.einsum("tk,kl,tl->", cval, me_ref, cval) * area
-    return float(np.sqrt(max(quad, 0.0)))
 
 
 def linf_nodal_error(fe: FeFunction, exact_nodal: FeFunction) -> float:

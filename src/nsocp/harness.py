@@ -28,6 +28,10 @@ CSV_HEADER = ["h", "alpha", "gamma", "err_y_rel", "err_p", "err_chi_linf",
               "newton_iters", "status"]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     example: int = 1
@@ -38,10 +42,12 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self):
-        if self.example not in (1, 2):
+        if not _is_int(self.example) or self.example not in (1, 2):
             raise ValueError("example must be 1 or 2")
         if not self.m_list or not self.alpha_list or not self.gamma_list:
             raise ValueError("m, alpha, and gamma lists must be non-empty")
+        if not all(_is_int(m) for m in self.m_list):
+            raise ValueError("mesh subdivisions must be integers")
         if any(m < 2 for m in self.m_list):
             raise ValueError("mesh subdivisions must be at least 2")
         if self.example == 1 and any(m % 2 == 0 for m in self.m_list):

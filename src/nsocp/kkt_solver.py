@@ -42,6 +42,10 @@ __all__ = [
     "zero_point",
 ]
 
+# |p_i| at or below this marks an inactive node as critical: its chi
+# column in the adjoint row vanishes, so chi_i is frozen for the step
+P_CRITICAL_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class KktPoint:
@@ -60,10 +64,9 @@ class KktConfig:
     gamma: float
     tol_residual: float = 1e-12
     max_iter: int = 25
-    tol_p_critical: float = 1e-14
 
     def __post_init__(self):
-        values = (self.alpha, self.gamma, self.tol_residual, self.tol_p_critical)
+        values = (self.alpha, self.gamma, self.tol_residual)
         if not all(np.isfinite(v) and v > 0 for v in values) or self.max_iter <= 0:
             raise ValueError("all KKT configuration values must be positive and finite")
 
@@ -118,7 +121,7 @@ def index_sets(pt: KktPoint, config: KktConfig) -> IndexSets:
     return IndexSets(
         i_plus=np.flatnonzero(y > 0),
         i_gamma=np.flatnonzero(active),
-        i_crit=np.flatnonzero(inactive & (np.abs(p) <= config.tol_p_critical)),
+        i_crit=np.flatnonzero(inactive & (np.abs(p) <= P_CRITICAL_TOL)),
     )
 
 

@@ -59,8 +59,8 @@ class SmoothedMaxParams:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("smoothing width must be positive")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("smoothing width must be positive and finite")
 
 
 def smoothed_max(p: SmoothedMaxParams, x):
@@ -96,7 +96,6 @@ def verify_smoothing_assumptions(
     p: SmoothedMaxParams,
     sample_grid,
     delta: Optional[float] = None,
-    kink_tol: float = 1e-12,
 ) -> SmoothingReport:
     """Check the smoothed-max family on a sample grid.
 
@@ -132,7 +131,7 @@ def verify_smoothing_assumptions(
         jump = abs(
             float(smoothed_max_prime(p, kink + step)) - float(smoothed_max_prime(p, kink - step))
         )
-        if jump > kink_tol + 2 * step / p.eps:
+        if jump > 1e-12 + 2 * step / p.eps:
             v.append(f"derivative discontinuous at x = {kink:.6g} (jump {jump:.3e})")
 
     return SmoothingReport(passed=not v, violations=v)

@@ -102,7 +102,7 @@ def _lu_solve(a, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi, max_iter: int):
+def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi):
     """Newton solve of A y + D phi(y) = M g from y = 0; dphi(y) is an element
     of the generalized derivative of phi at y."""
     a = ops.A.to_scipy()
@@ -112,23 +112,22 @@ def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi, max_iter: int):
     y, rep = newton(np.zeros(ops.space.n),
                     lambda y: a @ y + d * phi(y) - b,
                     lambda y, r: _lu_solve(a, d * dphi(y), -r),
-                    tol, max_iter)
+                    tol, MAX_NEWTON_ITER)
     return ops.space.function(y), rep
 
 
-def solve_state(prob: StateProblem, u: FeFunction, max_iter: int = MAX_NEWTON_ITER):
+def solve_state(prob: StateProblem, u: FeFunction):
     """Semi-smooth Newton solve of A y + D max(0,y) = M (u + f)."""
     return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs, max0,
-                          lambda y: (y > 0).astype(float), max_iter)
+                          lambda y: (y > 0).astype(float))
 
 
-def solve_state_regularized(prob: StateProblem, u: FeFunction, eps: float,
-                            max_iter: int = MAX_NEWTON_ITER):
+def solve_state_regularized(prob: StateProblem, u: FeFunction, eps: float):
     """Newton solve of the smoothed state equation A y + D max_eps(y) = M (u + f)."""
     params = SmoothedMaxParams(eps)
     return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs,
                           lambda y: smoothed_max(params, y),
-                          lambda y: smoothed_max_prime(params, y), max_iter)
+                          lambda y: smoothed_max_prime(params, y))
 
 
 def directional_derivative(prob: StateProblem, y: FeFunction, h: FeFunction,
@@ -145,8 +144,7 @@ def directional_derivative(prob: StateProblem, y: FeFunction, h: FeFunction,
     return _solve_forward(
         prob.ops, h.coeffs,
         lambda delta: zero_band * max0(delta) + positive * delta,
-        lambda delta: zero_band * (delta > 0).astype(float) + positive.astype(float),
-        MAX_NEWTON_ITER)
+        lambda delta: zero_band * (delta > 0).astype(float) + positive.astype(float))
 
 
 @dataclass

@@ -8,10 +8,9 @@ from nsocp.fe_mesh import (
     build_space,
     export_vtk,
     interpolate,
-    l2_error,
-    l2_norm,
     linf_nodal_error,
 )
+from nsocp.state_solver import m_norm
 
 PI = np.pi
 
@@ -42,6 +41,28 @@ class TestBuildMesh:
     def test_too_small(self):
         with pytest.raises(MeshError):
             build_mesh(1)
+
+    def test_non_integer_rejected(self):
+        for m in (9.0, True, "9"):
+            with pytest.raises(MeshError):
+                build_mesh(m)
+
+    def test_matches_loop_reference(self):
+        # cell (j, i) is split into (v00, v10, v11) and (v00, v11, v01);
+        # interior nodes are lexicographic in (j, i)
+        for m in (2, 3, 6):
+            tris = []
+            for j in range(m):
+                for i in range(m):
+                    v00 = j * (m + 1) + i
+                    tris += [(v00, v00 + 1, v00 + m + 2), (v00, v00 + m + 2, v00 + m + 1)]
+            interior = [j * (m + 1) + i for j in range(1, m) for i in range(1, m)]
+            mesh = build_mesh(m)
+            space = build_space(mesh)
+            assert mesh.triangles.dtype == np.int64
+            assert space.interior_nodes.dtype == np.int64
+            assert np.array_equal(mesh.triangles, np.array(tris))
+            assert np.array_equal(space.interior_nodes, np.array(interior))
 
 
 class TestAssembleOperators:
@@ -104,6 +125,20 @@ class TestAssembleOperators:
         rowsums = np.asarray(m.sum(axis=1)).ravel()
         assert np.allclose(rowsums[deep], d[deep], atol=1e-14)
 
+    def test_m_norm_matches_element_mass(self):
+        # M is the consistent P1 mass: v^T M v equals the sum over triangles
+        # of the element mass |T| (1 + delta_kl) / 12 applied to the vertex values
+        space = build_space(build_mesh(7))
+        fe = interpolate(space, lambda x1, x2: x1 * (1 - x1) * np.sin(PI * x2))
+        mesh = space.mesh
+        full = np.zeros(len(mesh.vertices))
+        full[space.interior_nodes] = fe.coeffs
+        cval = full[mesh.triangles]
+        me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        quad = np.einsum("tk,kl,tl->", cval, me_ref, cval) * mesh.h ** 2 / 2
+        ops = assemble_operators(space)
+        assert m_norm(ops, fe.coeffs) == pytest.approx(np.sqrt(quad), rel=1e-12)
+
     def test_spd(self):
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
@@ -133,35 +168,6 @@ class TestInterpolate:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(MeshError):
                 interpolate(space, lambda x1, x2: x1 / (x1 - x1))
-
-
-class TestL2Error:
-    def test_zero_constant_exact(self):
-        # the only constant compatible with the zero boundary condition
-        space = build_space(build_mesh(4))
-        fe = interpolate(space, lambda x1, x2: 0.0 * x1)
-        assert l2_error(fe, lambda x1, x2: 0.0 * x1) <= 1e-14
-
-    def test_norm_of_sine_product(self):
-        space = build_space(build_mesh(8))
-        exact = lambda x1, x2: np.sin(PI * x1) * np.sin(PI * x2)
-        assert l2_error(space.zero(), exact) == pytest.approx(0.5, abs=1e-4)
-
-    def test_quadrature_refinement_oracle(self):
-        # ||I_h y - y|| for the first manufactured state, cross-checked
-        # against a refined-quadrature evaluation
-        space = build_space(build_mesh(33))
-        exact = lambda x1, x2: np.sin(PI * x1) * np.sin(2 * PI * x2)
-        fe = interpolate(space, exact)
-        coarse = l2_error(fe, exact)
-        fine = l2_error(fe, exact, refine=3)
-        # quadrature error must sit far below the O(h^2) error being measured
-        assert coarse == pytest.approx(fine, rel=1e-4)
-
-    def test_l2_norm_matches_quadrature(self):
-        space = build_space(build_mesh(7))
-        fe = interpolate(space, lambda x1, x2: x1 * (1 - x1) * np.sin(PI * x2))
-        assert l2_norm(fe) == pytest.approx(l2_error(fe, lambda a, b: 0.0 * a), rel=1e-12)
 
 
 class TestLinfNodalError:

@@ -175,12 +175,14 @@ class TestCli:
             assert code == EXIT_CONFIG_ERROR, raw
 
     def test_invalid_config_value(self, tmp_path):
-        for raw in ({"example": 3}, {"alpha_list": [-1]}, {"gamma_list": [float("nan")]},
+        for bad in ({"example": 3}, {"example": True}, {"m_list": [9.0]},
+                    {"alpha_list": [-1]}, {"gamma_list": [float("nan")]},
                     {"eps_schedule": [float("nan")]}):
+            # a small mesh, so that a wrongly accepted value runs a quick solve
+            raw = {"m_list": [5], **bad}
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps(raw))
-            code = main(["regpath", "--m", "5", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")])
+            code = main(["regpath", "--config", str(cfg), "--out", str(tmp_path / "out")])
             assert code == EXIT_CONFIG_ERROR, raw
 
     def test_config_file_drives_sweep(self, tmp_path):

@@ -92,8 +92,9 @@ class TestSmoothedMax:
         assert smoothed_max_prime(SmoothedMaxParams(0.1), x) == expected
 
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            SmoothedMaxParams(0.0)
+        for eps in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                SmoothedMaxParams(eps)
 
     def test_uniform_bound_halves_with_eps(self):
         grid = np.linspace(-1, 1, 4001)

@@ -3,7 +3,7 @@ import pytest
 
 from nsocp.examples import build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
-from nsocp.kkt_solver import KktConfig, KktPoint, ProblemData, solve_kkt
+from nsocp.kkt_solver import KktConfig, KktPoint, ProblemData, recover_control, solve_kkt
 from nsocp.state_solver import StateProblem, solve_state
 from nsocp.stationarity import (
     check_bouligand_residual,
@@ -113,6 +113,26 @@ class TestConvergedPoint:
             data, bad, sample_directions(space9, n_random=5))
         assert not rep.passed
         assert rep.min_value < -1e-4
+
+    def test_values_match_difference_quotients_of_objective(self, ex2_solution, space9):
+        # away from the optimum, each sampled value (y - y_d, M delta) + alpha (u, M h)
+        # is the one-sided derivative of the reduced objective along +-h
+        data, pt = ex2_solution
+        alpha = data.config.alpha
+        shifted = KktPoint(pt.y, space9.function(pt.p.coeffs - 0.01 * alpha), pt.chi)
+        u = recover_control(shifted, alpha)
+        y, rep = solve_state(StateProblem(data.ops, data.f), u)
+        assert rep.converged
+        dirs = sample_directions(space9, n_random=3)
+        values = check_primal_stationarity(data, KktPoint(y, shifted.p, pt.chi), dirs).values
+        t = 1e-7
+        j0 = eval_reduced_objective(data, u)
+        quotients = [
+            (eval_reduced_objective(data, space9.function(u.coeffs + t * sgn * h.coeffs)) - j0) / t
+            for h in dirs for sgn in (1.0, -1.0)]
+        assert len(values) == len(quotients) == 2 * len(dirs)
+        assert max(abs(v) for v in values) > 1e-6
+        assert np.max(np.abs(np.array(values) - np.array(quotients))) <= 1e-9
 
 
 class TestHierarchySeparation:
