@@ -67,7 +67,8 @@ class FeFunction:
 
 @dataclass(frozen=True)
 class FeOperators:
-    """P1 operators on the interior nodes; the lumped mass D = diag(d) is kept as d."""
+    """P1 operators on the interior nodes. A and M are scipy CSR matrices in
+    canonical form; the lumped mass D = diag(d) is kept as d."""
 
     space: FeSpace
     A: CsrMatrix  # stiffness

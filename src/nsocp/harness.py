@@ -56,6 +56,8 @@ class RunConfig:
             for gamma in self.gamma_list:
                 KktConfig(alpha=alpha, gamma=gamma)
         RegPathConfig(tuple(self.eps_schedule))
+        if not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string")
 
 
 @dataclass

@@ -67,8 +67,9 @@ class KktConfig:
 
     def __post_init__(self):
         values = (self.alpha, self.gamma, self.tol_residual)
-        if not all(np.isfinite(v) and v > 0 for v in values) or self.max_iter <= 0:
-            raise ValueError("all KKT configuration values must be positive and finite")
+        if self.max_iter <= 0 or any(isinstance(v, bool) or not (np.isfinite(v) and v > 0)
+                                     for v in values):
+            raise ValueError("all KKT configuration values must be positive finite numbers")
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ def zero_point(ops: FeOperators) -> KktPoint:
 def residual(data: ProblemData, pt: KktPoint) -> np.ndarray:
     """Stacked residual (3n,) of the limit optimality system."""
     ops = data.ops
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
+    a, m = ops.A, ops.M
     d = ops.d
     alpha, gamma = data.config.alpha, data.config.gamma
     y, p, chi = pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs
@@ -129,8 +129,7 @@ def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets) -> sp.csr_ma
     """3n x 3n generalized Jacobian of the stacked residual."""
     ops = data.ops
     n = ops.space.n
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
+    a, m = ops.A, ops.M
     d = ops.d
     alpha, gamma = data.config.alpha, data.config.gamma
 
@@ -170,12 +169,15 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     """Undamped semi-smooth Newton on the stacked system; no globalization.
 
     Non-convergence within the iteration cap and singular Newton systems
-    are reported, not repaired.
+    are reported, not repaired. A non-finite ``init`` raises ValueError.
     """
     ops = data.ops
     n = ops.space.n
     cfg = data.config
     pt = init if init is not None else zero_point(ops)
+    x0 = np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs])
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial point must be finite")
 
     def point(x):
         return KktPoint(ops.space.function(x[:n]), ops.space.function(x[n:2 * n]),
@@ -187,8 +189,7 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
         return sparse_core.solve_linear(jac, rhs)
 
-    x, report = newton(np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs]),
-                       lambda x: residual(data, point(x)), step,
+    x, report = newton(x0, lambda x: residual(data, point(x)), step,
                        cfg.tol_residual, cfg.max_iter)
     return point(x), report
 

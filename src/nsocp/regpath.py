@@ -52,21 +52,21 @@ class RegPathConfig:
         sched = tuple(self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must be nonempty")
-        if not all(np.isfinite(e) and e > 0 for e in sched) or any(
+        if any(isinstance(e, bool) or not (np.isfinite(e) and e > 0) for e in sched) or any(
                 sched[k + 1] >= sched[k] for k in range(len(sched) - 1)):
-            raise ValueError("eps schedule must be finite, positive and strictly decreasing")
+            raise ValueError("eps schedule must hold finite, positive, strictly decreasing numbers")
         object.__setattr__(self, "eps_schedule", sched)
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
                           init: Optional[tuple[np.ndarray, np.ndarray]] = None,
                           tol_residual: float = 1e-12, max_iter: int = 50):
-    """Newton solve of the smoothed coupled system in (y, p)."""
+    """Newton solve of the smoothed coupled system in (y, p); a non-finite
+    ``init`` raises ValueError."""
     params = SmoothedMaxParams(eps)
     ops = data.ops
     n = ops.space.n
-    a = ops.A.to_scipy()
-    m = ops.M.to_scipy()
+    a, m = ops.A, ops.M
     d = ops.d
     alpha = data.config.alpha
     fvec = m @ data.f.coeffs
@@ -90,6 +90,8 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         return lu.solve(-r)
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial point must be finite")
     x, report = newton(x0, residual, step, tol_residual, max_iter)
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
 

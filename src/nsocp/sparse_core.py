@@ -2,13 +2,12 @@
 
 All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
 module pins down the error behavior the rest of the package relies on.
-``CsrMatrix`` is the validated storage type of the stiffness and mass
-matrices; everything else here takes and returns scipy matrices.
+The stiffness and mass matrices are ``CsrMatrix``, a scipy CSR matrix in
+canonical form; everything else here takes and returns plain scipy
+matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,58 +41,15 @@ class SingularMatrixError(SparseError):
         super().__init__(f"matrix is singular (deficient pivot in row {pivot_row})")
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Compressed-sparse-row matrix with validated structure.
-
-    Within each row the column indices are strictly increasing and no
-    duplicate (row, col) pair is stored.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        off, col, val = self.row_offsets, self.col_indices, self.values
-        if len(off) != self.n_rows + 1 or off[0] != 0 or off[-1] != len(val):
-            raise SparseError("row_offsets inconsistent with values")
-        if np.any(np.diff(off) < 0):
-            raise SparseError("row_offsets must be non-decreasing")
-        if len(col) != len(val):
-            raise SparseError("col_indices and values length mismatch")
-        if len(col) and (col.min() < 0 or col.max() >= self.n_cols):
-            raise SparseError("column index out of range")
-        if len(col) > 1:
-            # strictly increasing within each row; decreases are only allowed
-            # exactly at row boundaries
-            decreasing = np.flatnonzero(np.diff(col) <= 0) + 1
-            if not np.all(np.isin(decreasing, off)):
-                bad = decreasing[~np.isin(decreasing, off)][0]
-                row = int(np.searchsorted(off, bad, side="right")) - 1
-                raise SparseError(f"row {row}: column indices not strictly increasing")
-
-    def to_scipy(self) -> sp.csr_matrix:
-        m = sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-        return m
+class CsrMatrix(sp.csr_matrix):
+    """scipy CSR matrix in canonical form: within each row the column
+    indices are strictly increasing and no (row, col) pair is stored twice."""
 
     @classmethod
     def from_scipy(cls, m) -> "CsrMatrix":
-        m = sp.csr_matrix(m)
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(
-            n_rows=m.shape[0],
-            n_cols=m.shape[1],
-            row_offsets=m.indptr.astype(np.int64),
-            col_indices=m.indices.astype(np.int64),
-            values=m.data.astype(np.float64),
-        )
+        m = cls(m, copy=True)
+        m.sum_duplicates()  # also sorts the column indices
+        return m
 
 
 def _factorize(m_sp: sp.csc_matrix):

@@ -63,7 +63,7 @@ class NewtonReport:
 
 def m_norm(ops: FeOperators, v: np.ndarray) -> float:
     """Continuous L2 norm of the P1 function with coefficients v."""
-    mv = ops.M.to_scipy() @ v
+    mv = ops.M @ v
     return float(np.sqrt(max(v @ mv, 0.0)))
 
 
@@ -105,9 +105,9 @@ def _lu_solve(a, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi):
     """Newton solve of A y + D phi(y) = M g from y = 0; dphi(y) is an element
     of the generalized derivative of phi at y."""
-    a = ops.A.to_scipy()
+    a = ops.A
     d = ops.d
-    b = ops.M.to_scipy() @ g
+    b = ops.M @ g
     tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
     y, rep = newton(np.zeros(ops.space.n),
                     lambda y: a @ y + d * phi(y) - b,
@@ -210,7 +210,7 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     c = chi.coeffs
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError("chi must take values in [0, 1]")
-    eta = _lu_solve(ops.A.to_scipy(), ops.d * c, ops.M.to_scipy() @ h.coeffs)
+    eta = _lu_solve(ops.A, ops.d * c, ops.M @ h.coeffs)
     return ops.space.function(eta)
 
 

@@ -144,7 +144,7 @@ def check_primal_stationarity(data: ProblemData, pt: KktPoint,
     """Sampled primal condition: the directional derivative of the reduced
     objective must be >= -tol along every sampled direction and its negative."""
     ops = data.ops
-    m = ops.M.to_scipy()
+    m = ops.M
     prob = StateProblem(ops, data.f)
     u = recover_control(pt, data.config.alpha)
     misfit = m @ (pt.y.coeffs - data.y_d.coeffs)
@@ -169,7 +169,7 @@ def eval_reduced_objective(data: ProblemData, u: FeFunction) -> float:
     y, rep = solve_state(prob, u)
     if not rep.converged:
         raise RuntimeError("state solve failed in objective evaluation")
-    m = data.ops.M.to_scipy()
+    m = data.ops.M
     diff = y.coeffs - data.y_d.coeffs
     return float(0.5 * diff @ (m @ diff)
                  + 0.5 * data.config.alpha * u.coeffs @ (m @ u.coeffs))

@@ -177,8 +177,8 @@ def test_criterion_8_directional_derivative(report):
     data2, exact2 = build_example2(space_f)
     prob2 = StateProblem(data2.ops, data2.f)
     y_c = interpolate(space_f, exact2.y)
-    u_c = spsolve(data2.ops.M.to_scipy().tocsc(),
-                  data2.ops.A.to_scipy() @ y_c.coeffs
+    u_c = spsolve(data2.ops.M.tocsc(),
+                  data2.ops.A @ y_c.coeffs
                   + data2.ops.d * np.maximum(0.0, y_c.coeffs))
     u_c = space_f.function(u_c - data2.f.coeffs)
     rng = np.random.default_rng(8)
@@ -249,7 +249,7 @@ def test_criterion_11_lipschitz_bound(report):
     data, _ = build_example1(space)
     ops = data.ops
     prob = StateProblem(ops, space.zero())
-    a = ops.A.to_scipy()
+    a = ops.A
     c_lip = 1.0 / (np.sqrt(2.0) * np.pi)
     rng = np.random.default_rng(20240501)
     ok = True

@@ -68,14 +68,14 @@ class TestBuildMesh:
 class TestAssembleOperators:
     def test_hand_assembly_m2(self):
         ops = assemble_operators(build_space(build_mesh(2)))
-        assert np.allclose(ops.A.to_scipy().toarray(), [[4.0]])
-        assert np.allclose(ops.M.to_scipy().toarray(), [[0.125]])
+        assert np.allclose(ops.A.toarray(), [[4.0]])
+        assert np.allclose(ops.M.toarray(), [[0.125]])
         assert np.allclose(ops.d, [0.25])
 
     def test_five_point_stencil(self):
         # interior rows: diagonal 4, -1 to each of the four grid neighbors
         space = build_space(build_mesh(5))
-        a = assemble_operators(space).A.to_scipy().toarray()
+        a = assemble_operators(space).A.toarray()
         n_side = 4
         for row in range(space.n):
             i, j = row % n_side, row // n_side
@@ -93,7 +93,7 @@ class TestAssembleOperators:
         space = build_space(build_mesh(8))
         ops = assemble_operators(space)
         aff = interpolate(space, lambda x1, x2: 2.0 * x1 - 0.5 * x2 + 0.25)
-        residual = ops.A.to_scipy() @ aff.coeffs
+        residual = ops.A @ aff.coeffs
         pts = space.mesh.vertices[space.interior_nodes]
         h = space.mesh.h
         deep = ((pts[:, 0] > h + 1e-12) & (pts[:, 0] < 1 - h - 1e-12)
@@ -116,7 +116,7 @@ class TestAssembleOperators:
     def test_mass_row_sums_match_lumped_inside(self):
         space = build_space(build_mesh(6))
         ops = assemble_operators(space)
-        m = ops.M.to_scipy()
+        m = ops.M
         d = ops.d
         pts = space.mesh.vertices[space.interior_nodes]
         h = space.mesh.h
@@ -143,7 +143,7 @@ class TestAssembleOperators:
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         for mat in (ops.A, ops.M):
-            dense = mat.to_scipy().toarray()
+            dense = mat.toarray()
             assert np.allclose(dense, dense.T)
             assert np.all(np.linalg.eigvalsh(dense) > 0)
 

@@ -158,7 +158,7 @@ class TestNewtonMatrix:
         pt = zero_point(ops)
         n = space.n
         full = newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
-        assert np.allclose(full[n:2 * n, :n], -ops.M.to_scipy().toarray())
+        assert np.allclose(full[n:2 * n, :n], -ops.M.toarray())
 
     def test_critical_node_singular_without_fix(self, tiny):
         # a critical node zeroes the entire chi column: D p = 0 in the
@@ -277,6 +277,12 @@ class TestSolveKkt:
         assert rep.converged
         assert rep.iterations == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_init_rejected(self, tiny, bad):
+        space, ops = tiny
+        with pytest.raises(ValueError):
+            solve_kkt(make_data(space, ops), init=make_point(space, 0.0, bad, 0.0))
+
 
 class TestRecoverControl:
     def test_sign_and_scale(self, tiny):
@@ -299,7 +305,7 @@ class TestConfigValidation:
             KktConfig(alpha=1.0, gamma=-1.0)
         with pytest.raises(ValueError):
             KktConfig(alpha=1.0, gamma=1.0, max_iter=0)
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, True):
             with pytest.raises(ValueError):
                 KktConfig(alpha=bad, gamma=1.0)
             with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ class TestConfig:
             RegPathConfig((1e-1, 1e-1))
 
     def test_must_be_positive(self):
-        for sched in ((1e-1, 0.0), (1e-1, np.nan), (np.inf, 1e-1)):
+        for sched in ((1e-1, 0.0), (1e-1, np.nan), (np.inf, 1e-1), (True, 1e-1)):
             with pytest.raises(ValueError):
                 RegPathConfig(sched)
 
@@ -53,6 +53,14 @@ class TestSolveRegularizedKkt:
         (y, p), rep = solve_regularized_kkt(zero_data, 1e-2)
         assert rep.converged and rep.iterations == 0
         assert np.allclose(y.coeffs, 0.0) and np.allclose(p.coeffs, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_init_rejected(self, ex1_small, bad):
+        space, data, _ = ex1_small
+        y0 = np.zeros(space.n)
+        y0[space.n // 2] = bad
+        with pytest.raises(ValueError):
+            solve_regularized_kkt(data, 1e-2, (y0, np.zeros(space.n)))
 
     def test_single_step_path_matches_direct_solve(self, ex1_small):
         _, data, _ = ex1_small

@@ -40,8 +40,27 @@ class TestFromScipy:
     def test_duplicates_summed(self):
         coo = sp.coo_matrix(([2.0, 3.0], ([0, 0], [0, 0])), shape=(1, 1))
         m = CsrMatrix.from_scipy(coo)
-        assert len(m.values) == 1
-        assert m.values[0] == 5.0
+        assert len(m.data) == 1
+        assert m.data[0] == 5.0
+
+    def test_unsorted_duplicates_made_canonical(self):
+        # row 0 stores columns 2, 0, 2; row 1 stores columns 1, 0
+        raw = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                             np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
+                            shape=(2, 3))
+        m = CsrMatrix.from_scipy(raw)
+        assert isinstance(m, sp.csr_matrix)
+        assert m.has_canonical_format
+        assert m.indices.tolist() == [0, 2, 0, 1]
+        assert m.data.tolist() == [2.0, 4.0, 5.0, 4.0]
+        assert raw.indices.tolist() == [2, 0, 2, 1, 0]  # input left as it was
+
+    def test_assembled_operators_canonical(self):
+        from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
+        ops = assemble_operators(build_space(build_mesh(6)))
+        for mat in (ops.A, ops.M):
+            assert isinstance(mat, sp.csr_matrix)
+            assert mat.has_canonical_format
 
 
 class TestSolveLinear:

@@ -40,7 +40,7 @@ def prob1_33(ex1_33):
 def poisson_solve(ops, rhs_coeffs):
     """Independent linear path: (A) y = M g via scipy."""
     from scipy.sparse.linalg import spsolve
-    return spsolve(ops.A.to_scipy().tocsc(), ops.M.to_scipy() @ rhs_coeffs)
+    return spsolve(ops.A.tocsc(), ops.M @ rhs_coeffs)
 
 
 def piecewise_linear_problem(n: int, seed: int, nan_at=None, singular_at=None):
@@ -155,8 +155,8 @@ class TestSolveState:
     def test_residual_tolerance(self, prob1_33, space33):
         ops = prob1_33.ops
         y, rep = solve_state(prob1_33, space33.zero())
-        b = ops.M.to_scipy() @ prob1_33.f.coeffs
-        r = ops.A.to_scipy() @ y.coeffs + ops.d * np.maximum(0, y.coeffs) - b
+        b = ops.M @ prob1_33.f.coeffs
+        r = ops.A @ y.coeffs + ops.d * np.maximum(0, y.coeffs) - b
         assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.linalg.norm(b))
 
 
@@ -204,8 +204,8 @@ class TestDirectionalDerivative:
         d, rep = directional_derivative(prob, y, h)
         assert rep.converged
         import scipy.sparse as sp
-        jac = ops.A.to_scipy() + sp.diags(ops.d)
-        d_direct = spsolve(jac.tocsc(), ops.M.to_scipy() @ h.coeffs)
+        jac = ops.A + sp.diags(ops.d)
+        d_direct = spsolve(jac.tocsc(), ops.M @ h.coeffs)
         assert np.allclose(d.coeffs, d_direct, atol=1e-10)
 
     def test_positive_homogeneity(self, prob1_33, space33):
@@ -288,7 +288,7 @@ class TestApplyGchi:
         h2 = space33.function(rng.standard_normal(space33.n))
         e1 = apply_Gchi(ops, chi, h1)
         e2 = apply_Gchi(ops, chi, h2)
-        m = ops.M.to_scipy()
+        m = ops.M
         lhs = (m @ h2.coeffs) @ e1.coeffs
         rhs = (m @ h1.coeffs) @ e2.coeffs
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -327,9 +327,9 @@ class TestSymmetricDerivative:
         prob = StateProblem(ops, data.f)
         # construct u whose exact discrete state has a fat zero set
         y_c = interpolate(space, exact.y)
-        msp = ops.M.to_scipy()
+        msp = ops.M
         u_c = spsolve(msp.tocsc(),
-                      ops.A.to_scipy() @ y_c.coeffs + ops.d * np.maximum(0, y_c.coeffs))
+                      ops.A @ y_c.coeffs + ops.d * np.maximum(0, y_c.coeffs))
         u_c = space.function(u_c - data.f.coeffs)
         rng = np.random.default_rng(8)
         pts = space.mesh.vertices[space.interior_nodes]
@@ -344,7 +344,7 @@ class TestLipschitzAndMonotone:
         ops = assemble_operators(space)
         prob = StateProblem(ops, space.zero())
         rng = np.random.default_rng(99)
-        a = ops.A.to_scipy()
+        a = ops.A
         c_p = 1.0 / (np.sqrt(2.0) * PI)
         for _ in range(10):
             u1 = space.function(rng.standard_normal(space.n))

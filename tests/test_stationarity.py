@@ -161,7 +161,7 @@ class TestReducedObjective:
         y, rep = solve_state(prob, u)
         assert rep.converged
         consistent = ProblemData(ops=data.ops, f=data.f, y_d=y, config=data.config)
-        m = data.ops.M.to_scipy()
+        m = data.ops.M
         expect = 0.5 * data.config.alpha * u.coeffs @ (m @ u.coeffs)
         assert eval_reduced_objective(consistent, u) == pytest.approx(expect, rel=1e-12)
 
