@@ -7,6 +7,7 @@ classical five-point stencil (diagonal 4, neighbors -1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +48,33 @@ class FeSpace:
     mesh: TriMesh
     interior_nodes: np.ndarray  # vertex indices, lexicographic in (j, i)
     n: int
+
+    @functools.cached_property
+    def nd_order(self) -> np.ndarray:
+        """Interior nodes in geometric nested-dissection order (George,
+        SIAM J. Numer. Anal. 10, 1973): a rectangle of the grid lists its
+        two halves, each dissected in turn, then the grid line between them,
+        which separates them for every operator here. Computed on first use.
+        """
+        k = self.mesh.m - 1
+        parts = []
+
+        def dissect(j0, j1, i0, i1):
+            if (j1 - j0) * (i1 - i0) <= 4:
+                parts.append((np.arange(j0, j1)[:, None] * k + np.arange(i0, i1)).ravel())
+            elif j1 - j0 >= i1 - i0:
+                mid = (j0 + j1) // 2
+                dissect(j0, mid, i0, i1)
+                dissect(mid + 1, j1, i0, i1)
+                parts.append(mid * k + np.arange(i0, i1))
+            else:
+                mid = (i0 + i1) // 2
+                dissect(j0, j1, i0, mid)
+                dissect(j0, j1, mid + 1, i1)
+                parts.append(np.arange(j0, j1) * k + mid)
+
+        dissect(0, k, 0, k)
+        return np.concatenate(parts)
 
     def zero(self) -> "FeFunction":
         return FeFunction(self, np.zeros(self.n))

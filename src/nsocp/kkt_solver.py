@@ -12,6 +12,15 @@ lumped mass matrix for uniform residual scaling. Nodes where p_i ~ 0 and
 y_i + gamma chi_i in [0, gamma] make the Newton matrix singular; their
 chi components are frozen for the step (active-set fix).
 ``solve_kkt`` runs ``state_solver.newton`` on the stacked vector.
+
+Each step solves the fixed 3n Newton matrix with ``solve_linear``. Every
+prox row has a single entry, so the step fixes chi_i on I_gamma and on
+critical nodes and y_i on the other inactive nodes; there chi_i follows
+last from adjoint row n + i, through the pivot d_i p_i. What is factorised
+is the primal-dual active-set system (Hintermueller, Ito & Kunisch, SIAM J.
+Optim. 13, 2002) in dy on I_gamma and I_crit and dp on every node, of size
+at most 2n, with the unknowns numbered node by node in the nested-dissection
+order ``FeSpace.nd_order``.
 """
 
 from __future__ import annotations
@@ -183,11 +192,14 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         return KktPoint(ops.space.function(x[:n]), ops.space.function(x[n:2 * n]),
                         ops.space.function(x[2 * n:]))
 
+    nd = ops.space.nd_order
+    order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
+
     def step(x, r):
         pt = point(x)
         sets = index_sets(pt, cfg)
         jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
-        return sparse_core.solve_linear(jac, rhs)
+        return sparse_core.solve_linear(jac, rhs, order)
 
     x, report = newton(x0, lambda x: residual(data, point(x)), step,
                        cfg.tol_residual, cfg.max_iter)

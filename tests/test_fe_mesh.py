@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from nsocp.fe_mesh import (
     MeshError,
@@ -63,6 +64,28 @@ class TestBuildMesh:
             assert space.interior_nodes.dtype == np.int64
             assert np.array_equal(mesh.triangles, np.array(tris))
             assert np.array_equal(space.interior_nodes, np.array(interior))
+
+
+class TestNestedDissectionOrder:
+    @pytest.mark.parametrize("m", [2, 3, 4, 17, 33])
+    def test_is_permutation_of_interior_nodes(self, m):
+        space = build_space(build_mesh(m))
+        order = space.nd_order
+        assert order.dtype == np.int64
+        assert np.array_equal(np.sort(order), np.arange(space.n))
+
+    def test_computed_on_first_use_and_cached(self):
+        space = build_space(build_mesh(9))
+        assert "nd_order" not in vars(space)
+        assert space.nd_order is space.nd_order
+
+    def test_less_fill_than_colamd_on_stiffness(self):
+        space = build_space(build_mesh(65))
+        a = assemble_operators(space).A
+        order = space.nd_order
+        nd_fill = splu(a[order][:, order].tocsc(), permc_spec="NATURAL").nnz
+        colamd_fill = splu(a.tocsc(), permc_spec="COLAMD").nnz
+        assert nd_fill < colamd_fill
 
 
 class TestAssembleOperators:

@@ -149,6 +149,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fitted convergence order" in out
 
+    def test_state_writes_vtk(self, tmp_path, capsys):
+        code = main(["state", "--example", "1", "--m", "9", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "state.vtk").exists()
+        assert "state solve: converged=True" in capsys.readouterr().out
+
     def test_kkt_writes_report(self, tmp_path):
         code = main(["kkt", "--example", "2", "--m", "9", "--gamma", "1e-12",
                      "--out", str(tmp_path)])

@@ -211,6 +211,70 @@ class TestNewtonMatrix:
         assert fixed is mat and frhs is rhs
 
 
+def node_order(space):
+    """(y_i, p_i, chi_i) triples in the space's nested-dissection node order,
+    the numbering ``solve_kkt`` hands to ``solve_linear``."""
+    nd, n = space.nd_order, space.n
+    return np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()
+
+
+def mixed_iterate(space, gamma, rng):
+    """A KKT point whose nodes fall, at random, in I_gamma, in I_crit
+    (p_i = 0 inside the prox interval) or among the other inactive nodes."""
+    n = space.n
+    kind = rng.integers(0, 3, n)
+    y = rng.standard_normal(n)
+    inside = rng.uniform(0.02, gamma - 0.02, n)
+    outside = np.where(rng.random(n) < 0.5, rng.uniform(-1.0, -0.02, n),
+                       rng.uniform(gamma + 0.02, gamma + 1.0, n))
+    w = np.where(kind == 0, outside, inside)
+    p = np.where(kind == 1, 0.0, rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 1.0, n))
+    return make_point(space, y, p, (w - y) / gamma), kind
+
+
+class TestNewtonStepSolve:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
+    def test_matches_dense_solve_of_fixed_matrix(self, seed, m):
+        # reference path: LAPACK on the dense 3n matrix after the active-set fix
+        space = build_space(build_mesh(m))
+        ops = assemble_operators(space)
+        rng = np.random.default_rng(seed)
+        gamma = 0.5
+        data = ProblemData(ops=ops, f=space.function(rng.standard_normal(space.n)),
+                           y_d=space.function(rng.standard_normal(space.n)),
+                           config=KktConfig(alpha=1e-2, gamma=gamma))
+        pt, _ = mixed_iterate(space, gamma, rng)
+        sets = index_sets(pt, data.config)
+        fixed, rhs = apply_active_set_fix(newton_matrix(data, pt, sets),
+                                          rng.standard_normal(3 * space.n), sets)
+        ref = np.linalg.solve(fixed.toarray(), rhs)
+        for x in (solve_linear(fixed, rhs, node_order(space)), solve_linear(fixed, rhs)):
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("use_order", [True, False])
+    def test_tiny_adjoint_on_inactive_node_names_its_adjoint_row(self, use_order):
+        # an inactive node left out of I_crit with |p_i| ~ 1e-20: its chi_i
+        # pivot d_i p_i in adjoint row n + i is numerically zero
+        space = build_space(build_mesh(7))
+        ops = assemble_operators(space)
+        n, gamma = space.n, 0.5
+        rng = np.random.default_rng(11)
+        data = ProblemData(ops=ops, f=space.function(np.ones(n)),
+                           y_d=space.function(np.zeros(n)),
+                           config=KktConfig(alpha=1e-2, gamma=gamma))
+        pt, kind = mixed_iterate(space, gamma, rng)
+        i = int(np.flatnonzero(kind == 2)[3])
+        pt.p.coeffs[i] = 1e-20
+        sets = index_sets(pt, data.config)
+        assert i in sets.i_crit  # by the tolerance; the solve must not rely on it
+        sets = IndexSets(sets.i_plus, sets.i_gamma, sets.i_crit[sets.i_crit != i])
+        fixed, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), np.ones(3 * n), sets)
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_linear(fixed, rhs, node_order(space) if use_order else None)
+        assert exc.value.pivot_row == n + i
+
+
 @pytest.fixture(scope="module")
 def ex1_solution():
     space = build_space(build_mesh(9))

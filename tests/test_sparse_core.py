@@ -64,9 +64,16 @@ class TestFromScipy:
 
 
 class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(solve_linear(sp.identity(4, format="csr"), b), b)
+    def test_identity(self, monkeypatch):
+        # every row is a singleton, so nothing is left to factorise
+        import nsocp.sparse_core as sc
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        monkeypatch.setattr(sc, "splu", no_lu)
+        b = np.array([1.0, -2.0, 3.5, 1e-30])
+        assert np.array_equal(solve_linear(sp.identity(4, format="csr"), b), b)
 
     def test_small_system(self):
         m = csr([[4.0, -1.0], [-1.0, 4.0]])
@@ -128,6 +135,83 @@ class TestSolveLinear:
             with pytest.raises(SingularMatrixError) as exc:
                 solve_linear(csr(dense), np.ones(8))
             assert exc.value.pivot_row in (i, j, k), seed
+
+    @staticmethod
+    def _with_singleton_rows(rng):
+        # rows 1 and 6 are singletons: they fix x_4 and x_0 and leave the
+        # reduced block, so its row numbers differ from the matrix's
+        dense = rng.standard_normal((10, 10))
+        for r, c in ((1, 4), (6, 0)):
+            dense[r] = 0.0
+            dense[r, c] = 1e-3
+        return dense, [0, 2, 3, 4, 5, 7, 8, 9]
+
+    def test_dependent_pair_in_reduced_block_named_in_original_numbering(self):
+        # column c of the reduced block holds rows i and k alone, and they
+        # hold nothing else there: the LU stops on an exact zero, and the
+        # dense search names one of the pair
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense, rest = self._with_singleton_rows(rng)
+            i, k = rng.choice(rest, 2, replace=False)
+            c = rng.choice([2, 3, 5, 7, 8, 9])
+            dense[:, c] = 0.0
+            for r in (i, k):
+                dense[r] = 0.0
+                dense[r, [4, c]] = rng.standard_normal(2)
+            for order in (None, rng.permutation(10)):
+                with pytest.raises(SingularMatrixError) as exc:
+                    solve_linear(csr(dense), np.ones(10), order)
+                assert exc.value.pivot_row in (i, k), seed
+
+    def test_tiny_u_pivot_in_reduced_block_named_in_original_numbering(self):
+        # row k is 1e-20 relative to its entry in the fixed column 4, so after
+        # equilibration its part of the reduced block ends on a tiny U pivot
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense, rest = self._with_singleton_rows(rng)
+            k = rng.choice([q for q in rest if q != 4])
+            dense[k] *= 1e-20
+            dense[k, 4] = 1.0
+            for order in (None, rng.permutation(10)):
+                with pytest.raises(SingularMatrixError) as exc:
+                    solve_linear(csr(dense), np.ones(10), order)
+                assert exc.value.pivot_row == k, seed
+
+    def test_singletons_and_order_against_dense_oracle(self):
+        # rows 0 and 3 are singletons; column 5 has one entry outside them
+        # (row 2), so x_5 is back-substituted from row 2
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        dense[0] = 0.0
+        dense[0, 1] = 2.0
+        dense[3] = 0.0
+        dense[3, 3] = -0.5
+        dense[:, 5] = 0.0
+        dense[2, 5] = 1.5
+        b = rng.standard_normal(6)
+        ref = dense_gauss_solve(dense, b)
+        for order in (None, [5, 4, 3, 2, 1, 0], rng.permutation(6)):
+            x = solve_linear(csr(dense), b, order)
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_second_singleton_on_a_fixed_unknown(self):
+        m = csr([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [-3.0, 0.0, 0.0]])
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_linear(m, np.ones(3))
+        assert exc.value.pivot_row in (0, 2)
+
+    def test_order_must_be_permutation(self):
+        m = csr(np.eye(3) + 0.1)
+        for order in ([0, 1], [0, 1, 1], [0, 1, 3]):
+            with pytest.raises(SparseError):
+                solve_linear(m, np.ones(3), order)
+
+    def test_input_matrix_left_unchanged(self):
+        m = sp.csr_matrix((np.array([2.0, 0.0, 3.0]), np.array([0, 1, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        solve_linear(m, np.ones(2))
+        assert m.data.tolist() == [2.0, 0.0, 3.0]
 
     def test_zero_row_singular(self):
         m = csr([[1.0, 0.0], [0.0, 0.0]])
