@@ -1,8 +1,9 @@
 """Friedrichs-Keller triangulation of the unit square and P1 assembly.
 
 Homogeneous Dirichlet boundary conditions; only interior nodes carry
-degrees of freedom. The stiffness matrix on this mesh coincides with the
-classical five-point stencil (diagonal 4, neighbors -1).
+degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
+built as the grid stencils of the P1 operators on this mesh; A is the
+five-point stencil (diagonal 4, neighbors -1).
 """
 
 from __future__ import annotations
@@ -130,38 +131,30 @@ def build_space(mesh: TriMesh) -> FeSpace:
 
 
 def assemble_operators(space: FeSpace) -> FeOperators:
-    mesh = space.mesh
-    tri = mesh.triangles
-    p = mesh.vertices[tri]  # (nt, 3, 2)
+    """Grid stencils of the P1 operators on the interior nodes, numbered
+    lexicographically in (j, i), so that node (j, i) is row j (m-1) + i:
 
-    x = p[:, :, 0]
-    y = p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    # for this mesh area = h^2/2 > 0 on every triangle
-    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area[:, None, None])
+        A = I (x) T + T (x) I,  T = tridiag(-1, 2, -1) of size m - 1,
+        M = (h^2/12) (6 I + I (x) S + S (x) I + E + E^T),  S = L + L^T,  E = L (x) L,
+        d = h^2 on every node,
 
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * me_ref[None, :, :]
-
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nv = len(mesh.vertices)
-    a_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    m_full = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-    d_full = np.zeros(nv)
-    np.add.at(d_full, tri.ravel(), np.repeat(area / 3.0, 3))
-
-    ix = space.interior_nodes
-    a_int = a_full[np.ix_(ix, ix)]
-    m_int = m_full[np.ix_(ix, ix)]
+    where L is the shift with ones below the diagonal, so E links node (j, i)
+    to node (j+1, i+1) across the diagonal that splits each cell.
+    """
+    k = space.mesh.m - 1
+    h2 = space.mesh.h ** 2
+    eye = sp.eye(k, format="csr")
+    shift = sp.eye(k, k=-1, format="csr")
+    s = shift + shift.T
+    t = 2.0 * eye - s
+    kron = functools.partial(sp.kron, format="csr")  # the default BSR result can store zeros
+    e = kron(shift, shift)
     return FeOperators(
         space=space,
-        A=CsrMatrix.from_scipy(a_int),
-        M=CsrMatrix.from_scipy(m_int),
-        d=d_full[ix],
+        A=CsrMatrix.from_scipy(kron(eye, t) + kron(t, eye)),
+        M=CsrMatrix.from_scipy((h2 / 2) * kron(eye, eye)
+                               + (h2 / 12) * (kron(eye, s) + kron(s, eye) + e + e.T)),
+        d=np.full(space.n, h2),
     )
 
 

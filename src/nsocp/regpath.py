@@ -111,8 +111,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     (chi = max_eps'(y) at the smallest eps) plus per-eps telemetry."""
     ops = data.ops
     report = PathReport([], [], [])
-    init = None
-    y = p = None
+    init = pt = None
     for eps in cfg.eps_schedule:
         (yf, pf), rep = solve_regularized_kkt(
             data, eps, init, cfg.tol_residual, cfg.max_iter)
@@ -126,17 +125,13 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
             report.aborted = True
             report.failure_reason = f"inner solve failed at eps = {eps}"
             break
-        y, p = yf.coeffs, pf.coeffs
-        init = (y, p)
-        chi = smoothed_max_prime(SmoothedMaxParams(eps), y)
-        pt = KktPoint(ops.space.function(y), ops.space.function(p), ops.space.function(chi))
+        init = (yf.coeffs, pf.coeffs)
+        chi = smoothed_max_prime(SmoothedMaxParams(eps), yf.coeffs)
+        pt = KktPoint(yf, pf, ops.space.function(chi))
         report.limit_residuals.append(float(np.linalg.norm(kkt_solver.residual(data, pt))))
-    if y is None:
+    if pt is None:
         raise RuntimeError("regularization path produced no converged iterate")
-    eps_final = report.eps_values[len(report.limit_residuals) - 1]
-    chi = smoothed_max_prime(SmoothedMaxParams(eps_final), y)
-    final = KktPoint(ops.space.function(y), ops.space.function(p), ops.space.function(chi))
-    return final, report
+    return pt, report
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from nsocp.fe_mesh import (
@@ -88,6 +89,32 @@ class TestNestedDissectionOrder:
         assert nd_fill < colamd_fill
 
 
+def element_assembly(space):
+    """Reference P1 operators summed triangle by triangle from the vertex
+    coordinates over all vertices, then restricted to the interior nodes:
+    stiffness, consistent mass and lumped mass (|T|/3 per vertex)."""
+    mesh = space.mesh
+    tri = mesh.triangles
+    p = mesh.vertices[tri]  # (nt, 3, 2)
+    x = p[:, :, 0]
+    y = p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area[:, None, None])
+    me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    nv = len(mesh.vertices)
+    ix = space.interior_nodes
+    a = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()[np.ix_(ix, ix)]
+    m = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()[np.ix_(ix, ix)]
+    d = np.zeros(nv)
+    np.add.at(d, tri.ravel(), np.repeat(area / 3.0, 3))
+    return a, m, d[ix]
+
+
 class TestAssembleOperators:
     def test_hand_assembly_m2(self):
         ops = assemble_operators(build_space(build_mesh(2)))
@@ -96,19 +123,40 @@ class TestAssembleOperators:
         assert np.allclose(ops.d, [0.25])
 
     def test_five_point_stencil(self):
-        # interior rows: diagonal 4, -1 to each of the four grid neighbors
+        # exactly, with nothing else stored: A has diagonal 4 and -1 to each
+        # interior grid neighbor; M has h^2/2 on the diagonal and h^2/12 to
+        # each interior node that shares a triangle edge (the four grid
+        # neighbors and the two across the split diagonal); d = h^2
         space = build_space(build_mesh(5))
-        a = assemble_operators(space).A.toarray()
+        ops = assemble_operators(space)
+        h = space.mesh.h
         n_side = 4
+        axis = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+        def stored(mat, row):
+            lo, hi = mat.indptr[row], mat.indptr[row + 1]
+            return dict(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()))
+
+        def neighbors(i, j, steps):
+            return [(j + dj) * n_side + i + di for di, dj in steps
+                    if 0 <= i + di < n_side and 0 <= j + dj < n_side]
+
         for row in range(space.n):
             i, j = row % n_side, row // n_side
-            assert a[row, row] == pytest.approx(4.0)
-            offdiag = np.delete(a[row], row)
-            assert np.all(np.isin(np.round(offdiag, 12), [0.0, -1.0]))
-            expected_neighbors = sum(
-                1 for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                if 0 <= i + di < n_side and 0 <= j + dj < n_side)
-            assert np.sum(np.isclose(a[row], -1.0)) == expected_neighbors
+            expect_a = {row: 4.0, **{col: -1.0 for col in neighbors(i, j, axis)}}
+            assert stored(ops.A, row) == expect_a
+            edges = neighbors(i, j, axis + ((1, 1), (-1, -1)))
+            assert stored(ops.M, row) == {row: h ** 2 / 2, **{col: h ** 2 / 12 for col in edges}}
+        assert np.all(ops.d == h ** 2)
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 17])
+    def test_matches_element_assembly(self, m):
+        space = build_space(build_mesh(m))
+        ops = assemble_operators(space)
+        a, mass, d = element_assembly(space)
+        for got, ref in ((ops.A, a), (ops.M, mass)):
+            assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
+        assert np.max(np.abs(ops.d - d)) <= 1e-13 * np.max(d)
 
     def test_discrete_harmonicity_of_affine(self):
         # A applied to an interpolated affine function vanishes on rows whose

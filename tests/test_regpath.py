@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsocp.examples import build_example1
+from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space
 from nsocp.kkt_solver import solve_kkt
 from nsocp.regpath import (
@@ -105,6 +105,20 @@ class TestRunPath:
         pt, _ = path_result
         assert pt.chi.coeffs.min() >= 0.0
         assert pt.chi.coeffs.max() <= 1.0
+
+    def test_aborted_path_returns_last_converged_point(self):
+        # at alpha = 1e-6 the inner solve fails at the fourth eps; the path
+        # returns the point of the third, as a path that stops there does
+        space = build_space(build_mesh(9))
+        data, _ = build_example2(space, alpha=1e-6, gamma=1e-12)
+        sched = tuple(10.0 ** -k for k in range(1, 9))
+        pt, report = run_path(data, RegPathConfig(sched, max_iter=6))
+        assert report.aborted
+        assert len(report.limit_residuals) == 3
+        pt_cut, report_cut = run_path(data, RegPathConfig(sched[:3], max_iter=6))
+        assert not report_cut.aborted
+        for got, want in ((pt.y, pt_cut.y), (pt.p, pt_cut.p), (pt.chi, pt_cut.chi)):
+            assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_unreachable_tolerance_raises(self, ex1_small):
         _, data, _ = ex1_small
