@@ -7,12 +7,14 @@ For a fixed smoothing width eps the coupled first-order system reads
 
 Driving eps -> 0 with warm starts recovers a solution of the limit
 system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
-solve runs ``state_solver.newton`` on the stacked vector (y, p).
+solve runs ``state_solver.newton`` on the stacked vector (y, p); its
+Jacobian is factorised with the unknowns numbered node by node, as
+(y_i, p_i) pairs in the mesh's nested-dissection order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,8 +31,8 @@ from .nonsmooth import (
     smoothed_max_second,
 )
 from .sparse_core import SingularMatrixError
-from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
-                           solve_state_regularized)
+from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
+                           solve_state, solve_state_regularized)
 
 __all__ = [
     "RegPathConfig",
@@ -71,6 +73,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     alpha = data.config.alpha
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
+    order = np.column_stack([ops.space.nd_order, ops.space.nd_order + n]).ravel()
 
     def residual(x):
         y, p = x[:n], x[n:]
@@ -82,12 +85,14 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         y, p = x[:n], x[n:]
         j11 = a + sp.diags(d * smoothed_max_prime(params, y))
         j21 = sp.diags(d * smoothed_max_second(params, y) * p) - m
-        jac = sp.bmat([[j11, m / alpha], [j21, j11]], format="csc")
+        jac = sp.bmat([[j11, m / alpha], [j21, j11]], format="csr")
         try:
-            lu = splu(jac, permc_spec="COLAMD")
+            lu = splu(jac[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SingularMatrixError(-1) from exc
-        return lu.solve(-r)
+        dx = np.empty(2 * n)
+        dx[order] = lu.solve(-r[order])
+        return dx
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
     if not np.all(np.isfinite(x0)):
@@ -103,6 +108,9 @@ class PathReport:
     limit_residuals: list[float]
     aborted: bool = False
     failure_reason: Optional[str] = None
+    # failed warm-started solves that were retried cold; the retry's report
+    # is the one in ``inner_reports``
+    warm_failures: list[NewtonReport] = field(default_factory=list)
 
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
@@ -117,6 +125,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
             data, eps, init, cfg.tol_residual, cfg.max_iter)
         if not rep.converged and init is not None:
             # one cold-start retry before giving up on the path
+            report.warm_failures.append(rep)
             (yf, pf), rep = solve_regularized_kkt(
                 data, eps, None, cfg.tol_residual, cfg.max_iter)
         report.eps_values.append(eps)
@@ -142,6 +151,7 @@ class RateReport:
     degenerate: bool
 
 
+@reusing_factorisations()
 def verify_lemma_rate(prob: StateProblem, u: FeFunction, eps_list) -> RateReport:
     """Fit the convergence rate of || S_eps(u) - S(u) ||_{L2} in eps.
 

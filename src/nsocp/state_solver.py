@@ -7,10 +7,19 @@ A y + D max(0, y) = M (u + f). The state, the regularized state and the
 directional derivative of the control-to-state map are one forward solve
 of A y + D phi(y) = M g with different phi. Also provides the linear
 operators G_chi representing generalized-derivative elements.
+
+Every n x n matrix is A + diag(c), factorised with its rows and columns in
+the mesh's nested-dissection order. While a multi-solve check runs (it is
+wrapped in ``reusing_factorisations``), the last ``LU_MEMO_SIZE``
+factorisations are kept, and a matrix met again (the same A object and a
+bit-identical c) is solved with its kept factorisation; the results are the
+same as from a fresh one. Nothing is kept once the outermost check returns.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +48,11 @@ __all__ = [
 
 DEFAULT_ZERO_TOL = 1e-12
 MAX_NEWTON_ITER = 50
+# factorisations kept inside a ``reusing_factorisations`` scope, most recent last
+LU_MEMO_SIZE = 4
+
+# (A, c as bytes, LU) entries of the innermost open scope; None outside one
+_lu_memo: ContextVar[Optional[list]] = ContextVar("nsocp_lu_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -93,13 +107,45 @@ def newton(x0: np.ndarray, residual, step, tol: float, max_iter: int):
     return x, NewtonReport(False, max_iter, history, "no convergence within iteration limit")
 
 
-def _lu_solve(a, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + diag(diag)) x = rhs by sparse LU."""
+@contextmanager
+def reusing_factorisations():
+    """Keep factorisations of A + diag(c) for reuse until the outermost such
+    scope exits; usable as a decorator. A nested scope shares the outer one."""
+    if _lu_memo.get() is not None:
+        yield
+        return
+    token = _lu_memo.set([])
     try:
-        lu = splu((a + sp.diags(diag)).tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SingularMatrixError(-1) from exc
-    return lu.solve(rhs)
+        yield
+    finally:
+        _lu_memo.reset(token)
+
+
+def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + diag(c)) x = rhs by sparse LU in nested-dissection order,
+    with a factorisation kept by the open ``reusing_factorisations`` scope
+    when there is one."""
+    a, order = ops.A, ops.space.nd_order
+    memo = _lu_memo.get()
+    key = c.tobytes()
+    for k, entry in enumerate(memo or ()):
+        if entry[0] is a and entry[1] == key:
+            memo.append(memo.pop(k))
+            lu = entry[2]
+            break
+    else:
+        try:
+            lu = splu((a + sp.diags(c))[order][:, order].tocsc(),
+                      permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        except RuntimeError as exc:
+            raise SingularMatrixError(-1) from exc
+        if memo is not None:
+            memo.append((a, key, lu))
+            if len(memo) > LU_MEMO_SIZE:
+                del memo[0]
+    x = np.empty(len(rhs))
+    x[order] = lu.solve(rhs[order])
+    return x
 
 
 def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi):
@@ -111,7 +157,7 @@ def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi):
     tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
     y, rep = newton(np.zeros(ops.space.n),
                     lambda y: a @ y + d * phi(y) - b,
-                    lambda y, r: _lu_solve(a, d * dphi(y), -r),
+                    lambda y, r: _lu_solve(ops, d * dphi(y), -r),
                     tol, MAX_NEWTON_ITER)
     return ops.space.function(y), rep
 
@@ -156,6 +202,7 @@ class FiniteDifferenceReport:
     delta_norm: float
 
 
+@reusing_factorisations()
 def finite_difference_check(prob: StateProblem, u: FeFunction, h: FeFunction,
                             t_list, zero_tol: float = DEFAULT_ZERO_TOL) -> FiniteDifferenceReport:
     """Compare difference quotients of the forward map with the directional
@@ -210,10 +257,11 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     c = chi.coeffs
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError("chi must take values in [0, 1]")
-    eta = _lu_solve(ops.A, ops.d * c, ops.M @ h.coeffs)
+    eta = _lu_solve(ops, ops.d * c, ops.M @ h.coeffs)
     return ops.space.function(eta)
 
 
+@reusing_factorisations()
 def check_symmetric_derivative(prob: StateProblem, u: FeFunction, h: FeFunction,
                                zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
     """Whether S'(u; h) = -S'(u; -h) holds numerically (Gateaux criterion)."""

@@ -20,6 +20,7 @@ from .state_solver import (
     DEFAULT_ZERO_TOL,
     StateProblem,
     directional_derivative,
+    reusing_factorisations,
     solve_state,
 )
 
@@ -137,6 +138,7 @@ class PrimalStationarityReport:
         }
 
 
+@reusing_factorisations()
 def check_primal_stationarity(data: ProblemData, pt: KktPoint,
                               directions: Sequence[FeFunction],
                               tol: float = 1e-8,

@@ -3,14 +3,20 @@ import pytest
 
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space
+from nsocp import regpath
 from nsocp.kkt_solver import solve_kkt
+from nsocp.nonsmooth import (
+    SmoothedMaxParams,
+    smoothed_max_prime,
+    smoothed_max_second,
+)
 from nsocp.regpath import (
     RegPathConfig,
     run_path,
     solve_regularized_kkt,
     verify_lemma_rate,
 )
-from nsocp.state_solver import StateProblem
+from nsocp.state_solver import NewtonReport, StateProblem
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +77,42 @@ class TestSolveRegularizedKkt:
         assert np.array_equal(pt.y.coeffs, y.coeffs)
         assert np.array_equal(pt.p.coeffs, p.coeffs)
 
+    @pytest.mark.parametrize("m, seed", [(5, 0), (9, 1), (9, 2)])
+    def test_step_matches_dense_solve_of_jacobian(self, m, seed, monkeypatch):
+        space = build_space(build_mesh(m))
+        data, _ = build_example2(space, alpha=1e-3, gamma=1e-12)
+        n, eps = space.n, 1e-2
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-2 * eps, 2 * eps, n)  # inside and outside the smoothing band
+        p = rng.standard_normal(n)
+        steps, factorised = [], []
+
+        def one_step(x0, residual, step, tol, max_iter):
+            r = residual(x0)
+            steps.append((r, step(x0, r)))
+            return x0, NewtonReport(False, 0, [])
+
+        def recording_splu(k, **kwargs):
+            factorised.append(k.toarray())
+            return splu(k, **kwargs)
+
+        splu = regpath.splu
+        monkeypatch.setattr(regpath, "newton", one_step)
+        monkeypatch.setattr(regpath, "splu", recording_splu)
+        solve_regularized_kkt(data, eps, (y, p))
+        (r, dx), = steps
+
+        params = SmoothedMaxParams(eps)
+        a, mm, d = data.ops.A.toarray(), data.ops.M.toarray(), data.ops.d
+        j11 = a + np.diag(d * smoothed_max_prime(params, y))
+        j21 = np.diag(d * smoothed_max_second(params, y) * p) - mm
+        jac = np.block([[j11, mm / data.config.alpha], [j21, j11]])
+        want = np.linalg.solve(jac, -r)
+        assert np.linalg.norm(dx - want) <= 1e-12 * np.linalg.norm(want)
+        # unknowns numbered node by node, (y_i, p_i) in nested-dissection order
+        order = np.ravel(np.column_stack([space.nd_order, space.nd_order + n]))
+        assert np.allclose(factorised[0], jac[np.ix_(order, order)], rtol=1e-15, atol=0.0)
+
 
 class TestRunPath:
     def test_limit_residual_strictly_decreasing(self, path_result):
@@ -119,6 +161,29 @@ class TestRunPath:
         assert not report_cut.aborted
         for got, want in ((pt.y, pt_cut.y), (pt.p, pt_cut.p), (pt.chi, pt_cut.chi)):
             assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_failed_warm_starts_are_reported(self, monkeypatch):
+        # at alpha = 1e-6 the warm start fails at eps = 1e-4 and so does its
+        # cold retry; every Newton step of both is in the report
+        space = build_space(build_mesh(9))
+        data, _ = build_example2(space, alpha=1e-6, gamma=1e-12)
+        sched = tuple(10.0 ** -k for k in range(1, 9))
+        runs = []
+        newton = regpath.newton
+
+        def counting_newton(*args, **kwargs):
+            x, rep = newton(*args, **kwargs)
+            runs.append(rep.iterations)
+            return x, rep
+
+        monkeypatch.setattr(regpath, "newton", counting_newton)
+        _, report = run_path(data, RegPathConfig(sched, max_iter=6))
+        assert report.aborted
+        assert len(report.eps_values) == len(report.inner_reports) == 4
+        assert [rep.iterations for rep in report.warm_failures] == [6]
+        assert not report.warm_failures[0].converged
+        counted = sum(rep.iterations for rep in report.inner_reports + report.warm_failures)
+        assert counted == sum(runs) == 19
 
     def test_unreachable_tolerance_raises(self, ex1_small):
         _, data, _ = ex1_small

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nsocp import state_solver
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
 from nsocp.state_solver import (
@@ -16,7 +20,9 @@ from nsocp.state_solver import (
     solve_state,
     solve_state_regularized,
 )
+from nsocp.kkt_solver import solve_kkt
 from nsocp.sparse_core import SingularMatrixError
+from nsocp.stationarity import check_primal_stationarity, sample_directions
 
 PI = np.pi
 
@@ -298,6 +304,133 @@ class TestApplyGchi:
         bad = space33.function(np.full(space33.n, 1.5))
         with pytest.raises(ValueError):
             apply_Gchi(ops, bad, space33.zero())
+
+
+class TestOrderedSolve:
+    @pytest.mark.parametrize("m", [5, 9, 17])
+    def test_matches_dense_solve(self, m, monkeypatch):
+        space = build_space(build_mesh(m))
+        ops = assemble_operators(space)
+        rng = np.random.default_rng(m)
+        c = rng.uniform(0.0, 1.0, space.n)
+        rhs = rng.standard_normal(space.n)
+        factorised = []
+
+        def recording_splu(k, **kwargs):
+            factorised.append((k.toarray(), kwargs))
+            return splu(k, **kwargs)
+
+        splu = state_solver.splu
+        monkeypatch.setattr(state_solver, "splu", recording_splu)
+        x = state_solver._lu_solve(ops, c, rhs)
+        dense = ops.A.toarray() + np.diag(c)
+        want = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        # rows and columns in nested-dissection order, no column reordering
+        (k, kwargs), = factorised
+        order = space.nd_order
+        assert np.array_equal(k, dense[np.ix_(order, order)])
+        assert kwargs["permc_spec"] == "NATURAL"
+
+
+class _CountingSplu:
+    """Stand-in for ``state_solver.splu`` that counts the factorisations and
+    hands out weakly referenced wrappers, so a test can see whether any is
+    still held; ``fail_first`` calls raise as a singular matrix does."""
+
+    def __init__(self, splu, fail_first=0):
+        self.splu = splu
+        self.fail_first = fail_first
+        self.calls = 0
+        self.refs = []
+
+    def __call__(self, k, **kwargs):
+        self.calls += 1
+        if self.calls <= self.fail_first:
+            raise RuntimeError("Factor is exactly singular")
+        factor = _Factor(self.splu(k, **kwargs))
+        self.refs.append(weakref.ref(factor))
+        return factor
+
+
+class _Factor:
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+class TestFactorisationReuse:
+    @pytest.fixture(scope="class")
+    def ex1_17_solution(self):
+        space = build_space(build_mesh(17))
+        data, _ = build_example1(space)
+        pt, rep = solve_kkt(data)
+        assert rep.converged
+        return data, pt, sample_directions(space, n_random=20)
+
+    def test_primal_stationarity_factorises_at_most_four_times(self, ex1_17_solution,
+                                                               monkeypatch):
+        data, pt, dirs = ex1_17_solution
+        assert len(dirs) == 25
+        counting = _CountingSplu(state_solver.splu)
+        monkeypatch.setattr(state_solver, "splu", counting)
+        rep = check_primal_stationarity(data, pt, dirs)
+        assert rep.passed and len(rep.values) == 50
+        assert 1 <= counting.calls <= 4
+        # nothing is held once the call has returned
+        gc.collect()
+        assert all(ref() is None for ref in counting.refs)
+        assert state_solver._lu_memo.get() is None
+
+    def test_values_bit_identical_without_reuse(self, ex1_17_solution, monkeypatch):
+        data, pt, dirs = ex1_17_solution
+        reused = check_primal_stationarity(data, pt, dirs).values
+        counting = _CountingSplu(state_solver.splu)
+        monkeypatch.setattr(state_solver, "splu", counting)
+        monkeypatch.setattr(state_solver, "LU_MEMO_SIZE", 0)
+        fresh = check_primal_stationarity(data, pt, dirs).values
+        assert counting.calls >= 50
+        assert np.array_equal(np.array(reused), np.array(fresh))
+
+    def test_memo_bounded_and_most_recent_last(self, space33):
+        ops = assemble_operators(space33)
+        rhs = np.ones(space33.n)
+        diags = [np.full(space33.n, float(k)) for k in range(6)]
+        with state_solver.reusing_factorisations():
+            memo = state_solver._lu_memo.get()
+            for c in diags:
+                state_solver._lu_solve(ops, c, rhs)
+            assert len(memo) == state_solver.LU_MEMO_SIZE == 4
+            state_solver._lu_solve(ops, diags[3], rhs)  # a hit moves to the end
+            assert [e[1] for e in memo] == [diags[k].tobytes() for k in (2, 4, 5, 3)]
+            with state_solver.reusing_factorisations():  # a nested scope shares it
+                assert state_solver._lu_memo.get() is memo
+            assert state_solver._lu_memo.get() is memo
+        assert state_solver._lu_memo.get() is None
+
+    def test_other_operator_is_not_a_hit(self, space33, monkeypatch):
+        ops1, ops2 = assemble_operators(space33), assemble_operators(space33)
+        counting = _CountingSplu(state_solver.splu)
+        monkeypatch.setattr(state_solver, "splu", counting)
+        c, rhs = np.zeros(space33.n), np.ones(space33.n)
+        with state_solver.reusing_factorisations():
+            x1 = state_solver._lu_solve(ops1, c, rhs)
+            x2 = state_solver._lu_solve(ops2, c, rhs)
+            x3 = state_solver._lu_solve(ops1, c.copy(), rhs)
+        assert counting.calls == 2
+        assert np.array_equal(x1, x2) and np.array_equal(x1, x3)
+
+    def test_failed_factorisation_not_memoised(self, space33, monkeypatch):
+        ops = assemble_operators(space33)
+        counting = _CountingSplu(state_solver.splu, fail_first=1)
+        monkeypatch.setattr(state_solver, "splu", counting)
+        c, rhs = np.zeros(space33.n), np.ones(space33.n)
+        with state_solver.reusing_factorisations():
+            with pytest.raises(SingularMatrixError):
+                state_solver._lu_solve(ops, c, rhs)
+            assert state_solver._lu_memo.get() == []
+            state_solver._lu_solve(ops, c, rhs)
+            state_solver._lu_solve(ops, c, rhs)
+        assert counting.calls == 2
 
 
 class TestSymmetricDerivative:
