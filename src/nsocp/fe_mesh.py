@@ -44,6 +44,25 @@ class TriMesh:
     h: float
 
 
+def _dissect(k: int, j0: int, j1: int, i0: int, i1: int, parts: list) -> None:
+    """Append the nodes of grid rows j0..j1-1 and columns i0..i1-1 of a
+    k-wide grid to ``parts`` in nested-dissection order. A module-level
+    function, so that the recursion forms no reference cycle that would keep
+    ``parts`` alive until a full garbage collection."""
+    if (j1 - j0) * (i1 - i0) <= 4:
+        parts.append((np.arange(j0, j1)[:, None] * k + np.arange(i0, i1)).ravel())
+    elif j1 - j0 >= i1 - i0:
+        mid = (j0 + j1) // 2
+        _dissect(k, j0, mid, i0, i1, parts)
+        _dissect(k, mid + 1, j1, i0, i1, parts)
+        parts.append(mid * k + np.arange(i0, i1))
+    else:
+        mid = (i0 + i1) // 2
+        _dissect(k, j0, j1, i0, mid, parts)
+        _dissect(k, j0, j1, mid + 1, i1, parts)
+        parts.append(np.arange(j0, j1) * k + mid)
+
+
 @dataclass(frozen=True)
 class FeSpace:
     mesh: TriMesh
@@ -59,22 +78,7 @@ class FeSpace:
         """
         k = self.mesh.m - 1
         parts = []
-
-        def dissect(j0, j1, i0, i1):
-            if (j1 - j0) * (i1 - i0) <= 4:
-                parts.append((np.arange(j0, j1)[:, None] * k + np.arange(i0, i1)).ravel())
-            elif j1 - j0 >= i1 - i0:
-                mid = (j0 + j1) // 2
-                dissect(j0, mid, i0, i1)
-                dissect(mid + 1, j1, i0, i1)
-                parts.append(mid * k + np.arange(i0, i1))
-            else:
-                mid = (i0 + i1) // 2
-                dissect(j0, j1, i0, mid)
-                dissect(j0, j1, mid + 1, i1)
-                parts.append(np.arange(j0, j1) * k + mid)
-
-        dissect(0, k, 0, k)
+        _dissect(k, 0, k, 0, k, parts)
         return np.concatenate(parts)
 
     def zero(self) -> "FeFunction":

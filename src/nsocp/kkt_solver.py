@@ -20,7 +20,12 @@ last from adjoint row n + i, through the pivot d_i p_i. What is factorised
 is the primal-dual active-set system (Hintermueller, Ito & Kunisch, SIAM J.
 Optim. 13, 2002) in dy on I_gamma and I_crit and dp on every node, of size
 at most 2n, with the unknowns numbered node by node in the nested-dissection
-order ``FeSpace.nd_order``.
+order ``FeSpace.nd_order``. From one step to the next only its diagonal
+entries D 1{y>0} and D chi change, so while ``solve_kkt`` runs, a step with
+the same union of I_gamma and I_crit as the last factorised step (hence the
+same reduced rows and columns) is solved by iterative refinement from that
+step's LU, and is factorised afresh only when refinement stops contracting
+(``sparse_core.holding_factorisation``).
 """
 
 from __future__ import annotations
@@ -201,8 +206,11 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
         return sparse_core.solve_linear(jac, rhs, order)
 
-    x, report = newton(x0, lambda x: residual(data, point(x)), step,
-                       cfg.tol_residual, cfg.max_iter)
+    # a step whose reduced system keeps the rows and columns of the last
+    # fresh LU is solved by refinement from that LU
+    with sparse_core.holding_factorisation():
+        x, report = newton(x0, lambda x: residual(data, point(x)), step,
+                           cfg.tol_residual, cfg.max_iter)
     return point(x), report
 
 

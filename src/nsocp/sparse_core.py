@@ -6,11 +6,25 @@ module pins down the error behavior the rest of the package relies on.
 columns, and factorises only the reduced system, in an order the caller
 supplies (for the KKT step, nested dissection of the mesh nodes). Every
 pivot it takes is tested, and a deficient one is reported by its row in the
-caller's numbering. ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in
-canonical form; A and M are built with it.
+caller's numbering.
+
+Inside a ``holding_factorisation`` scope (``kkt_solver.solve_kkt`` opens one
+per call) the last fresh LU of the reduced system is held with its rows and
+columns. A later system that reduces to the same rows and columns is solved
+by iterative refinement preconditioned by that LU (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 12); when refinement stops
+contracting, the held LU is dropped and a fresh one, with its pivot test,
+takes its place. Nothing is held once the scope exits.
+
+``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
+M are built with it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +41,16 @@ __all__ = [
 # Pivot smaller than this times the largest initial row magnitude is
 # reported as singular.
 PIVOT_RTOL = 1e-14
+# Refinement from a held LU accepts a correction of at most REFINE_RTOL times
+# the solution (max norms); it gives up on a correction more than
+# CONTRACTION times the one before, or after MAX_CORRECTIONS corrections.
+REFINE_RTOL = 1e-14
+CONTRACTION = 0.5
+MAX_CORRECTIONS = 30
+
+# [rows, cols, LU] of the last fresh reduced factorisation inside the open
+# ``holding_factorisation`` scope ([] before the first); None outside one
+_held: ContextVar[Optional[list]] = ContextVar("nsocp_held_lu", default=None)
 
 
 class SparseError(ValueError):
@@ -119,16 +143,26 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
     2. Eliminate singletons: a row with a single entry fixes its unknown.
        Among the remaining rows, a column with a single entry is deferred:
        its unknown is back-substituted from that row at the end.
-    3. Factorise the reduced system by sparse LU, with its rows and columns
-       numbered as in ``order`` (a permutation of range(n) listing the
-       unknowns, each with its equation, in elimination order; None keeps
-       the given numbering) and threshold partial pivoting.
-    4. Refine the reduced solution once.
+    3. Solve the reduced system, with its rows and columns numbered as in
+       ``order`` (a permutation of range(n) listing the unknowns, each with
+       its equation, in elimination order; None keeps the given numbering).
+       Inside a ``holding_factorisation`` scope that holds the LU of an
+       earlier reduced system with the same rows and columns, the solution
+       is found by iterative refinement preconditioned by that LU, and is
+       accepted once a correction is at most REFINE_RTOL of the solution
+       (max norms). If a correction is more than CONTRACTION times the one
+       before, or MAX_CORRECTIONS pass, the held LU is dropped and the
+       system falls back to the fresh path.
+    4. Fresh path: factorise the reduced system by sparse LU with threshold
+       partial pivoting and refine its solution once; inside a scope, that
+       LU is held in place of the old one.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
-    empty row, a second singleton row on a fixed unknown, a singleton pivot
-    below PIVOT_RTOL, or a U pivot of the reduced LU below PIVOT_RTOL.
+    empty row, a second singleton row on a fixed unknown, or a singleton
+    pivot below PIVOT_RTOL (tested on every call), or a U pivot of a fresh
+    reduced LU below PIVOT_RTOL. A singular reduced system stops refinement
+    from contracting, so it reaches the fresh LU and its pivot test.
     """
     if m.shape[0] != m.shape[1]:
         raise SparseError("solve_linear requires a square matrix")
@@ -140,37 +174,37 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
         order = np.asarray(order)
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise SparseError("order must be a permutation of range(n)")
-    m_sp = sp.csr_matrix(m, copy=True)
-    m_sp.sum_duplicates()
-    m_sp.eliminate_zeros()
-    counts = np.diff(m_sp.indptr)
-    row_mags = np.abs(m_sp).max(axis=1).toarray().ravel() if m_sp.nnz else np.zeros(n)
+    # the one working copy, equilibrated in place
+    m_eq = sp.csr_matrix(m, copy=True)
+    m_eq.sum_duplicates()
+    m_eq.eliminate_zeros()
+    indptr, indices, data = m_eq.indptr, m_eq.indices, m_eq.data
+    counts = np.diff(indptr)
     dead = np.flatnonzero(counts == 0)
     if len(dead):
         raise SingularMatrixError(int(dead[0]))
-    m_eq = (sp.diags(1.0 / row_mags) @ m_sp).tocsr()
+    row_mags = np.maximum.reduceat(np.abs(data), indptr[:-1])
+    data *= np.repeat(1.0 / row_mags, counts)
     b_eq = b / row_mags
-    indptr, indices = m_eq.indptr, m_eq.indices
 
     # row singletons fix their unknowns
     fix_rows = np.flatnonzero(counts == 1)
     fix_cols = indices[indptr[fix_rows]]
-    fix_piv = m_eq.data[indptr[fix_rows]]
+    fix_piv = data[indptr[fix_rows]]
     _check_singletons(fix_rows, fix_cols, fix_piv)
     x = np.zeros(n)
     x[fix_cols] = b_eq[fix_rows] / fix_piv
 
     # among the other rows, column singletons are deferred
-    rest = np.flatnonzero(counts != 1)
-    sub = m_eq[rest]
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[fix_cols] = True
-    live = ~is_fixed[sub.indices]
-    col_counts = np.bincount(sub.indices[live], minlength=n)
-    pos = np.flatnonzero(live & (col_counts[sub.indices] == 1))
-    def_rows = rest[np.searchsorted(sub.indptr, pos, side="right") - 1]
-    def_cols = sub.indices[pos]
-    def_piv = sub.data[pos]
+    live = np.repeat(counts != 1, counts) & ~is_fixed[indices]
+    col_counts = np.bincount(indices[live], minlength=n)
+    pos = np.flatnonzero(live & (col_counts[indices] == 1))
+    del live, col_counts
+    def_rows = np.searchsorted(indptr, pos, side="right") - 1
+    def_cols = indices[pos]
+    def_piv = data[pos]
     _check_singletons(def_rows, def_cols, def_piv)
 
     keep_row = np.ones(n, dtype=bool)
@@ -185,19 +219,69 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
         rows = rows[np.argsort(rank[rows], kind="stable")]
         cols = cols[np.argsort(rank[cols], kind="stable")]
 
+    m_def = m_eq[def_rows]
     if len(rows):
         m_rows = m_eq[rows]
-        k = m_rows[:, cols]
         b_red = b_eq[rows] - m_rows @ x
-        lu = _factorize(k.tocsc(), rows)
-        x_red = lu.solve(b_red)
-        # single refinement step
-        x_red = x_red + lu.solve(b_red - k @ x_red)
-        x[cols] = x_red
+        k = m_rows[:, cols].tocsc()
+        del m_eq, m_rows, indptr, indices, data
+        x[cols] = _solve_reduced(k, b_red, rows, cols)
     if len(def_rows):
         # each deferred row holds no other deferred unknown, and x is 0 there
-        x[def_cols] = (b_eq[def_rows] - m_eq[def_rows] @ x) / def_piv
+        x[def_cols] = (b_eq[def_rows] - m_def @ x) / def_piv
     return x
+
+
+def _solve_reduced(k: sp.csc_matrix, b: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """Stages 3 and 4 of ``solve_linear`` on the equilibrated reduced system
+    k x = b, whose rows and columns are ``rows`` and ``cols`` of the full one."""
+    held = _held.get()
+    if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
+        x = _refine(held[2], k, b)
+        if x is not None:
+            return x
+    if held:
+        held.clear()  # free the old LU before the new one is built
+    lu = _factorize(k, rows)
+    if held is not None:
+        held.extend((rows, cols, lu))
+    x = lu.solve(b)
+    return x + lu.solve(b - k @ x)
+
+
+def _refine(lu, k: sp.csc_matrix, b: np.ndarray):
+    """Iterative refinement x <- x + LU^-1 (b - k x) from x = 0, with ``lu``
+    the factorisation of a nearby matrix; None when it stops contracting."""
+    x = np.zeros(len(b))
+    prev = np.inf
+    for _ in range(MAX_CORRECTIONS):
+        dx = lu.solve(b - k @ x)
+        x += dx
+        size = np.max(np.abs(dx))
+        if size <= REFINE_RTOL * np.max(np.abs(x)):
+            return x
+        if not size <= CONTRACTION * prev:  # also ends on a NaN
+            return None
+        prev = size
+    return None
+
+
+@contextmanager
+def holding_factorisation():
+    """Hold the last fresh LU of ``solve_linear``'s reduced system, with its
+    rows and columns, for reuse by refinement until the outermost such scope
+    exits. A nested scope shares the outer one."""
+    if _held.get() is not None:
+        yield
+        return
+    held = []
+    token = _held.set(held)
+    try:
+        yield
+    finally:
+        held.clear()
+        _held.reset(token)
 
 
 def assemble_block(blocks) -> sp.csr_matrix:

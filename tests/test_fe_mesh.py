@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -79,6 +81,25 @@ class TestNestedDissectionOrder:
         space = build_space(build_mesh(9))
         assert "nd_order" not in vars(space)
         assert space.nd_order is space.nd_order
+
+    def test_order_on_5x5_grid(self):
+        # rows 0-1 and 3-4 of the grid, each split at column 2, then the
+        # separating grid row 2
+        assert build_space(build_mesh(6)).nd_order.tolist() == [
+            0, 1, 5, 6, 3, 4, 8, 9, 2, 7, 15, 16, 20, 21, 18, 19, 23, 24, 17, 22,
+            10, 11, 12, 13, 14]
+
+    def test_leaves_no_reference_cycle(self):
+        # a recursion that refers to itself through a closure keeps its list
+        # of parts alive until a full garbage collection
+        space = build_space(build_mesh(33))
+        gc.collect()
+        gc.disable()
+        try:
+            space.nd_order
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_less_fill_than_colamd_on_stiffness(self):
         space = build_space(build_mesh(65))

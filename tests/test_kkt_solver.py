@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from nsocp import kkt_solver, sparse_core
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
 from nsocp.kkt_solver import (
@@ -346,6 +350,108 @@ class TestSolveKkt:
         space, ops = tiny
         with pytest.raises(ValueError):
             solve_kkt(make_data(space, ops), init=make_point(space, 0.0, bad, 0.0))
+
+
+class _CountingSplu:
+    """Stand-in for ``sparse_core.splu`` that counts the factorisations and
+    hands out weakly referenced proxies of them, so a test can see whether
+    any is still held."""
+
+    def __init__(self, splu):
+        self.splu = splu
+        self.refs = []
+
+    @property
+    def calls(self):
+        return len(self.refs)
+
+    def __call__(self, k, **kwargs):
+        factor = _Factor(self.splu(k, **kwargs))
+        self.refs.append(weakref.ref(factor))
+        return factor
+
+
+class _Factor:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+@pytest.fixture
+def counting_splu(monkeypatch):
+    counting = _CountingSplu(sparse_core.splu)
+    monkeypatch.setattr(sparse_core, "splu", counting)
+    return counting
+
+
+def kkt_iterates(data, monkeypatch):
+    """solve_kkt's report and every iterate it evaluates the residual at."""
+    seen = []
+
+    def recording(data, pt):
+        seen.append((pt.y.coeffs.copy(), pt.p.coeffs.copy(), pt.chi.coeffs.copy()))
+        return residual(data, pt)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kkt_solver, "residual", recording)
+        _, rep = solve_kkt(data)
+    return seen, rep
+
+
+class TestFactorisationReuse:
+    @pytest.mark.parametrize("build", [build_example1, build_example2])
+    def test_iterates_match_fresh_lu(self, build, counting_splu, monkeypatch):
+        data, _ = build(build_space(build_mesh(17)))
+        reused, rep = kkt_iterates(data, monkeypatch)
+        calls = counting_splu.calls
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        fresh, rep_fresh = kkt_iterates(data, monkeypatch)
+        assert counting_splu.calls - calls == rep_fresh.iterations  # one LU per step
+        assert calls < rep.iterations  # so some steps were solved by refinement
+        assert (rep.converged, rep.iterations) == (rep_fresh.converged, rep_fresh.iterations)
+        assert len(reused) == len(fresh)
+        gamma = data.config.gamma
+        for (y, p, chi), (y0, p0, chi0) in zip(reused, fresh):
+            assert np.linalg.norm(y - y0) <= 1e-12 * np.linalg.norm(y0)
+            assert np.linalg.norm(p - p0) <= 1e-12 * np.linalg.norm(p0)
+            # the step sets chi on I_gamma from the rounding of y + gamma chi,
+            # divided by gamma, so chi is compared on the scale |y| / gamma
+            scale = np.linalg.norm(chi0) + np.linalg.norm(y0) / gamma
+            assert np.linalg.norm(chi - chi0) <= 1e-12 * scale
+
+    def test_example1_factorises_once(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(33)))
+        _, rep = solve_kkt(data)
+        assert rep.converged and rep.iterations == 3
+        assert counting_splu.calls == 1
+
+    def test_nothing_held_after_return(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(17)))
+        _, rep = solve_kkt(data)
+        assert rep.converged and counting_splu.calls >= 1
+        gc.collect()
+        assert all(ref() is None for ref in counting_splu.refs)
+        assert sparse_core._held.get() is None
+
+    def test_nothing_held_after_raise(self, counting_splu, monkeypatch):
+        data, _ = build_example1(build_space(build_mesh(17)))
+        calls = []
+
+        def failing_second_step(pt, config):
+            calls.append(pt)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return index_sets(pt, config)
+
+        monkeypatch.setattr(kkt_solver, "index_sets", failing_second_step)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            solve_kkt(data)
+        assert counting_splu.calls == 1
+        gc.collect()
+        assert counting_splu.refs[0]() is None
+        assert sparse_core._held.get() is None
 
 
 class TestRecoverControl:

@@ -3,11 +3,13 @@ import pytest
 
 import scipy.sparse as sp
 
+from nsocp import sparse_core
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
     SparseError,
     assemble_block,
+    holding_factorisation,
     solve_linear,
 )
 
@@ -223,6 +225,79 @@ class TestSolveLinear:
         m = csr([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SparseError):
             solve_linear(m, np.ones(2))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that grows by one on each ``sparse_core.splu`` call."""
+    calls = []
+    splu = sparse_core.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_core, "splu", counting)
+    return calls
+
+
+class TestHeldFactorisation:
+    def test_nearby_matrix_solved_from_held_lu(self, splu_calls):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((30, 30)) + 30 * np.eye(30)
+        b = rng.standard_normal(30)
+        nearby = dense + np.diag(1e-3 * rng.random(30))
+        with holding_factorisation():
+            solve_linear(csr(dense), b)
+            x = solve_linear(csr(nearby), b)
+        assert len(splu_calls) == 1
+        ref = dense_gauss_solve(nearby, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_nothing_held_outside_a_scope(self, splu_calls):
+        m = csr(np.eye(3) + 0.1)
+        solve_linear(m, np.ones(3))
+        solve_linear(m, np.ones(3))
+        assert len(splu_calls) == 2
+
+    def test_other_reduced_rows_factorised_afresh(self, splu_calls):
+        dense = np.eye(4) + 0.1
+        fixed = dense.copy()
+        fixed[0] = [2.0, 0.0, 0.0, 0.0]  # row 0 now fixes x_0
+        b = np.arange(1.0, 5.0)
+        with holding_factorisation():
+            solve_linear(csr(dense), b)
+            x = solve_linear(csr(fixed), b)
+        assert len(splu_calls) == 2
+        assert np.allclose(fixed @ x, b, rtol=0, atol=1e-14)
+
+    def test_dependent_row_after_good_one_names_a_dependent_row(self, splu_calls):
+        # the held LU is that of a regular matrix with the same pattern;
+        # refinement on the singular one cannot contract, so the fresh LU's
+        # pivot test must name the row
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((8, 8))
+            i, j, k = rng.choice(8, 3, replace=False)
+            good = dense.copy()
+            good[k] = dense[i] + dense[j] + 1e-2 * rng.standard_normal(8)
+            dense[k] = dense[i] + dense[j] + 1e-17 * rng.standard_normal(8)
+            del splu_calls[:]
+            with holding_factorisation():
+                solve_linear(csr(good), np.ones(8))
+                with pytest.raises(SingularMatrixError) as exc:
+                    solve_linear(csr(dense), np.ones(8))
+            assert len(splu_calls) == 2, seed
+            assert exc.value.pivot_row in (i, j, k), seed
+
+    def test_nested_scope_shares_and_exit_drops(self):
+        with holding_factorisation():
+            held = sparse_core._held.get()
+            solve_linear(csr(np.eye(3) + 0.1), np.ones(3))
+            with holding_factorisation():
+                assert sparse_core._held.get() is held
+            assert len(held) == 3
+        assert held == [] and sparse_core._held.get() is None
 
 
 class TestAssembleBlock:
