@@ -73,11 +73,16 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _first_example(cfg: RunConfig):
+    """(data, exact) of the configured example on the first mesh, alpha and gamma."""
+    space = build_space(build_mesh(cfg.m_list[0]))
+    return build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
+
+
 def _cmd_state(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    m = cfg.m_list[0]
-    space = build_space(build_mesh(m))
-    data, exact = build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
+    data, exact = _first_example(cfg)
+    space = data.ops.space
     prob = StateProblem(data.ops, data.f)
     u = interpolate(space, exact.u)
     y, rep = solve_state(prob, u)
@@ -110,8 +115,7 @@ def _cmd_kkt(cfg: RunConfig) -> int:
 
 def _cmd_regpath(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    space = build_space(build_mesh(cfg.m_list[0]))
-    data, _ = build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
+    data, _ = _first_example(cfg)
     path_cfg = RegPathConfig(tuple(cfg.eps_schedule))
     pt, report = run_path(data, path_cfg)
     rows = [{"eps": e, "iterations": r.iterations, "converged": r.converged,
@@ -128,15 +132,14 @@ def _cmd_regpath(cfg: RunConfig) -> int:
 
 def _cmd_check(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    space = build_space(build_mesh(cfg.m_list[0]))
-    data, _ = build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
+    data, _ = _first_example(cfg)
     pt, rep = solve_kkt(data)
     if not rep.converged:
         print("solver did not converge; nothing to check")
         return EXIT_SOLVER_FAILURE
     chi_rep = check_chi_admissible(pt.y, pt.chi, chi_tol=1e-6)
     sign_rep = check_strong_sign(pt.y, pt.p)
-    primal_rep = check_primal_stationarity(data, pt, sample_directions(space))
+    primal_rep = check_primal_stationarity(data, pt, sample_directions(data.ops.space))
     reports = {
         "bouligand_residual": check_bouligand_residual(data, pt),
         "chi_admissible": chi_rep.to_dict(),

@@ -24,8 +24,10 @@ order ``FeSpace.nd_order``. From one step to the next only its diagonal
 entries D 1{y>0} and D chi change, so while ``solve_kkt`` runs, a step with
 the same union of I_gamma and I_crit as the last factorised step (hence the
 same reduced rows and columns) is solved by iterative refinement from that
-step's LU, and is factorised afresh only when refinement stops contracting
-(``sparse_core.holding_factorisation``).
+step's LU, and is factorised afresh only when refinement stops contracting.
+That LU lives in a holder that ``solve_kkt`` owns and passes to
+``sparse_core.solve_linear``; it is dropped before ``solve_kkt`` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ __all__ = [
     "zero_point",
 ]
 
+# Newton stops once the Euclidean residual norm is at most TOL_RESIDUAL, or
+# reports failure after MAX_ITER steps
+TOL_RESIDUAL = 1e-12
+MAX_ITER = 25
 # |p_i| at or below this marks an inactive node as critical: its chi
 # column in the adjoint row vanishes, so chi_i is frozen for the step
 P_CRITICAL_TOL = 1e-14
@@ -76,13 +82,10 @@ class KktPoint:
 class KktConfig:
     alpha: float
     gamma: float
-    tol_residual: float = 1e-12
-    max_iter: int = 25
 
     def __post_init__(self):
-        values = (self.alpha, self.gamma, self.tol_residual)
-        if self.max_iter <= 0 or any(isinstance(v, bool) or not (np.isfinite(v) and v > 0)
-                                     for v in values):
+        if any(isinstance(v, bool) or not (np.isfinite(v) and v > 0)
+               for v in (self.alpha, self.gamma)):
             raise ValueError("all KKT configuration values must be positive finite numbers")
 
 
@@ -200,17 +203,21 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     nd = ops.space.nd_order
     order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
 
+    # [rows, cols, LU] of the last fresh reduced factorisation: a step whose
+    # reduced system keeps those rows and columns is solved by refinement
+    held = []
+
     def step(x, r):
         pt = point(x)
         sets = index_sets(pt, cfg)
         jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
-        return sparse_core.solve_linear(jac, rhs, order)
+        return sparse_core.solve_linear(jac, rhs, order, held)
 
-    # a step whose reduced system keeps the rows and columns of the last
-    # fresh LU is solved by refinement from that LU
-    with sparse_core.holding_factorisation():
+    try:
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
-                           cfg.tol_residual, cfg.max_iter)
+                           TOL_RESIDUAL, MAX_ITER)
+    finally:
+        held.clear()  # no LU outlives the call, even from a traceback's frame
     return point(x), report
 
 

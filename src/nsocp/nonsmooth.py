@@ -38,8 +38,8 @@ def subdiff_max_contains(x: float, g: float) -> bool:
 
 def prox(gamma: float, x):
     """Prox map of max(0, .): x for x<0, 0 on [0, gamma], x-gamma for x>gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     x = np.asarray(x, dtype=float)
     out = np.where(x < 0, x, np.where(x > gamma, x - gamma, 0.0))
     return out if out.ndim else float(out)
@@ -47,8 +47,8 @@ def prox(gamma: float, x):
 
 def prox_active(gamma: float, x) -> bool | np.ndarray:
     """True where the prox map has slope 1, i.e. x outside [0, gamma]."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     x = np.asarray(x, dtype=float)
     out = (x < 0) | (x > gamma)
     return out if out.ndim else bool(out)

@@ -44,11 +44,15 @@ __all__ = [
 ]
 
 
+# each fixed-eps Newton solve stops once the Euclidean residual norm is at
+# most TOL_RESIDUAL, or reports failure after MAX_ITER steps
+TOL_RESIDUAL = 1e-12
+MAX_ITER = 50
+
+
 @dataclass(frozen=True)
 class RegPathConfig:
     eps_schedule: tuple
-    tol_residual: float = 1e-12
-    max_iter: int = 50
 
     def __post_init__(self):
         sched = tuple(self.eps_schedule)
@@ -61,8 +65,7 @@ class RegPathConfig:
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
-                          init: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                          tol_residual: float = 1e-12, max_iter: int = 50):
+                          init: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
     ``init`` raises ValueError."""
     params = SmoothedMaxParams(eps)
@@ -97,7 +100,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point must be finite")
-    x, report = newton(x0, residual, step, tol_residual, max_iter)
+    x, report = newton(x0, residual, step, TOL_RESIDUAL, MAX_ITER)
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
 
 
@@ -121,13 +124,11 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     report = PathReport([], [], [])
     init = pt = None
     for eps in cfg.eps_schedule:
-        (yf, pf), rep = solve_regularized_kkt(
-            data, eps, init, cfg.tol_residual, cfg.max_iter)
+        (yf, pf), rep = solve_regularized_kkt(data, eps, init)
         if not rep.converged and init is not None:
             # one cold-start retry before giving up on the path
             report.warm_failures.append(rep)
-            (yf, pf), rep = solve_regularized_kkt(
-                data, eps, None, cfg.tol_residual, cfg.max_iter)
+            (yf, pf), rep = solve_regularized_kkt(data, eps, None)
         report.eps_values.append(eps)
         report.inner_reports.append(rep)
         if not rep.converged:

@@ -8,23 +8,19 @@ supplies (for the KKT step, nested dissection of the mesh nodes). Every
 pivot it takes is tested, and a deficient one is reported by its row in the
 caller's numbering.
 
-Inside a ``holding_factorisation`` scope (``kkt_solver.solve_kkt`` opens one
-per call) the last fresh LU of the reduced system is held with its rows and
-columns. A later system that reduces to the same rows and columns is solved
-by iterative refinement preconditioned by that LU (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., ch. 12); when refinement stops
-contracting, the held LU is dropped and a fresh one, with its pivot test,
-takes its place. Nothing is held once the scope exits.
+A caller that passes a holder (a list; ``kkt_solver.solve_kkt`` keeps one
+per call) gets the last fresh LU of the reduced system held in it with its
+rows and columns. A later system that reduces to the same rows and columns
+is solved by iterative refinement preconditioned by that LU (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12); when
+refinement stops contracting, the held LU is dropped and a fresh one, with
+its pivot test, takes its place. The module itself holds nothing.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +43,6 @@ PIVOT_RTOL = 1e-14
 REFINE_RTOL = 1e-14
 CONTRACTION = 0.5
 MAX_CORRECTIONS = 30
-
-# [rows, cols, LU] of the last fresh reduced factorisation inside the open
-# ``holding_factorisation`` scope ([] before the first); None outside one
-_held: ContextVar[Optional[list]] = ContextVar("nsocp_held_lu", default=None)
 
 
 class SparseError(ValueError):
@@ -131,7 +123,7 @@ def _check_singletons(rows: np.ndarray, cols: np.ndarray, piv: np.ndarray) -> No
         raise SingularMatrixError(int(rows[bad].min()))
 
 
-def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
+def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     """Solve m x = b (deterministic); ``m`` is a square scipy sparse matrix.
 
     The solve runs in five stages:
@@ -146,16 +138,17 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
     3. Solve the reduced system, with its rows and columns numbered as in
        ``order`` (a permutation of range(n) listing the unknowns, each with
        its equation, in elimination order; None keeps the given numbering).
-       Inside a ``holding_factorisation`` scope that holds the LU of an
-       earlier reduced system with the same rows and columns, the solution
-       is found by iterative refinement preconditioned by that LU, and is
-       accepted once a correction is at most REFINE_RTOL of the solution
-       (max norms). If a correction is more than CONTRACTION times the one
-       before, or MAX_CORRECTIONS pass, the held LU is dropped and the
-       system falls back to the fresh path.
+       ``held`` is the caller's holder: None, or a list that is empty or
+       ``[rows, cols, LU]`` of an earlier reduced system. If that system
+       had the same rows and columns, the solution is found by iterative
+       refinement preconditioned by its LU, and is accepted once a
+       correction is at most REFINE_RTOL of the solution (max norms). If a
+       correction is more than CONTRACTION times the one before, or
+       MAX_CORRECTIONS pass, the holder is cleared and the system falls
+       back to the fresh path.
     4. Fresh path: factorise the reduced system by sparse LU with threshold
-       partial pivoting and refine its solution once; inside a scope, that
-       LU is held in place of the old one.
+       partial pivoting and refine its solution once; a holder given in
+       ``held`` then holds that LU with its rows and columns.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
@@ -225,7 +218,7 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
         b_red = b_eq[rows] - m_rows @ x
         k = m_rows[:, cols].tocsc()
         del m_eq, m_rows, indptr, indices, data
-        x[cols] = _solve_reduced(k, b_red, rows, cols)
+        x[cols] = _solve_reduced(k, b_red, rows, cols, held)
     if len(def_rows):
         # each deferred row holds no other deferred unknown, and x is 0 there
         x[def_cols] = (b_eq[def_rows] - m_def @ x) / def_piv
@@ -233,10 +226,10 @@ def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
 
 
 def _solve_reduced(k: sp.csc_matrix, b: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray) -> np.ndarray:
+                   cols: np.ndarray, held) -> np.ndarray:
     """Stages 3 and 4 of ``solve_linear`` on the equilibrated reduced system
-    k x = b, whose rows and columns are ``rows`` and ``cols`` of the full one."""
-    held = _held.get()
+    k x = b, whose rows and columns are ``rows`` and ``cols`` of the full one;
+    ``held`` (None or the caller's holder) is updated in place."""
     if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
         x = _refine(held[2], k, b)
         if x is not None:
@@ -265,23 +258,6 @@ def _refine(lu, k: sp.csc_matrix, b: np.ndarray):
             return None
         prev = size
     return None
-
-
-@contextmanager
-def holding_factorisation():
-    """Hold the last fresh LU of ``solve_linear``'s reduced system, with its
-    rows and columns, for reuse by refinement until the outermost such scope
-    exits. A nested scope shares the outer one."""
-    if _held.get() is not None:
-        yield
-        return
-    held = []
-    token = _held.set(held)
-    try:
-        yield
-    finally:
-        held.clear()
-        _held.reset(token)
 
 
 def assemble_block(blocks) -> sp.csr_matrix:

@@ -255,7 +255,7 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     subdifferential coefficient.
     """
     c = chi.coeffs
-    if np.any(c < 0) or np.any(c > 1):
+    if not np.all((c >= 0) & (c <= 1)):  # also rejects NaN
         raise ValueError("chi must take values in [0, 1]")
     eta = _lu_solve(ops, ops.d * c, ops.M @ h.coeffs)
     return ops.space.function(eta)

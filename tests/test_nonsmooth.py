@@ -47,6 +47,11 @@ class TestProx:
             prox(0.0, 1.0)
         with pytest.raises(ValueError):
             prox(-1.0, 1.0)
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                prox(gamma, 1.0)
+            with pytest.raises(ValueError):
+                prox_active(gamma, 1.0)
 
     @pytest.mark.parametrize("x,expected", [(-0.1, True), (0.3, False), (0.5, False),
                                             (0.0, False), (0.6, True)])

@@ -148,16 +148,17 @@ class TestRunPath:
         assert pt.chi.coeffs.min() >= 0.0
         assert pt.chi.coeffs.max() <= 1.0
 
-    def test_aborted_path_returns_last_converged_point(self):
+    def test_aborted_path_returns_last_converged_point(self, monkeypatch):
         # at alpha = 1e-6 the inner solve fails at the fourth eps; the path
         # returns the point of the third, as a path that stops there does
+        monkeypatch.setattr(regpath, "MAX_ITER", 6)
         space = build_space(build_mesh(9))
         data, _ = build_example2(space, alpha=1e-6, gamma=1e-12)
         sched = tuple(10.0 ** -k for k in range(1, 9))
-        pt, report = run_path(data, RegPathConfig(sched, max_iter=6))
+        pt, report = run_path(data, RegPathConfig(sched))
         assert report.aborted
         assert len(report.limit_residuals) == 3
-        pt_cut, report_cut = run_path(data, RegPathConfig(sched[:3], max_iter=6))
+        pt_cut, report_cut = run_path(data, RegPathConfig(sched[:3]))
         assert not report_cut.aborted
         for got, want in ((pt.y, pt_cut.y), (pt.p, pt_cut.p), (pt.chi, pt_cut.chi)):
             assert np.array_equal(got.coeffs, want.coeffs)
@@ -165,6 +166,7 @@ class TestRunPath:
     def test_failed_warm_starts_are_reported(self, monkeypatch):
         # at alpha = 1e-6 the warm start fails at eps = 1e-4 and so does its
         # cold retry; every Newton step of both is in the report
+        monkeypatch.setattr(regpath, "MAX_ITER", 6)
         space = build_space(build_mesh(9))
         data, _ = build_example2(space, alpha=1e-6, gamma=1e-12)
         sched = tuple(10.0 ** -k for k in range(1, 9))
@@ -177,7 +179,7 @@ class TestRunPath:
             return x, rep
 
         monkeypatch.setattr(regpath, "newton", counting_newton)
-        _, report = run_path(data, RegPathConfig(sched, max_iter=6))
+        _, report = run_path(data, RegPathConfig(sched))
         assert report.aborted
         assert len(report.eps_values) == len(report.inner_reports) == 4
         assert [rep.iterations for rep in report.warm_failures] == [6]
@@ -185,10 +187,11 @@ class TestRunPath:
         counted = sum(rep.iterations for rep in report.inner_reports + report.warm_failures)
         assert counted == sum(runs) == 19
 
-    def test_unreachable_tolerance_raises(self, ex1_small):
+    def test_unreachable_tolerance_raises(self, ex1_small, monkeypatch):
         _, data, _ = ex1_small
+        monkeypatch.setattr(regpath, "MAX_ITER", 1)
         with pytest.raises(RuntimeError):
-            run_path(data, RegPathConfig((1e-1,), max_iter=1))
+            run_path(data, RegPathConfig((1e-1,)))
 
 
 class TestVerifyLemmaRate:

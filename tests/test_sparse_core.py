@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 
 from nsocp import sparse_core
 from nsocp.sparse_core import (
@@ -9,7 +10,6 @@ from nsocp.sparse_core import (
     SingularMatrixError,
     SparseError,
     assemble_block,
-    holding_factorisation,
     solve_linear,
 )
 
@@ -247,14 +247,14 @@ class TestHeldFactorisation:
         dense = rng.standard_normal((30, 30)) + 30 * np.eye(30)
         b = rng.standard_normal(30)
         nearby = dense + np.diag(1e-3 * rng.random(30))
-        with holding_factorisation():
-            solve_linear(csr(dense), b)
-            x = solve_linear(csr(nearby), b)
+        held = []
+        solve_linear(csr(dense), b, held=held)
+        x = solve_linear(csr(nearby), b, held=held)
         assert len(splu_calls) == 1
         ref = dense_gauss_solve(nearby, b)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_nothing_held_outside_a_scope(self, splu_calls):
+    def test_nothing_held_without_a_holder(self, splu_calls):
         m = csr(np.eye(3) + 0.1)
         solve_linear(m, np.ones(3))
         solve_linear(m, np.ones(3))
@@ -265,9 +265,9 @@ class TestHeldFactorisation:
         fixed = dense.copy()
         fixed[0] = [2.0, 0.0, 0.0, 0.0]  # row 0 now fixes x_0
         b = np.arange(1.0, 5.0)
-        with holding_factorisation():
-            solve_linear(csr(dense), b)
-            x = solve_linear(csr(fixed), b)
+        held = []
+        solve_linear(csr(dense), b, held=held)
+        x = solve_linear(csr(fixed), b, held=held)
         assert len(splu_calls) == 2
         assert np.allclose(fixed @ x, b, rtol=0, atol=1e-14)
 
@@ -283,21 +283,23 @@ class TestHeldFactorisation:
             good[k] = dense[i] + dense[j] + 1e-2 * rng.standard_normal(8)
             dense[k] = dense[i] + dense[j] + 1e-17 * rng.standard_normal(8)
             del splu_calls[:]
-            with holding_factorisation():
-                solve_linear(csr(good), np.ones(8))
-                with pytest.raises(SingularMatrixError) as exc:
-                    solve_linear(csr(dense), np.ones(8))
+            held = []
+            solve_linear(csr(good), np.ones(8), held=held)
+            with pytest.raises(SingularMatrixError) as exc:
+                solve_linear(csr(dense), np.ones(8), held=held)
             assert len(splu_calls) == 2, seed
             assert exc.value.pivot_row in (i, j, k), seed
 
-    def test_nested_scope_shares_and_exit_drops(self):
-        with holding_factorisation():
-            held = sparse_core._held.get()
-            solve_linear(csr(np.eye(3) + 0.1), np.ones(3))
-            with holding_factorisation():
-                assert sparse_core._held.get() is held
-            assert len(held) == 3
-        assert held == [] and sparse_core._held.get() is None
+    def test_holder_is_rows_cols_lu_after_a_fresh_solve(self, splu_calls):
+        # row 0 fixes x_0, so the reduced system is rows and columns 1..3
+        dense = np.eye(4) + 0.1
+        dense[0] = [2.0, 0.0, 0.0, 0.0]
+        held = []
+        solve_linear(csr(dense), np.ones(4), held=held)
+        assert len(splu_calls) == 1 and len(held) == 3
+        rows, cols, lu = held
+        assert np.array_equal(rows, [1, 2, 3]) and np.array_equal(cols, [1, 2, 3])
+        assert isinstance(lu, SuperLU) and lu.shape == (3, 3)
 
 
 class TestAssembleBlock:

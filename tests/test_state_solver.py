@@ -305,6 +305,13 @@ class TestApplyGchi:
         with pytest.raises(ValueError):
             apply_Gchi(ops, bad, space33.zero())
 
+    def test_nan_chi_rejected(self, space33):
+        ops = assemble_operators(space33)
+        c = np.full(space33.n, 0.5)
+        c[7] = np.nan
+        with pytest.raises(ValueError, match=r"chi must take values in \[0, 1\]"):
+            apply_Gchi(ops, space33.function(c), space33.zero())
+
 
 class TestOrderedSolve:
     @pytest.mark.parametrize("m", [5, 9, 17])
