@@ -136,6 +136,6 @@ def estimate_order(h_list, err_list) -> float:
     e = np.asarray(err_list, dtype=float)
     if len(h) < 2 or len(h) != len(e):
         raise ValueError("need at least two matching (h, err) pairs")
-    if np.any(h <= 0) or np.any(e <= 0):
+    if not (np.all(np.isfinite(h) & (h > 0)) and np.all(np.isfinite(e) & (e > 0))):
         raise ValueError("entries must be positive")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])

@@ -223,6 +223,6 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:
     """Eliminated gradient equation p + alpha u = 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     return pt.y.space.function(-pt.p.coeffs / alpha)

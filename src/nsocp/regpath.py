@@ -10,6 +10,13 @@ system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
 solve runs ``state_solver.newton`` on the stacked vector (y, p); its
 Jacobian is factorised with the unknowns numbered node by node, as
 (y_i, p_i) pairs in the mesh's nested-dissection order.
+
+Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
+D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule,
+cold retries included. Each Newton step is first solved by
+``sparse_core.refine`` from the held LU; when refinement stops contracting,
+the LU is dropped and a fresh one is factorised and held in its place. The
+holder is cleared when the path returns or raises.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SingularMatrixError
+from .sparse_core import SingularMatrixError, refine
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
                            solve_state, solve_state_regularized)
 
@@ -65,9 +72,18 @@ class RegPathConfig:
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
-                          init: Optional[tuple[np.ndarray, np.ndarray]] = None):
+                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
-    ``init`` raises ValueError."""
+    ``init`` raises ValueError.
+
+    ``held`` is the caller's holder: None, or a list that is empty or holds
+    ``[LU]`` of a Jacobian in (y_i, p_i)-pair order. Each step is first
+    solved by ``sparse_core.refine`` from the held LU; when that stops
+    contracting, the holder is cleared and the step takes the fresh path:
+    factorise this Jacobian (a failed LU raises SingularMatrixError with row
+    -1) and hold its LU. Without a holder the call keeps one of its own and
+    clears it before returning or raising.
+    """
     params = SmoothedMaxParams(eps)
     ops = data.ops
     n = ops.space.n
@@ -77,6 +93,9 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
     order = np.column_stack([ops.space.nd_order, ops.space.nd_order + n]).ravel()
+    own = held is None
+    if own:
+        held = []
 
     def residual(x):
         y, p = x[:n], x[n:]
@@ -89,18 +108,29 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         j11 = a + sp.diags(d * smoothed_max_prime(params, y))
         j21 = sp.diags(d * smoothed_max_second(params, y) * p) - m
         jac = sp.bmat([[j11, m / alpha], [j21, j11]], format="csr")
-        try:
-            lu = splu(jac[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
-        except RuntimeError as exc:
-            raise SingularMatrixError(-1) from exc
+        k = jac[order][:, order]
+        b = -r[order]
+        sol = refine(held[0], k, b) if held else None
+        if sol is None:
+            held.clear()  # free the old LU before the new one is built
+            try:
+                lu = splu(k.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
+            except RuntimeError as exc:
+                raise SingularMatrixError(-1) from exc
+            held.append(lu)
+            sol = lu.solve(b)
         dx = np.empty(2 * n)
-        dx[order] = lu.solve(-r[order])
+        dx[order] = sol
         return dx
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point must be finite")
-    x, report = newton(x0, residual, step, TOL_RESIDUAL, MAX_ITER)
+    try:
+        x, report = newton(x0, residual, step, TOL_RESIDUAL, MAX_ITER)
+    finally:
+        if own:
+            held.clear()
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
 
 
@@ -118,27 +148,33 @@ class PathReport:
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
-    previous iterate. Returns the final iterate packaged as a KKT point
-    (chi = max_eps'(y) at the smallest eps) plus per-eps telemetry."""
+    previous iterate, and all of them share one held LU (see the module
+    docstring), cleared on return or raise. Returns the final iterate
+    packaged as a KKT point (chi = max_eps'(y) at the smallest eps) plus
+    per-eps telemetry."""
     ops = data.ops
     report = PathReport([], [], [])
     init = pt = None
-    for eps in cfg.eps_schedule:
-        (yf, pf), rep = solve_regularized_kkt(data, eps, init)
-        if not rep.converged and init is not None:
-            # one cold-start retry before giving up on the path
-            report.warm_failures.append(rep)
-            (yf, pf), rep = solve_regularized_kkt(data, eps, None)
-        report.eps_values.append(eps)
-        report.inner_reports.append(rep)
-        if not rep.converged:
-            report.aborted = True
-            report.failure_reason = f"inner solve failed at eps = {eps}"
-            break
-        init = (yf.coeffs, pf.coeffs)
-        chi = smoothed_max_prime(SmoothedMaxParams(eps), yf.coeffs)
-        pt = KktPoint(yf, pf, ops.space.function(chi))
-        report.limit_residuals.append(float(np.linalg.norm(kkt_solver.residual(data, pt))))
+    held = []  # one LU for the whole schedule, cold retries included
+    try:
+        for eps in cfg.eps_schedule:
+            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held)
+            if not rep.converged and init is not None:
+                # one cold-start retry before giving up on the path
+                report.warm_failures.append(rep)
+                (yf, pf), rep = solve_regularized_kkt(data, eps, None, held=held)
+            report.eps_values.append(eps)
+            report.inner_reports.append(rep)
+            if not rep.converged:
+                report.aborted = True
+                report.failure_reason = f"inner solve failed at eps = {eps}"
+                break
+            init = (yf.coeffs, pf.coeffs)
+            chi = smoothed_max_prime(SmoothedMaxParams(eps), yf.coeffs)
+            pt = KktPoint(yf, pf, ops.space.function(chi))
+            report.limit_residuals.append(float(np.linalg.norm(kkt_solver.residual(data, pt))))
+    finally:
+        held.clear()
     if pt is None:
         raise RuntimeError("regularization path produced no converged iterate")
     return pt, report

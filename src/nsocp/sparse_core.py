@@ -15,6 +15,8 @@ is solved by iterative refinement preconditioned by that LU (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12); when
 refinement stops contracting, the held LU is dropped and a fresh one, with
 its pivot test, takes its place. The module itself holds nothing.
+``refine`` is that refinement and its acceptance rule; the continuation
+step of ``regpath`` uses it too, from an LU held along the eps schedule.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it.
@@ -31,6 +33,7 @@ __all__ = [
     "SingularMatrixError",
     "CsrMatrix",
     "solve_linear",
+    "refine",
     "assemble_block",
 ]
 
@@ -231,7 +234,7 @@ def _solve_reduced(k: sp.csc_matrix, b: np.ndarray, rows: np.ndarray,
     k x = b, whose rows and columns are ``rows`` and ``cols`` of the full one;
     ``held`` (None or the caller's holder) is updated in place."""
     if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
-        x = _refine(held[2], k, b)
+        x = refine(held[2], k, b)
         if x is not None:
             return x
     if held:
@@ -243,9 +246,14 @@ def _solve_reduced(k: sp.csc_matrix, b: np.ndarray, rows: np.ndarray,
     return x + lu.solve(b - k @ x)
 
 
-def _refine(lu, k: sp.csc_matrix, b: np.ndarray):
+def refine(lu, k, b: np.ndarray):
     """Iterative refinement x <- x + LU^-1 (b - k x) from x = 0, with ``lu``
-    the factorisation of a nearby matrix; None when it stops contracting."""
+    the factorisation of a nearby matrix; None when it stops contracting.
+
+    ``solve_linear`` and ``regpath.solve_regularized_kkt`` both use it, so
+    REFINE_RTOL, CONTRACTION and MAX_CORRECTIONS are the one acceptance
+    rule for a held LU.
+    """
     x = np.zeros(len(b))
     prev = np.inf
     for _ in range(MAX_CORRECTIONS):

@@ -1,0 +1,42 @@
+import weakref
+
+import pytest
+
+from nsocp import sparse_core
+
+
+class _CountingSplu:
+    """Stand-in for a module's ``splu`` that counts the factorisations and
+    hands out weakly referenced proxies of them, so a test can see whether
+    any is still held."""
+
+    def __init__(self, splu):
+        self.splu = splu
+        self.refs = []
+
+    @property
+    def calls(self):
+        return len(self.refs)
+
+    def __call__(self, k, **kwargs):
+        factor = _Factor(self.splu(k, **kwargs))
+        self.refs.append(weakref.ref(factor))
+        return factor
+
+
+class _Factor:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+@pytest.fixture
+def counting_splu(request, monkeypatch):
+    """Counts the ``splu`` calls of one module: ``sparse_core`` unless the
+    test parametrises the fixture indirectly with another module."""
+    module = getattr(request, "param", sparse_core)
+    counting = _CountingSplu(module.splu)
+    monkeypatch.setattr(module, "splu", counting)
+    return counting

@@ -69,6 +69,16 @@ class TestEstimateOrder:
         with pytest.raises(ValueError):
             estimate_order([0.1, 0.05], [0.01, 0.0])
 
+    @pytest.mark.parametrize("h, err", [
+        ([0.1, np.nan, 0.025], [1e-2, 2.5e-3, 6e-4]),
+        ([0.1, 0.05, 0.025], [1e-2, np.nan, 6e-4]),
+        ([0.1, np.inf, 0.025], [1e-2, 2.5e-3, 6e-4]),
+        ([0.1, 0.05, 0.025], [np.inf, 2.5e-3, 6e-4]),
+    ], ids=["nan-h", "nan-err", "inf-h", "inf-err"])
+    def test_nonfinite_entries_rejected(self, h, err):
+        with pytest.raises(ValueError, match="entries must be positive"):
+            estimate_order(h, err)
+
 
 class TestRunConfig:
     def test_defaults_valid(self):

@@ -1,5 +1,4 @@
 import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -353,40 +352,6 @@ class TestSolveKkt:
             solve_kkt(make_data(space, ops), init=make_point(space, 0.0, bad, 0.0))
 
 
-class _CountingSplu:
-    """Stand-in for ``sparse_core.splu`` that counts the factorisations and
-    hands out weakly referenced proxies of them, so a test can see whether
-    any is still held."""
-
-    def __init__(self, splu):
-        self.splu = splu
-        self.refs = []
-
-    @property
-    def calls(self):
-        return len(self.refs)
-
-    def __call__(self, k, **kwargs):
-        factor = _Factor(self.splu(k, **kwargs))
-        self.refs.append(weakref.ref(factor))
-        return factor
-
-
-class _Factor:
-    def __init__(self, lu):
-        self.lu = lu
-
-    def __getattr__(self, name):
-        return getattr(self.lu, name)
-
-
-@pytest.fixture
-def counting_splu(monkeypatch):
-    counting = _CountingSplu(sparse_core.splu)
-    monkeypatch.setattr(sparse_core, "splu", counting)
-    return counting
-
-
 def kkt_iterates(data, monkeypatch):
     """solve_kkt's report and every iterate it evaluates the residual at."""
     seen = []
@@ -446,10 +411,12 @@ class TestFactorisationReuse:
             return index_sets(pt, config)
 
         monkeypatch.setattr(kkt_solver, "index_sets", failing_second_step)
-        with pytest.raises(RuntimeError, match="interrupted"):
+        with pytest.raises(RuntimeError, match="interrupted") as excinfo:
             solve_kkt(data)
         assert counting_splu.calls == 1
         gc.collect()
+        # the traceback keeps the frames of solve_kkt and of its step alive
+        assert excinfo.tb is not None
         assert counting_splu.refs[0]() is None
 
 
@@ -464,6 +431,13 @@ class TestRecoverControl:
         pt = make_point(space, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             recover_control(pt, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_alpha_rejected(self, tiny, bad):
+        space, _ = tiny
+        pt = make_point(space, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            recover_control(pt, bad)
 
 
 class TestConfigValidation:

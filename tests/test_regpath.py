@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space
-from nsocp import regpath
+from nsocp import regpath, sparse_core
 from nsocp.kkt_solver import solve_kkt
 from nsocp.nonsmooth import (
     SmoothedMaxParams,
@@ -192,6 +194,76 @@ class TestRunPath:
         monkeypatch.setattr(regpath, "MAX_ITER", 1)
         with pytest.raises(RuntimeError):
             run_path(data, RegPathConfig((1e-1,)))
+
+
+def path_iterates(data, cfg, monkeypatch):
+    """run_path's report, and every (y, p) its Newton solves evaluate the
+    residual at."""
+    seen = []
+    newton = regpath.newton
+
+    def recording(x0, residual, step, tol, max_iter):
+        def recorded(x):
+            seen.append(x.copy())
+            return residual(x)
+        return newton(x0, recorded, step, tol, max_iter)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(regpath, "newton", recording)
+        _, report = run_path(data, cfg)
+    return seen, report
+
+
+@pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
+class TestPathFactorisationReuse:
+    SCHEDULE = RegPathConfig(tuple(10.0 ** -k for k in range(1, 7)))
+
+    @pytest.mark.parametrize("build", [build_example1, build_example2])
+    def test_iterates_match_fresh_lu(self, build, counting_splu, monkeypatch):
+        data, _ = build(build_space(build_mesh(17)))
+        held, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
+        calls = counting_splu.calls
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)  # every step fresh
+        fresh, rep_fresh = path_iterates(data, self.SCHEDULE, monkeypatch)
+        steps = sum(r.iterations for r in rep_fresh.inner_reports + rep_fresh.warm_failures)
+        assert counting_splu.calls - calls == steps  # one LU per step
+        assert calls < steps  # so some steps were solved by refinement
+        # example 2 stops at eps = 1e-5 on this mesh either way, after a
+        # failed warm start and a failed cold retry
+        assert rep.aborted == rep_fresh.aborted
+        for got, want in zip(rep.inner_reports + rep.warm_failures,
+                             rep_fresh.inner_reports + rep_fresh.warm_failures, strict=True):
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        assert rep.limit_residuals == pytest.approx(rep_fresh.limit_residuals, rel=1e-10)
+        assert len(held) == len(fresh)
+        for x, x0 in zip(held, fresh):
+            assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+    def test_nothing_held_after_return(self, ex1_small, counting_splu):
+        _, data, _ = ex1_small
+        _, report = run_path(data, self.SCHEDULE)
+        assert not report.aborted and counting_splu.calls >= 1
+        gc.collect()
+        assert all(ref() is None for ref in counting_splu.refs)
+
+    def test_nothing_held_after_raise(self, ex1_small, counting_splu, monkeypatch):
+        _, data, _ = ex1_small
+        calls = []
+
+        def failing_second_step(params, y):
+            calls.append(y)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return smoothed_max_second(params, y)
+
+        monkeypatch.setattr(regpath, "smoothed_max_second", failing_second_step)
+        with pytest.raises(RuntimeError, match="interrupted") as excinfo:
+            run_path(data, self.SCHEDULE)
+        assert counting_splu.calls == 1
+        gc.collect()
+        # the traceback keeps the frames of run_path and of its step alive
+        assert excinfo.tb is not None
+        assert counting_splu.refs[0]() is None
 
 
 class TestVerifyLemmaRate:
