@@ -3,7 +3,10 @@
 Homogeneous Dirichlet boundary conditions; only interior nodes carry
 degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
-five-point stencil (diagonal 4, neighbors -1).
+five-point stencil (diagonal 4, neighbors -1). ``FeOperators.A_nd`` and
+``M_nd`` are A and M with their rows and columns in the mesh's
+nested-dissection order, built once on first use, from which the solvers
+form the matrices they factorise.
 """
 
 from __future__ import annotations
@@ -108,6 +111,20 @@ class FeOperators:
     M: CsrMatrix  # consistent mass
     d: np.ndarray  # lumped mass, d_i = |supp phi_i| / 3
 
+    @functools.cached_property
+    def A_nd(self) -> sp.csr_matrix:
+        """A[nd][:, nd] for nd = ``space.nd_order``, computed on first use;
+        each row keeps its entries in A's column order, as that indexing
+        leaves them."""
+        order = self.space.nd_order
+        return self.A[order][:, order]
+
+    @functools.cached_property
+    def M_nd(self) -> sp.csr_matrix:
+        """M[nd][:, nd], laid out as ``A_nd`` is."""
+        order = self.space.nd_order
+        return self.M[order][:, order]
+
 
 def build_mesh(m: int) -> TriMesh:
     """Uniform triangulation of [0,1]^2, each cell split along its
@@ -187,34 +204,35 @@ def linf_nodal_error(fe: FeFunction, exact_nodal: FeFunction) -> float:
 def export_vtk(fields: Sequence[tuple[str, FeFunction]], path) -> None:
     """Legacy ASCII VTK unstructured grid with one scalar array per field.
 
-    Boundary nodes are written with value 0 (homogeneous Dirichlet).
+    Boundary nodes are written with value 0 (homogeneous Dirichlet). A field
+    name must be a nonempty string without whitespace, which would split the
+    SCALARS header. Each section is formatted in one operation and written
+    before the next is built, so no string holds the whole file.
     """
     if not fields:
         raise MeshError("no fields to export")
     space = fields[0][1].space
-    for _, fe in fields:
+    for name, fe in fields:
+        if not isinstance(name, str) or name.split() != [name]:
+            raise MeshError(f"field name {name!r} must be nonempty and without whitespace")
         if fe.space is not space:
             raise MeshError("all fields must share one space")
     mesh = space.mesh
     nv = len(mesh.vertices)
     nt = len(mesh.triangles)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("nsocp fields\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {nv} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} 0\n")
+        fh.write("# vtk DataFile Version 3.0\n"
+                 "nsocp fields\n"
+                 "ASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {nv} double\n")
+        fh.write("%.17g %.17g 0\n" * nv % tuple(mesh.vertices.ravel().tolist()))
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write("3 %d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()))
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {nv}\n")
         for name, fe in fields:
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            full = _full_coeffs(fe)
-            for v in full:
-                fh.write(f"{v:.17g}\n")
+            fh.write(f"SCALARS {name} double 1\n"
+                     "LOOKUP_TABLE default\n")
+            fh.write("%.17g\n" * nv % tuple(_full_coeffs(fe).tolist()))

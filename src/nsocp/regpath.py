@@ -9,7 +9,10 @@ Driving eps -> 0 with warm starts recovers a solution of the limit
 system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
 solve runs ``state_solver.newton`` on the stacked vector (y, p); its
 Jacobian is factorised with the unknowns numbered node by node, as
-(y_i, p_i) pairs in the mesh's nested-dissection order.
+(y_i, p_i) pairs in the mesh's nested-dissection order. Each solve lays out
+that pair-ordered Jacobian once, from ``ops.A_nd`` and ``ops.M_nd``, and
+each step refills only its three varying diagonals; the matrix is, entry
+for entry, the one ``sp.bmat`` and a pair-order permutation would build.
 
 Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
 D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule,
@@ -17,6 +20,8 @@ cold retries included. Each Newton step is first solved by
 ``sparse_core.refine`` from the held LU; when refinement stops contracting,
 the LU is dropped and a fresh one is factorised and held in its place. The
 holder is cleared when the path returns or raises.
+
+``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SingularMatrixError, refine
+from .sparse_core import SingularMatrixError, diagonal_positions, refine
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
                            solve_state, solve_state_regularized)
 
@@ -71,6 +76,36 @@ class RegPathConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
+def _pair_jacobian(ops, alpha: float):
+    """The Jacobian [[A, M/alpha], [-M, A]] of the smoothed system without
+    its smoothing terms, with the unknowns in (y_i, p_i)-pair order, stored
+    entry for entry as ``sp.bmat(...)[order][:, order]`` stores it: row 2i
+    holds row i of ``A_nd`` (columns 2j) and then of ``M_nd / alpha``
+    (columns 2j + 1), row 2i + 1 row i of ``-M_nd`` (columns 2j) and then of
+    ``A_nd`` (columns 2j + 1). Returns it with the positions in its data of
+    the diagonals of the (y, y), (p, p) and (p, y) blocks, node by node."""
+    a, m = ops.A_nd, ops.M_nd
+    n = a.shape[0]
+    len_a, len_m = np.diff(a.indptr), np.diff(m.indptr)
+    indptr = np.zeros(2 * n + 1, dtype=a.indptr.dtype)
+    np.cumsum(np.repeat(len_a + len_m, 2), out=indptr[1:])
+    y_rows, p_rows = indptr[:-1:2], indptr[1::2]
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    dest = []
+    for blk, starts, shift, vals in ((a, y_rows, 0, a.data),
+                                     (m, y_rows + len_a, 1, (m / alpha).data),
+                                     (m, p_rows, 0, -m.data),
+                                     (a, p_rows + len_m, 1, a.data)):
+        pos = np.repeat(starts - blk.indptr[:-1], np.diff(blk.indptr)) + np.arange(blk.nnz)
+        indices[pos] = 2 * blk.indices + shift
+        data[pos] = vals
+        dest.append(pos)
+    jac = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+    a_diag, m_diag = diagonal_positions(a), diagonal_positions(m)
+    return jac, dest[0][a_diag], dest[3][a_diag], dest[2][m_diag]
+
+
 def solve_regularized_kkt(data: ProblemData, eps: float,
                           init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
@@ -92,7 +127,10 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     alpha = data.config.alpha
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
-    order = np.column_stack([ops.space.nd_order, ops.space.nd_order + n]).ravel()
+    nd = ops.space.nd_order
+    order = np.column_stack([nd, nd + n]).ravel()
+    jac, yy, pp, py = _pair_jacobian(ops, alpha)
+    a_diag, m_diag = jac.data[yy], -jac.data[py]
     own = held is None
     if own:
         held = []
@@ -105,10 +143,12 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
 
     def step(x, r):
         y, p = x[:n], x[n:]
-        j11 = a + sp.diags(d * smoothed_max_prime(params, y))
-        j21 = sp.diags(d * smoothed_max_second(params, y) * p) - m
-        jac = sp.bmat([[j11, m / alpha], [j21, j11]], format="csr")
-        k = jac[order][:, order]
+        jac.data[yy] = jac.data[pp] = a_diag + (d * smoothed_max_prime(params, y))[nd]
+        jac.data[py] = (d * smoothed_max_second(params, y) * p)[nd] - m_diag
+        k = jac
+        if not jac.data[py].all():  # sp.bmat stores no zero (p, y) diagonal entry
+            k = jac.copy()
+            k.eliminate_zeros()
         b = -r[order]
         sol = refine(held[0], k, b) if held else None
         if sol is None:
@@ -190,7 +230,8 @@ class RateReport:
 
 @reusing_factorisations()
 def verify_lemma_rate(prob: StateProblem, u: FeFunction, eps_list) -> RateReport:
-    """Fit the convergence rate of || S_eps(u) - S(u) ||_{L2} in eps.
+    """Fit the convergence rate of || S_eps(u) - S(u) ||_{L2} in eps; each
+    S_eps(u) is solved from S(u).
 
     The theory guarantees an O(eps) bound, so the fitted log-log slope
     should be at least ~1 for smoothing-active states.
@@ -203,7 +244,7 @@ def verify_lemma_rate(prob: StateProblem, u: FeFunction, eps_list) -> RateReport
         raise RuntimeError("exact state solve failed")
     gaps = []
     for eps in eps_list:
-        ye, repe = solve_state_regularized(prob, u, eps)
+        ye, repe = solve_state_regularized(prob, u, eps, init=y)
         if not repe.converged:
             raise RuntimeError(f"regularized solve failed at eps = {eps}")
         gaps.append(m_norm(prob.ops, ye.coeffs - y.coeffs))

@@ -19,7 +19,8 @@ its pivot test, takes its place. The module itself holds nothing.
 step of ``regpath`` uses it too, from an LU held along the eps schedule.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
-M are built with it.
+M are built with it. ``diagonal_positions`` locates the diagonal entries of a
+CSR matrix in its data, so that a solver can refill them in place.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "CsrMatrix",
     "solve_linear",
     "refine",
+    "diagonal_positions",
     "assemble_block",
 ]
 
@@ -266,6 +268,17 @@ def refine(lu, k, b: np.ndarray):
             return None
         prev = size
     return None
+
+
+def diagonal_positions(k: sp.csr_matrix) -> np.ndarray:
+    """Index in ``k.data`` of the diagonal entry of each row of the square
+    CSR matrix ``k``, row by row; every row must store exactly one."""
+    n = k.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(k.indptr))
+    pos = np.flatnonzero(rows == k.indices)
+    if not np.array_equal(rows[pos], np.arange(n)):
+        raise SparseError("every row must store its diagonal entry exactly once")
+    return pos
 
 
 def assemble_block(blocks) -> sp.csr_matrix:

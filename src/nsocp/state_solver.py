@@ -9,11 +9,19 @@ of A y + D phi(y) = M g with different phi. Also provides the linear
 operators G_chi representing generalized-derivative elements.
 
 Every n x n matrix is A + diag(c), factorised with its rows and columns in
-the mesh's nested-dissection order. While a multi-solve check runs (it is
-wrapped in ``reusing_factorisations``), the last ``LU_MEMO_SIZE``
-factorisations are kept, and a matrix met again (the same A object and a
-bit-identical c) is solved with its kept factorisation; the results are the
-same as from a fresh one. Nothing is kept once the outermost check returns.
+the mesh's nested-dissection order: it is formed as ``ops.A_nd`` with c added
+to its diagonal, the same matrix, entry for entry, as (A + diag(c))[nd][:, nd].
+While a multi-solve check runs (it is wrapped in ``reusing_factorisations``),
+the last ``LU_MEMO_SIZE`` factorisations are kept, and a matrix met again
+(the same A object and a bit-identical c) is solved with its kept
+factorisation; the results are the same as from a fresh one. Nothing is kept
+once the outermost check returns.
+
+A forward solve starts from zero or from a given ``init``. The finite
+difference check starts each perturbed state S(u + t h) from S(u): the
+equation is piecewise linear, so while the sign pattern of S(u) holds the
+warm start converges in one step, on the factorisation the base solve left
+in the memo.
 """
 
 from __future__ import annotations
@@ -24,12 +32,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SingularMatrixError
+from .sparse_core import SingularMatrixError, diagonal_positions
 
 __all__ = [
     "StateProblem",
@@ -134,9 +141,10 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             lu = entry[2]
             break
     else:
+        mat = ops.A_nd.copy()
+        mat.data[diagonal_positions(mat)] += c[order]
         try:
-            lu = splu((a + sp.diags(c))[order][:, order].tocsc(),
-                      permc_spec="NATURAL", diag_pivot_thresh=0.1)
+            lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
             raise SingularMatrixError(-1) from exc
         if memo is not None:
@@ -148,32 +156,45 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi):
-    """Newton solve of A y + D phi(y) = M g from y = 0; dphi(y) is an element
-    of the generalized derivative of phi at y."""
+def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi,
+                   init: Optional[FeFunction] = None):
+    """Newton solve of A y + D phi(y) = M g from y = 0, or from ``init``;
+    dphi(y) is an element of the generalized derivative of phi at y. An
+    ``init`` on another space or with a non-finite value raises ValueError."""
+    if init is None:
+        y0 = np.zeros(ops.space.n)
+    elif init.space is not ops.space:
+        raise ValueError("initial point must live on the operator space")
+    elif not np.all(np.isfinite(init.coeffs)):
+        raise ValueError("initial point must be finite")
+    else:
+        y0 = init.coeffs.copy()  # a run that takes no step returns it
     a = ops.A
     d = ops.d
     b = ops.M @ g
     tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
-    y, rep = newton(np.zeros(ops.space.n),
+    y, rep = newton(y0,
                     lambda y: a @ y + d * phi(y) - b,
                     lambda y, r: _lu_solve(ops, d * dphi(y), -r),
                     tol, MAX_NEWTON_ITER)
     return ops.space.function(y), rep
 
 
-def solve_state(prob: StateProblem, u: FeFunction):
-    """Semi-smooth Newton solve of A y + D max(0,y) = M (u + f)."""
+def solve_state(prob: StateProblem, u: FeFunction, init: Optional[FeFunction] = None):
+    """Semi-smooth Newton solve of A y + D max(0,y) = M (u + f), from zero
+    or from ``init`` (finite, on the problem's space)."""
     return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs, max0,
-                          lambda y: (y > 0).astype(float))
+                          lambda y: (y > 0).astype(float), init)
 
 
-def solve_state_regularized(prob: StateProblem, u: FeFunction, eps: float):
-    """Newton solve of the smoothed state equation A y + D max_eps(y) = M (u + f)."""
+def solve_state_regularized(prob: StateProblem, u: FeFunction, eps: float,
+                            init: Optional[FeFunction] = None):
+    """Newton solve of the smoothed state equation A y + D max_eps(y) = M (u + f),
+    from zero or from ``init`` (finite, on the problem's space)."""
     params = SmoothedMaxParams(eps)
     return _solve_forward(prob.ops, u.coeffs + prob.f.coeffs,
                           lambda y: smoothed_max(params, y),
-                          lambda y: smoothed_max_prime(params, y))
+                          lambda y: smoothed_max_prime(params, y), init)
 
 
 def directional_derivative(prob: StateProblem, y: FeFunction, h: FeFunction,
@@ -206,7 +227,8 @@ class FiniteDifferenceReport:
 def finite_difference_check(prob: StateProblem, u: FeFunction, h: FeFunction,
                             t_list, zero_tol: float = DEFAULT_ZERO_TOL) -> FiniteDifferenceReport:
     """Compare difference quotients of the forward map with the directional
-    derivative: e(t) = || (S(u+t h) - S(u))/t - delta ||_{L2}."""
+    derivative: e(t) = || (S(u+t h) - S(u))/t - delta ||_{L2}. Each perturbed
+    state is solved from S(u)."""
     t_list = list(t_list)
     if not t_list or any(t <= 0 for t in t_list) or any(
             t_list[k + 1] >= t_list[k] for k in range(len(t_list) - 1)):
@@ -223,7 +245,7 @@ def finite_difference_check(prob: StateProblem, u: FeFunction, h: FeFunction,
     errors = []
     for t in t_list:
         ut = ops.space.function(u.coeffs + t * h.coeffs)
-        yt, rept = solve_state(prob, ut)
+        yt, rept = solve_state(prob, ut, init=y0)
         if not rept.converged:
             raise RuntimeError(f"perturbed state solve failed at t = {t}")
         quot = (yt.coeffs - y0.coeffs) / t

@@ -136,6 +136,28 @@ def element_assembly(space):
     return a, m, d[ix]
 
 
+class TestOrderedOperators:
+    def test_computed_on_first_use_and_cached(self):
+        ops = assemble_operators(build_space(build_mesh(9)))
+        assert "A_nd" not in vars(ops) and "M_nd" not in vars(ops)
+        assert ops.A_nd is ops.A_nd and ops.M_nd is ops.M_nd
+
+    @pytest.mark.parametrize("m", [2, 5, 17])
+    def test_layout_of_the_permuted_operators(self, m):
+        ops = assemble_operators(build_space(build_mesh(m)))
+        order = ops.space.nd_order
+        for got, full in ((ops.A_nd, ops.A), (ops.M_nd, ops.M)):
+            want = full[order][:, order]
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+            # each row keeps its entries in the column order of the
+            # unpermuted row
+            for i in range(ops.space.n):
+                cols = order[got.indices[got.indptr[i]:got.indptr[i + 1]]]
+                assert np.all(np.diff(cols) > 0)
+
+
 class TestAssembleOperators:
     def test_hand_assembly_m2(self):
         ops = assemble_operators(build_space(build_mesh(2)))
@@ -324,6 +346,57 @@ class TestExportVtk:
         arrays = parse_vtk_point_data(path)
         recovered = arrays["y"][space.interior_nodes]
         assert np.array_equal(recovered, fe.coeffs)
+
+    def test_whole_file_m2(self, tmp_path):
+        # the legacy layout, line by line; 0.1 + 0.2 and -1e-300 / 3 need all
+        # 17 significant digits to round-trip
+        space = build_space(build_mesh(2))
+        path = tmp_path / "f.vtk"
+        export_vtk([("y", space.function(np.array([0.1 + 0.2]))),
+                    ("p", space.function(np.array([-1e-300 / 3])))], path)
+        points = ["0 0 0", "0.5 0 0", "1 0 0", "0 0.5 0", "0.5 0.5 0", "1 0.5 0",
+                  "0 1 0", "0.5 1 0", "1 1 0"]
+        cells = ["3 0 1 4", "3 0 4 3", "3 1 2 5", "3 1 5 4",
+                 "3 3 4 7", "3 3 7 6", "3 4 5 8", "3 4 8 7"]
+        expected = [
+            "# vtk DataFile Version 3.0", "nsocp fields", "ASCII",
+            "DATASET UNSTRUCTURED_GRID", "POINTS 9 double", *points,
+            "CELLS 8 32", *cells, "CELL_TYPES 8", *["5"] * 8, "POINT_DATA 9",
+            "SCALARS y double 1", "LOOKUP_TABLE default",
+            *["0"] * 4, "0.30000000000000004", *["0"] * 4,
+            "SCALARS p double 1", "LOOKUP_TABLE default",
+            *["0"] * 4, "-3.3333333333333334e-301", *["0"] * 4,
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_matches_line_by_line_writer(self, tmp_path):
+        space = build_space(build_mesh(9))
+        rng = np.random.default_rng(3)
+        fields = [(name, space.function(rng.standard_normal(space.n) * 10.0 ** e))
+                  for name, e in (("y", 0), ("p", -200), ("chi", 200))]
+        path = tmp_path / "f.vtk"
+        export_vtk(fields, path)
+        mesh = space.mesh
+        nv, nt = len(mesh.vertices), len(mesh.triangles)
+        lines = ["# vtk DataFile Version 3.0", "nsocp fields", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+        lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
+        lines += [f"CELLS {nt} {4 * nt}"] + [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+        lines += [f"CELL_TYPES {nt}"] + ["5"] * nt + [f"POINT_DATA {nv}"]
+        for name, fe in fields:
+            full = np.zeros(nv)
+            full[space.interior_nodes] = fe.coeffs
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += [f"{v:.17g}" for v in full]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", ["", "my field", "y\t", " y", "a\nb", None])
+    def test_bad_field_name_rejected(self, tmp_path, name):
+        space = build_space(build_mesh(3))
+        path = tmp_path / "f.vtk"
+        with pytest.raises(MeshError, match="field name"):
+            export_vtk([("y", space.zero()), (name, space.zero())], path)
+        assert not path.exists()
 
     def test_mixed_spaces_rejected(self, tmp_path):
         s1 = build_space(build_mesh(3))

@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space
@@ -79,41 +80,63 @@ class TestSolveRegularizedKkt:
         assert np.array_equal(pt.y.coeffs, y.coeffs)
         assert np.array_equal(pt.p.coeffs, p.coeffs)
 
-    @pytest.mark.parametrize("m, seed", [(5, 0), (9, 1), (9, 2)])
-    def test_step_matches_dense_solve_of_jacobian(self, m, seed, monkeypatch):
+    @pytest.mark.parametrize("m, seed, plant", [
+        pytest.param(5, 0, False, id="5-0"), pytest.param(9, 1, False, id="9-1"),
+        pytest.param(9, 2, False, id="9-2"), pytest.param(9, 3, True, id="9-3-zero")])
+    def test_step_matches_dense_solve_of_jacobian(self, m, seed, plant, monkeypatch):
         space = build_space(build_mesh(m))
         data, _ = build_example2(space, alpha=1e-3, gamma=1e-12)
-        n, eps = space.n, 1e-2
+        ops, n, eps = data.ops, space.n, 1e-2
+        params = SmoothedMaxParams(eps)
         rng = np.random.default_rng(seed)
         y = rng.uniform(-2 * eps, 2 * eps, n)  # inside and outside the smoothing band
         p = rng.standard_normal(n)
-        steps, factorised = [], []
+        if plant:
+            # d_i max_eps''(y_i) p_i = M_ii: the (p, y) diagonal entry is 0
+            i = np.flatnonzero((y > 0) & (y < eps))[0]
+            p[i] = ops.M.diagonal()[i] / (ops.d[i] * smoothed_max_second(params, y)[i])
+        steps, refined, factorised = [], [], []
 
         def one_step(x0, residual, step, tol, max_iter):
             r = residual(x0)
             steps.append((r, step(x0, r)))
             return x0, NewtonReport(False, 0, [])
 
+        def recording_refine(lu, k, b):
+            refined.append(k.copy())
+            return None  # so the step factorises afresh
+
         def recording_splu(k, **kwargs):
-            factorised.append(k.toarray())
+            factorised.append(k)
             return splu(k, **kwargs)
 
         splu = regpath.splu
         monkeypatch.setattr(regpath, "newton", one_step)
+        monkeypatch.setattr(regpath, "refine", recording_refine)
         monkeypatch.setattr(regpath, "splu", recording_splu)
-        solve_regularized_kkt(data, eps, (y, p))
+        solve_regularized_kkt(data, eps, (y, p), held=[None])
         (r, dx), = steps
 
-        params = SmoothedMaxParams(eps)
-        a, mm, d = data.ops.A.toarray(), data.ops.M.toarray(), data.ops.d
+        a, mm, d = ops.A.toarray(), ops.M.toarray(), ops.d
         j11 = a + np.diag(d * smoothed_max_prime(params, y))
         j21 = np.diag(d * smoothed_max_second(params, y) * p) - mm
         jac = np.block([[j11, mm / data.config.alpha], [j21, j11]])
         want = np.linalg.solve(jac, -r)
         assert np.linalg.norm(dx - want) <= 1e-12 * np.linalg.norm(want)
-        # unknowns numbered node by node, (y_i, p_i) in nested-dissection order
+        # unknowns numbered node by node, (y_i, p_i) in nested-dissection
+        # order, and stored entry for entry as sp.bmat and the permutation
+        # store them: the refined and the factorised matrix are that one
         order = np.ravel(np.column_stack([space.nd_order, space.nd_order + n]))
-        assert np.allclose(factorised[0], jac[np.ix_(order, order)], rtol=1e-15, atol=0.0)
+        j11 = ops.A + sp.diags(d * smoothed_max_prime(params, y))
+        j21 = sp.diags(d * smoothed_max_second(params, y) * p) - ops.M
+        ref = sp.bmat([[j11, ops.M / data.config.alpha], [j21, j11]], format="csr")
+        ref = ref[order][:, order]
+        assert ref.nnz == 2 * (ops.A.nnz + ops.M.nnz) - plant  # the planted 0 is not stored
+        for got, want in ((refined[0], ref), (factorised[0], ref.tocsc())):
+            assert got.format == want.format and got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
 
 class TestRunPath:
@@ -276,6 +299,29 @@ class TestVerifyLemmaRate:
         assert rep.slope == pytest.approx(1.0, abs=0.1)
         # gaps shrink monotonically with eps
         assert all(b < a for a, b in zip(rep.gaps, rep.gaps[1:]))
+
+    def test_warm_start_matches_cold_start(self, monkeypatch):
+        space = build_space(build_mesh(33))
+        data, _ = build_example1(space)
+        prob = StateProblem(data.ops, data.f)
+        eps_list = [10.0 ** -k for k in range(1, 5)]
+        steps = []
+        regularized = regpath.solve_state_regularized
+
+        def counting(prob, u, eps, init=None):
+            ye, rep = regularized(prob, u, eps, init=init)
+            steps.append(rep.iterations)
+            return ye, rep
+
+        monkeypatch.setattr(regpath, "solve_state_regularized", counting)
+        warm = verify_lemma_rate(prob, space.zero(), eps_list)
+        warm_steps = sum(steps)
+        monkeypatch.setattr(regpath, "solve_state_regularized",
+                            lambda prob, u, eps, init=None: counting(prob, u, eps))
+        cold = verify_lemma_rate(prob, space.zero(), eps_list)
+        assert warm_steps < sum(steps) - warm_steps
+        assert warm.gaps == pytest.approx(cold.gaps, rel=1e-8)
+        assert warm.slope == pytest.approx(cold.slope, rel=1e-8)
 
     def test_degenerate_when_smoothing_inactive(self, ex1_small):
         # uniformly negative state: for eps below |y| the smoothing never

@@ -10,6 +10,7 @@ from nsocp.sparse_core import (
     SingularMatrixError,
     SparseError,
     assemble_block,
+    diagonal_positions,
     solve_linear,
 )
 
@@ -300,6 +301,21 @@ class TestHeldFactorisation:
         rows, cols, lu = held
         assert np.array_equal(rows, [1, 2, 3]) and np.array_equal(cols, [1, 2, 3])
         assert isinstance(lu, SuperLU) and lu.shape == (3, 3)
+
+
+class TestDiagonalPositions:
+    def test_positions_in_unsorted_rows(self):
+        # row 0 stores its diagonal last, row 1 first
+        k = sp.csr_matrix((np.array([5.0, 1.0, 2.0, 6.0]), np.array([1, 0, 1, 0]),
+                           np.array([0, 2, 4])), shape=(2, 2))
+        pos = diagonal_positions(k)
+        assert pos.tolist() == [1, 2]
+        assert k.data[pos].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("dense", [[[1.0, 2.0], [3.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    def test_missing_diagonal_entry_rejected(self, dense):
+        with pytest.raises(SparseError):
+            diagonal_positions(csr(dense))
 
 
 class TestAssembleBlock:

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nsocp import state_solver
@@ -194,6 +195,35 @@ class TestRegularized:
         assert np.allclose(y_eps.coeffs, poisson_solve(ops, g.coeffs), atol=1e-12)
 
 
+class TestInitialPoint:
+    def test_solution_as_init_takes_no_step(self, prob1_33, ex1_33, space33):
+        u = interpolate(space33, ex1_33[1].u)
+        y, rep = solve_state(prob1_33, u)
+        y2, rep2 = solve_state(prob1_33, u, init=y)
+        assert rep.converged and rep.iterations >= 1
+        assert rep2.converged and rep2.iterations == 0
+        assert np.array_equal(y2.coeffs, y.coeffs) and y2.coeffs is not y.coeffs
+
+    @pytest.mark.parametrize("solve", [
+        lambda prob, u, init: solve_state(prob, u, init=init),
+        lambda prob, u, init: solve_state_regularized(prob, u, 1e-3, init=init),
+    ], ids=["exact", "regularized"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_init_rejected(self, prob1_33, space33, solve, bad):
+        y0 = np.zeros(space33.n)
+        y0[space33.n // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(prob1_33, space33.zero(), space33.function(y0))
+
+    @pytest.mark.parametrize("solve", [solve_state,
+                                       lambda prob, u, init: solve_state_regularized(
+                                           prob, u, 1e-3, init)], ids=["exact", "regularized"])
+    def test_init_on_other_space_rejected(self, prob1_33, space33, solve):
+        other = build_space(build_mesh(33))  # same size, another space
+        with pytest.raises(ValueError, match="space"):
+            solve(prob1_33, space33.zero(), other.zero())
+
+
 class TestDirectionalDerivative:
     def test_zero_direction(self, prob1_33, space33):
         y, _ = solve_state(prob1_33, space33.zero())
@@ -247,6 +277,26 @@ class TestFiniteDifference:
     def test_bad_t_list(self, prob1_33, space33):
         with pytest.raises(ValueError):
             finite_difference_check(prob1_33, space33.zero(), space33.zero(), [1e-3, 1e-2])
+
+    @pytest.mark.parametrize("counting_splu", [state_solver], indirect=True,
+                             ids=["state_solver"])
+    def test_warm_start_matches_cold_start(self, counting_splu, monkeypatch):
+        space = build_space(build_mesh(33))
+        data, exact = build_example2(space)
+        prob = StateProblem(data.ops, data.f)
+        u = interpolate(space, exact.u)
+        rng = np.random.default_rng(4)
+        h = space.function(rng.standard_normal(space.n))
+        t_list = [1e-2, 1e-3, 1e-4, 1e-5]
+        warm = finite_difference_check(prob, u, h, t_list)
+        warm_calls = counting_splu.calls
+        cold_solve = state_solver.solve_state
+        monkeypatch.setattr(state_solver, "solve_state",
+                            lambda prob, u, init=None: cold_solve(prob, u))
+        cold = finite_difference_check(prob, u, h, t_list)
+        assert warm_calls < counting_splu.calls - warm_calls
+        assert (warm.final_ok, warm.monotone) == (cold.final_ok, cold.monotone) == (True, True)
+        assert warm.errors[:2] == pytest.approx(cold.errors[:2], rel=1e-6)
 
 
 class TestGateauxFraction:
@@ -338,6 +388,31 @@ class TestOrderedSolve:
         order = space.nd_order
         assert np.array_equal(k, dense[np.ix_(order, order)])
         assert kwargs["permc_spec"] == "NATURAL"
+
+    @pytest.mark.parametrize("m", [5, 17, 33])
+    def test_factorises_the_reference_matrix_exactly(self, m, monkeypatch):
+        # A_nd + diag(c[nd]) is stored as (A + diag(c))[nd][:, nd] is, so
+        # each LU, and each memo hit, is the same as from that matrix
+        space = build_space(build_mesh(m))
+        ops = assemble_operators(space)
+        rng = np.random.default_rng(m)
+        c = ops.d * (rng.uniform(0.0, 1.0, space.n) > 0.5) * rng.uniform(0.0, 1.0, space.n)
+        factorised = []
+
+        def recording_splu(k, **kwargs):
+            factorised.append(k)
+            return splu(k, **kwargs)
+
+        splu = state_solver.splu
+        monkeypatch.setattr(state_solver, "splu", recording_splu)
+        state_solver._lu_solve(ops, c, np.ones(space.n))
+        order = space.nd_order
+        want = (ops.A + sp.diags(c))[order][:, order].tocsc()
+        (k,) = factorised
+        assert k.format == "csc" and k.shape == want.shape
+        assert np.array_equal(k.indptr, want.indptr)
+        assert np.array_equal(k.indices, want.indices)
+        assert np.array_equal(k.data, want.data)
 
 
 class _CountingSplu:
