@@ -9,10 +9,12 @@ Driving eps -> 0 with warm starts recovers a solution of the limit
 system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
 solve runs ``state_solver.newton`` on the stacked vector (y, p); its
 Jacobian is factorised with the unknowns numbered node by node, as
-(y_i, p_i) pairs in the mesh's nested-dissection order. Each solve lays out
-that pair-ordered Jacobian once, from ``ops.A_nd`` and ``ops.M_nd``, and
-each step refills only its three varying diagonals; the matrix is, entry
-for entry, the one ``sp.bmat`` and a pair-order permutation would build.
+(y_i, p_i) pairs in the mesh's nested-dissection order. ``run_path`` lays
+out that pair-ordered Jacobian once, from ``ops.A_nd`` and ``ops.M_nd``, and
+passes it to every solve of the path (a solve called on its own lays out its
+own); each step refills all three varying diagonals, so nothing of an
+earlier step or solve survives in it. The matrix is, entry for entry, the
+one ``sp.bmat`` and a pair-order permutation would build.
 
 Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
 D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule,
@@ -83,7 +85,9 @@ def _pair_jacobian(ops, alpha: float):
     holds row i of ``A_nd`` (columns 2j) and then of ``M_nd / alpha``
     (columns 2j + 1), row 2i + 1 row i of ``-M_nd`` (columns 2j) and then of
     ``A_nd`` (columns 2j + 1). Returns it with the positions in its data of
-    the diagonals of the (y, y), (p, p) and (p, y) blocks, node by node."""
+    the diagonals of the (y, y), (p, p) and (p, y) blocks, node by node, and
+    the diagonals of ``A_nd`` and ``M_nd``, which a step adds its smoothing
+    terms to."""
     a, m = ops.A_nd, ops.M_nd
     n = a.shape[0]
     len_a, len_m = np.diff(a.indptr), np.diff(m.indptr)
@@ -103,11 +107,12 @@ def _pair_jacobian(ops, alpha: float):
         dest.append(pos)
     jac = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
     a_diag, m_diag = diagonal_positions(a), diagonal_positions(m)
-    return jac, dest[0][a_diag], dest[3][a_diag], dest[2][m_diag]
+    return jac, dest[0][a_diag], dest[3][a_diag], dest[2][m_diag], a.data[a_diag], m.data[m_diag]
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
-                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None):
+                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None,
+                          *, _jacobian=None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
     ``init`` raises ValueError.
 
@@ -118,6 +123,9 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     factorise this Jacobian (a failed LU raises SingularMatrixError with row
     -1) and hold its LU. Without a holder the call keeps one of its own and
     clears it before returning or raising.
+
+    ``_jacobian`` is ``run_path``'s one ``_pair_jacobian(ops, alpha)`` for the
+    whole path; None lays out a new one.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -129,8 +137,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     ydvec = data.y_d.coeffs
     nd = ops.space.nd_order
     order = np.column_stack([nd, nd + n]).ravel()
-    jac, yy, pp, py = _pair_jacobian(ops, alpha)
-    a_diag, m_diag = jac.data[yy], -jac.data[py]
+    jac, yy, pp, py, a_diag, m_diag = _jacobian or _pair_jacobian(ops, alpha)
     own = held is None
     if own:
         held = []
@@ -188,21 +195,22 @@ class PathReport:
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
-    previous iterate, and all of them share one held LU (see the module
-    docstring), cleared on return or raise. Returns the final iterate
-    packaged as a KKT point (chi = max_eps'(y) at the smallest eps) plus
-    per-eps telemetry."""
+    previous iterate, and all of them share one pair-ordered Jacobian and one
+    held LU (see the module docstring), the LU cleared on return or raise.
+    Returns the final iterate packaged as a KKT point (chi = max_eps'(y) at
+    the smallest eps) plus per-eps telemetry."""
     ops = data.ops
     report = PathReport([], [], [])
     init = pt = None
     held = []  # one LU for the whole schedule, cold retries included
+    layout = _pair_jacobian(ops, data.config.alpha)
     try:
         for eps in cfg.eps_schedule:
-            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held)
+            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held, _jacobian=layout)
             if not rep.converged and init is not None:
                 # one cold-start retry before giving up on the path
                 report.warm_failures.append(rep)
-                (yf, pf), rep = solve_regularized_kkt(data, eps, None, held=held)
+                (yf, pf), rep = solve_regularized_kkt(data, eps, None, held=held, _jacobian=layout)
             report.eps_values.append(eps)
             report.inner_reports.append(rep)
             if not rep.converged:

@@ -5,8 +5,10 @@ module pins down the error behavior the rest of the package relies on.
 ``solve_linear`` equilibrates the rows, eliminates singleton rows and
 columns, and factorises only the reduced system, in an order the caller
 supplies (for the KKT step, nested dissection of the mesh nodes). Every
-pivot it takes is tested, and a deficient one is reported by its row in the
-caller's numbering.
+singleton pivot it takes is tested, and every fresh LU of the reduced system
+is tested by a condition estimate: a transposed solve of a fixed probe and
+a solve of its result, which read neither factor. A deficient row is
+reported in the caller's numbering.
 
 A caller that passes a holder (a list; ``kkt_solver.solve_kkt`` keeps one
 per call) gets the last fresh LU of the reduced system held in it with its
@@ -14,7 +16,7 @@ rows and columns. A later system that reduces to the same rows and columns
 is solved by iterative refinement preconditioned by that LU (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12); when
 refinement stops contracting, the held LU is dropped and a fresh one, with
-its pivot test, takes its place. The module itself holds nothing.
+its probe test, takes its place. The module itself holds nothing.
 ``refine`` is that refinement and its acceptance rule; the continuation
 step of ``regpath`` uses it too, from an LU held along the eps schedule.
 
@@ -39,8 +41,10 @@ __all__ = [
     "assemble_block",
 ]
 
-# Pivot smaller than this times the largest initial row magnitude is
-# reported as singular.
+# Singular, after each row is scaled to max magnitude 1: a singleton pivot
+# below PIVOT_RTOL, or a probe solve of the reduced system k that grows by
+# 1 / PIVOT_RTOL or more (max|z| / max|s| for z = k^-T s, or the same for
+# the solve with k that follows; see _factorize).
 PIVOT_RTOL = 1e-14
 # Refinement from a held LU accepts a correction of at most REFINE_RTOL times
 # the solution (max norms); it gives up on a correction more than
@@ -78,23 +82,39 @@ class CsrMatrix(sp.csr_matrix):
 
 def _factorize(k: sp.csc_matrix, rows: np.ndarray):
     """Sparse LU of the reduced system ``k`` in the order it is given
-    (no fill-reducing column ordering), with threshold partial pivoting.
+    (no fill-reducing column ordering), with threshold partial pivoting,
+    and its singularity test.
 
-    ``k`` must be row-equilibrated (max row magnitude at most 1), so a U
-    pivot below PIVOT_RTOL marks a numerically deficient row; ``rows[i]`` is
-    the original number of row i of ``k``, which the error reports.
+    The test is a LINPACK-style condition estimate with a fixed probe s
+    (Cline, Moler, Stewart and Wilkinson, SIAM J. Numer. Anal. 16, 1979;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 15): a transposed solve z = k^-T s, then y = k^-1 w with
+    w = z / max|z|. ``k`` must be row-equilibrated (max row magnitude at
+    most 1), so a growth max|z| / max|s| or max|y| / max|w| of at least
+    1 / PIVOT_RTOL, or a non-finite z or y, marks it numerically singular.
+    The second solve catches a singular system whose right null vector is
+    nearly orthogonal to s, for which z stays moderate (two equal columns
+    did so under some elimination orders). z points along the left null
+    vector, which is nonzero only on the dependent rows whatever the
+    elimination order, and its largest entry names the row: ``rows[i]`` is
+    the original number of row i of ``k``. The test reads neither factor,
+    so SuperLU never builds copies of L and U.
     """
     try:
         lu = splu(k, permc_spec="NATURAL", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         row = _first_deficient_row(k)
         raise SingularMatrixError(int(rows[row]) if row >= 0 else -1) from exc
-    udiag = np.abs(lu.U.diagonal())
-    bad = np.flatnonzero(udiag < PIVOT_RTOL)
-    if len(bad):
-        # SuperLU factorises Pr A Pc = L U with Pr[perm_r[i], i] = 1, so row k
-        # of U comes from the row i of ``k`` with perm_r[i] == k
-        raise SingularMatrixError(int(rows[np.argsort(lu.perm_r)[bad[0]]]))
+    # random, so that no structured system is orthogonal to it (a constant
+    # probe is to the null vector e_i - e_k of two equal columns) and z
+    # points along the left null vector
+    s = np.random.default_rng(20171).standard_normal(k.shape[0])
+    z = lu.solve(s, trans="T")
+    z_max = np.max(np.abs(z))
+    y_max = np.max(np.abs(lu.solve(z / z_max)))
+    # written so that a NaN fails it
+    if not (z_max * PIVOT_RTOL < np.max(np.abs(s)) and y_max * PIVOT_RTOL < 1.0):
+        raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
     return lu
 
 
@@ -152,15 +172,19 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
        MAX_CORRECTIONS pass, the holder is cleared and the system falls
        back to the fresh path.
     4. Fresh path: factorise the reduced system by sparse LU with threshold
-       partial pivoting and refine its solution once; a holder given in
-       ``held`` then holds that LU with its rows and columns.
+       partial pivoting, test it by a transposed solve of a fixed probe and
+       a solve of its result (see ``_factorize``), and refine its solution
+       once; a holder given in ``held`` then holds that LU with its rows
+       and columns.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
     empty row, a second singleton row on a fixed unknown, or a singleton
-    pivot below PIVOT_RTOL (tested on every call), or a U pivot of a fresh
-    reduced LU below PIVOT_RTOL. A singular reduced system stops refinement
-    from contracting, so it reaches the fresh LU and its pivot test.
+    pivot below PIVOT_RTOL (tested on every call), or, for a fresh reduced
+    LU, a probe solve that grows by 1 / PIVOT_RTOL or more, named by the
+    largest entry of the transposed solve. A singular reduced system stops
+    refinement from contracting, so it reaches the fresh LU and its probe
+    test.
     """
     if m.shape[0] != m.shape[1]:
         raise SparseError("solve_linear requires a square matrix")

@@ -8,27 +8,31 @@ from nsocp import sparse_core
 class _CountingSplu:
     """Stand-in for a module's ``splu`` that counts the factorisations and
     hands out weakly referenced proxies of them, so a test can see whether
-    any is still held."""
+    any is still held; ``served`` collects the attribute names the proxies
+    were asked for."""
 
     def __init__(self, splu):
         self.splu = splu
         self.refs = []
+        self.served = set()
 
     @property
     def calls(self):
         return len(self.refs)
 
     def __call__(self, k, **kwargs):
-        factor = _Factor(self.splu(k, **kwargs))
+        factor = _Factor(self.splu(k, **kwargs), self.served)
         self.refs.append(weakref.ref(factor))
         return factor
 
 
 class _Factor:
-    def __init__(self, lu):
+    def __init__(self, lu, served):
         self.lu = lu
+        self.served = served
 
     def __getattr__(self, name):
+        self.served.add(name)
         return getattr(self.lu, name)
 
 

@@ -289,6 +289,37 @@ class TestPathFactorisationReuse:
         assert counting_splu.refs[0]() is None
 
 
+class TestPathJacobianLayout:
+    SCHEDULE = RegPathConfig(tuple(10.0 ** -k for k in range(1, 7)))
+
+    @pytest.mark.parametrize("build", [build_example1, build_example2])
+    def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, monkeypatch):
+        # example 2 on this mesh fails a warm start and its cold retry at
+        # eps = 1e-5, so the path's layout also serves a retry
+        data, _ = build(build_space(build_mesh(17)))
+        layouts = []
+        pair_jacobian = regpath._pair_jacobian
+
+        def counting(*args):
+            layouts.append(1)
+            return pair_jacobian(*args)
+
+        monkeypatch.setattr(regpath, "_pair_jacobian", counting)
+        shared, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
+        assert len(layouts) == 1
+        solve = regpath.solve_regularized_kkt
+
+        def own_layout(*args, _jacobian=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(regpath, "solve_regularized_kkt", own_layout)
+        own, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
+        assert len(layouts) == 2 + len(rep.inner_reports) + len(rep.warm_failures)
+        assert len(shared) == len(own)
+        for x, x0 in zip(shared, own):
+            assert np.array_equal(x, x0)
+
+
 class TestVerifyLemmaRate:
     def test_linear_rate_on_sign_changing_state(self, ex1_small):
         _, data, _ = ex1_small

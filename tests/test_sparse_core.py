@@ -139,6 +139,34 @@ class TestSolveLinear:
                 solve_linear(csr(dense), np.ones(8))
             assert exc.value.pivot_row in (i, j, k), seed
 
+    def test_singular_row_independent_of_order(self):
+        # the probe's growth points along the left null vector, which does
+        # not depend on the elimination order, so every order names one row
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((8, 8))
+            i, j, k = rng.choice(8, 3, replace=False)
+            dense[k] = dense[i] + dense[j] + 1e-17 * rng.standard_normal(8)
+            named = set()
+            for order in (None, rng.permutation(8), rng.permutation(8), rng.permutation(8)):
+                with pytest.raises(SingularMatrixError) as exc:
+                    solve_linear(csr(dense), np.ones(8), order)
+                named.add(exc.value.pivot_row)
+            assert len(named) == 1 and named <= {i, j, k}, seed
+
+    def test_two_equal_columns_singular(self):
+        # the right null vector is e_i - e_k: a probe with equal entries i
+        # and k (a constant one, say) lies in the range of k^T, and the
+        # transposed solve alone misses the system under some orders
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((8, 8))
+            i, k = rng.choice(8, 2, replace=False)
+            dense[:, k] = dense[:, i]
+            for order in (None, rng.permutation(8)):
+                with pytest.raises(SingularMatrixError):
+                    solve_linear(csr(dense), np.ones(8), order)
+
     @staticmethod
     def _with_singleton_rows(rng):
         # rows 1 and 6 are singletons: they fix x_4 and x_0 and leave the
@@ -301,6 +329,35 @@ class TestHeldFactorisation:
         rows, cols, lu = held
         assert np.array_equal(rows, [1, 2, 3]) and np.array_equal(cols, [1, 2, 3])
         assert isinstance(lu, SuperLU) and lu.shape == (3, 3)
+
+
+class TestPivotTestReadsNoFactor:
+    """The singularity test is made of solves: asking SuperLU for ``L`` or
+    ``U`` makes it build and keep CSC copies of both factors, and
+    ``perm_r`` only maps rows of ``U`` back."""
+
+    FACTORS = {"L", "U", "perm_r"}
+
+    def test_solve_linear(self, counting_splu):
+        rng = np.random.default_rng(11)
+        dense = rng.standard_normal((8, 8))
+        solve_linear(csr(dense), np.ones(8))
+        dense[5] = dense[1] + dense[2]
+        with pytest.raises(SingularMatrixError):
+            solve_linear(csr(dense), np.ones(8))
+        assert counting_splu.calls == 2
+        assert "solve" in counting_splu.served
+        assert not counting_splu.served & self.FACTORS
+
+    def test_solve_kkt(self, counting_splu):
+        from nsocp.examples import build_example1
+        from nsocp.fe_mesh import build_mesh, build_space
+        from nsocp.kkt_solver import solve_kkt
+        data, _ = build_example1(build_space(build_mesh(9)))
+        _, rep = solve_kkt(data)
+        assert rep.converged and counting_splu.calls >= 1
+        assert "solve" in counting_splu.served
+        assert not counting_splu.served & self.FACTORS
 
 
 class TestDiagonalPositions:
