@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,6 +74,23 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):  # numpy's float64 included
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as standard JSON, a non-finite number as null (a failed
+    solve can end on an infinite or NaN residual, which JSON cannot hold)."""
+    path.write_text(json.dumps(_finite(obj), indent=2, allow_nan=False))
+
+
 def _first_example(cfg: RunConfig):
     """(data, exact) of the configured example on the first mesh, alpha and gamma."""
     space = build_space(build_mesh(cfg.m_list[0]))
@@ -106,7 +124,7 @@ def _cmd_kkt(cfg: RunConfig) -> int:
         "err_p": row.err_p,
         "err_chi_linf": row.err_chi_linf,
     }
-    (out / "kkt.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "kkt.json", report)
     if rep.converged:
         u = recover_control(pt, cfg.alpha_list[0])
         export_vtk([("y", pt.y), ("p", pt.p), ("chi", pt.chi), ("u", u)], out / "kkt.vtk")
@@ -122,8 +140,7 @@ def _cmd_regpath(cfg: RunConfig) -> int:
              "limit_residual": lr}
             for e, r, lr in zip(report.eps_values, report.inner_reports,
                                 report.limit_residuals + [None] * len(report.eps_values))]
-    (out / "regpath.json").write_text(json.dumps(
-        {"aborted": report.aborted, "steps": rows}, indent=2))
+    _write_json(out / "regpath.json", {"aborted": report.aborted, "steps": rows})
     for r in rows:
         print(f"eps={r['eps']:.1e} iters={r['iterations']} limit_residual={r['limit_residual']}")
     export_vtk([("y", pt.y), ("p", pt.p), ("chi", pt.chi)], out / "regpath.vtk")
@@ -146,7 +163,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         "strong_sign": sign_rep.to_dict(),
         "primal_stationarity": primal_rep.to_dict(),
     }
-    (out / "checks.json").write_text(json.dumps(reports, indent=2))
+    _write_json(out / "checks.json", reports)
     for name, rep_d in reports.items():
         print(f"{name}: {rep_d}")
     ok = chi_rep.passed and sign_rep.passed and primal_rep.passed

@@ -44,7 +44,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SingularMatrixError, diagonal_positions, refine
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, diagonal_positions, refine
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
                            solve_state, solve_state_regularized)
 
@@ -161,7 +161,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         if sol is None:
             held.clear()  # free the old LU before the new one is built
             try:
-                lu = splu(k.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
+                lu = splu(k.tocsc(), **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SingularMatrixError(-1) from exc
             held.append(lu)

@@ -8,7 +8,17 @@ supplies (for the KKT step, nested dissection of the mesh nodes). Every
 singleton pivot it takes is tested, and every fresh LU of the reduced system
 is tested by a condition estimate: a transposed solve of a fixed probe and
 a solve of its result, which read neither factor. A deficient row is
-reported in the caller's numbering.
+reported in the caller's numbering. It keeps one copy of the system alive
+at a time: the equilibrated copy of its input gives way to the reduced rows,
+they to their column slice, and that to the CSC matrix that is factorised;
+refinement from a held LU (below) takes its products from the equilibrated
+copy and makes no other.
+
+``SPLU_OPTIONS`` are the SuperLU options of every LU in the package: this
+module's and those of ``state_solver`` and ``regpath``, which call their own
+``splu`` with them. Beside the caller's order and threshold pivoting they fix
+a small panel, which bounds the work arrays SuperLU holds on top of the
+finished factors.
 
 A caller that passes a holder (a list; ``kkt_solver.solve_kkt`` keeps one
 per call) gets the last fresh LU of the reduced system held in it with its
@@ -27,19 +37,34 @@ CSR matrix in its data, so that a solver can refill them in place.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 __all__ = [
     "SparseError",
     "SingularMatrixError",
+    "SPLU_OPTIONS",
     "CsrMatrix",
     "solve_linear",
     "refine",
     "diagonal_positions",
     "assemble_block",
 ]
+
+# The SuperLU options of every LU in the package (this module's, the forward
+# solves' and the continuation step's): the matrix is factorised in the order
+# it is given, with threshold partial pivoting, in panels of 4 columns. gstrf
+# allocates its panel work arrays in proportion to rows x panel size and frees
+# them only once the factors are complete, so at the peak they sit on top of
+# the factors. On the reduced KKT matrix at m = 257, SuperLU's default panel
+# of 20 columns adds 45 MB and 4 columns add 13 MB, with the same fill and
+# row pivots and a factor time within run-to-run spread; 2 and 1 columns are
+# slower.
+SPLU_OPTIONS = MappingProxyType(
+    {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 4})
 
 # Singular, after each row is scaled to max magnitude 1: a singleton pivot
 # below PIVOT_RTOL, or a probe solve of the reduced system k that grows by
@@ -101,7 +126,7 @@ def _factorize(k: sp.csc_matrix, rows: np.ndarray):
     so SuperLU never builds copies of L and U.
     """
     try:
-        lu = splu(k, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        lu = splu(k, **SPLU_OPTIONS)
     except RuntimeError as exc:
         row = _first_deficient_row(k)
         raise SingularMatrixError(int(rows[row]) if row >= 0 else -1) from exc
@@ -156,7 +181,8 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     1. Equilibrate: explicit zeros are dropped and each row is scaled to
        max magnitude 1, so every singularity test below is invariant under
        row scaling (the prox rows of the KKT system carry entries of order
-       gamma times a mesh factor and are perfectly well conditioned).
+       gamma times a mesh factor and are perfectly well conditioned). This
+       is the one working copy of ``m``.
     2. Eliminate singletons: a row with a single entry fixes its unknown.
        Among the remaining rows, a column with a single entry is deferred:
        its unknown is back-substituted from that row at the end.
@@ -167,15 +193,20 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
        ``[rows, cols, LU]`` of an earlier reduced system. If that system
        had the same rows and columns, the solution is found by iterative
        refinement preconditioned by its LU, and is accepted once a
-       correction is at most REFINE_RTOL of the solution (max norms). If a
+       correction is at most REFINE_RTOL of the solution (max norms). Its
+       products with the reduced system are taken from the working copy, so
+       no copy of the reduced system is made. If a
        correction is more than CONTRACTION times the one before, or
        MAX_CORRECTIONS pass, the holder is cleared and the system falls
        back to the fresh path.
-    4. Fresh path: factorise the reduced system by sparse LU with threshold
-       partial pivoting, test it by a transposed solve of a fixed probe and
-       a solve of its result (see ``_factorize``), and refine its solution
-       once; a holder given in ``held`` then holds that LU with its rows
-       and columns.
+    4. Fresh path: the reduced rows of the working copy replace it, their
+       column slice replaces them and its CSC copy replaces the slice, each
+       freed as soon as the next exists. That matrix is factorised by
+       sparse LU with ``SPLU_OPTIONS`` (threshold partial pivoting, a small
+       panel) and tested by a transposed solve of a fixed probe and a solve
+       of its result (see ``_factorize``), and its solution is refined
+       once; a holder given in ``held`` then holds that LU with its rows and
+       columns.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
@@ -220,10 +251,11 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     # among the other rows, column singletons are deferred
     is_fixed = np.zeros(n, dtype=bool)
     is_fixed[fix_cols] = True
-    live = np.repeat(counts != 1, counts) & ~is_fixed[indices]
-    col_counts = np.bincount(indices[live], minlength=n)
-    pos = np.flatnonzero(live & (col_counts[indices] == 1))
-    del live, col_counts
+    live = np.repeat(counts != 1, counts)
+    live &= ~is_fixed[indices]
+    live &= (np.bincount(indices[live], minlength=n) == 1)[indices]
+    pos = np.flatnonzero(live)
+    del live
     def_rows = np.searchsorted(indptr, pos, side="right") - 1
     def_cols = indices[pos]
     def_piv = data[pos]
@@ -242,39 +274,48 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
         cols = cols[np.argsort(rank[cols], kind="stable")]
 
     m_def = m_eq[def_rows]
+    del indptr, indices, data  # they would keep the working copy alive
     if len(rows):
-        m_rows = m_eq[rows]
-        b_red = b_eq[rows] - m_rows @ x
-        k = m_rows[:, cols].tocsc()
-        del m_eq, m_rows, indptr, indices, data
-        x[cols] = _solve_reduced(k, b_red, rows, cols, held)
+        b_red = b_eq[rows] - (m_eq @ x)[rows]
+        x_red = None
+        if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
+            x_red = refine(held[2], _reduced_operator(m_eq, rows, cols), b_red)
+        if x_red is None:
+            if held:
+                held.clear()  # free the old LU before the new one is built
+            # one copy of the system at a time: each replaces the one before
+            m_eq = m_eq[rows]
+            m_eq = m_eq[:, cols]
+            k = m_eq.tocsc()
+            del m_eq
+            lu = _factorize(k, rows)
+            if held is not None:
+                held.extend((rows, cols, lu))
+            x_red = lu.solve(b_red)
+            x_red += lu.solve(b_red - k @ x_red)
+        x[cols] = x_red
     if len(def_rows):
         # each deferred row holds no other deferred unknown, and x is 0 there
         x[def_cols] = (b_eq[def_rows] - m_def @ x) / def_piv
     return x
 
 
-def _solve_reduced(k: sp.csc_matrix, b: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray, held) -> np.ndarray:
-    """Stages 3 and 4 of ``solve_linear`` on the equilibrated reduced system
-    k x = b, whose rows and columns are ``rows`` and ``cols`` of the full one;
-    ``held`` (None or the caller's holder) is updated in place."""
-    if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
-        x = refine(held[2], k, b)
-        if x is not None:
-            return x
-    if held:
-        held.clear()  # free the old LU before the new one is built
-    lu = _factorize(k, rows)
-    if held is not None:
-        held.extend((rows, cols, lu))
-    x = lu.solve(b)
-    return x + lu.solve(b - k @ x)
+def _reduced_operator(m_eq, rows: np.ndarray, cols: np.ndarray) -> LinearOperator:
+    """z -> k z for the reduced system k = m_eq[rows][:, cols], taken from
+    ``m_eq`` itself, so that refinement needs no copy of k."""
+    full = np.zeros(m_eq.shape[1])
+
+    def matvec(z):
+        full[cols] = z
+        return (m_eq @ full)[rows]
+
+    return LinearOperator((len(rows), len(cols)), matvec=matvec, dtype=float)
 
 
 def refine(lu, k, b: np.ndarray):
     """Iterative refinement x <- x + LU^-1 (b - k x) from x = 0, with ``lu``
-    the factorisation of a nearby matrix; None when it stops contracting.
+    the factorisation of a nearby matrix and ``k`` the matrix or an operator
+    with ``k @ x``; None when it stops contracting.
 
     ``solve_linear`` and ``regpath.solve_regularized_kkt`` both use it, so
     REFINE_RTOL, CONTRACTION and MAX_CORRECTIONS are the one acceptance

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SingularMatrixError, diagonal_positions
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, diagonal_positions
 
 __all__ = [
     "StateProblem",
@@ -144,7 +144,7 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         mat = ops.A_nd.copy()
         mat.data[diagonal_positions(mat)] += c[order]
         try:
-            lu = splu(mat.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
+            lu = splu(mat.tocsc(), **SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SingularMatrixError(-1) from exc
         if memo is not None:

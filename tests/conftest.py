@@ -9,18 +9,20 @@ class _CountingSplu:
     """Stand-in for a module's ``splu`` that counts the factorisations and
     hands out weakly referenced proxies of them, so a test can see whether
     any is still held; ``served`` collects the attribute names the proxies
-    were asked for."""
+    were asked for, and ``kwargs`` the keyword arguments of each call."""
 
     def __init__(self, splu):
         self.splu = splu
         self.refs = []
         self.served = set()
+        self.kwargs = []
 
     @property
     def calls(self):
         return len(self.refs)
 
     def __call__(self, k, **kwargs):
+        self.kwargs.append(kwargs)
         factor = _Factor(self.splu(k, **kwargs), self.served)
         self.refs.append(weakref.ref(factor))
         return factor

@@ -4,10 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from nsocp.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from nsocp import cli, harness
+from nsocp.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, main
 from nsocp.examples import _profile, _profile_dd, build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space, interpolate
 from nsocp.harness import CSV_HEADER, RunConfig, estimate_order, run_cell, run_sweep
+from nsocp.kkt_solver import zero_point
+from nsocp.regpath import PathReport
+from nsocp.state_solver import NewtonReport
+
+
+def strict_json(path):
+    """Parse a file as standard JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestExampleConstruction:
@@ -190,6 +201,33 @@ class TestCli:
         report = json.loads((tmp_path / "regpath.json").read_text())
         assert not report["aborted"]
         assert len(report["steps"]) == 6
+
+    def test_kkt_report_nonfinite_residual_is_null(self, tmp_path, monkeypatch):
+        def diverging(data, init=None):
+            return zero_point(data.ops), NewtonReport(
+                False, 2, [1.0, np.float64(np.inf), np.float64(np.nan)],
+                "non-finite residual")
+
+        monkeypatch.setattr(harness, "solve_kkt", diverging)
+        code = main(["kkt", "--example", "2", "--m", "5", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER_FAILURE
+        report = strict_json(tmp_path / "kkt.json")
+        assert report["status"] == "no_conv"
+        assert report["residual_history"] == [1.0, None, None]
+
+    def test_regpath_nonfinite_residual_is_null(self, tmp_path, monkeypatch):
+        def aborting(data, cfg):
+            reports = [NewtonReport(True, 2, [1.0, 1e-13]),
+                       NewtonReport(False, 1, [1.0, np.nan], "non-finite residual")]
+            return zero_point(data.ops), PathReport(
+                [1e-1, 1e-2], reports, [np.float64(np.inf)], aborted=True)
+
+        monkeypatch.setattr(cli, "run_path", aborting)
+        code = main(["regpath", "--example", "1", "--m", "5", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER_FAILURE
+        report = strict_json(tmp_path / "regpath.json")
+        assert report["aborted"]
+        assert [s["limit_residual"] for s in report["steps"]] == [None, None]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU
 
-from nsocp import sparse_core
+from nsocp import kkt_solver, regpath, sparse_core, state_solver
+from nsocp.examples import build_example1
+from nsocp.fe_mesh import build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
@@ -358,6 +362,97 @@ class TestPivotTestReadsNoFactor:
         assert rep.converged and counting_splu.calls >= 1
         assert "solve" in counting_splu.served
         assert not counting_splu.served & self.FACTORS
+
+
+class TestSharedLuOptions:
+    """Every LU in the package is made with ``SPLU_OPTIONS``, whose panel is
+    small: gstrf's panel work arrays grow with rows x panel size and sit on
+    top of the finished factors (SuperLU's default panel is 20 columns)."""
+
+    def test_panel_is_small(self):
+        assert 1 <= sparse_core.SPLU_OPTIONS["panel_size"] <= 4
+
+    def test_solve_kkt(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(9)))
+        _, rep = kkt_solver.solve_kkt(data)
+        assert rep.converged and counting_splu.calls >= 1
+        assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
+
+    @pytest.mark.parametrize("counting_splu", [state_solver], indirect=True,
+                             ids=["state_solver"])
+    def test_forward_solve(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(9)))
+        space = data.ops.space
+        _, rep = state_solver.solve_state(state_solver.StateProblem(data.ops, data.f),
+                                          space.function(np.ones(space.n)))
+        assert rep.converged and counting_splu.calls >= 1
+        assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
+
+    @pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
+    def test_run_path(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(9)))
+        _, report = regpath.run_path(data, regpath.RegPathConfig((1e-1, 1e-2)))
+        assert not report.aborted and counting_splu.calls >= 1
+        assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
+
+
+def _nbytes(m) -> int:
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+class TestSolveLinearMemory:
+    """``solve_linear`` keeps one copy of the system alive at a time. From
+    its entry to a fresh LU it allocates at most its equilibrated copy of
+    the input and 2.5 times the reduced system (3.6 times when it held the
+    copy, the reduced rows, their column slice and the CSC matrix at once).
+    A step refined from the held LU forms no reduced system: it allocates at
+    most 2.5 times its input (4.4 times when it sliced and converted one)."""
+
+    @staticmethod
+    def traced_kkt_solve(m, monkeypatch):
+        """solve_kkt of example 1 on an m-mesh under tracemalloc: per
+        solve_linear call, the traced bytes at its entry, its input's bytes
+        and the peak at its exit; for a fresh LU also the peak when
+        ``_factorize`` is entered and the bytes of the matrix it gets."""
+        solve, factorize = sparse_core.solve_linear, sparse_core._factorize
+        calls = []
+
+        def traced_solve(mat, *args):
+            tracemalloc.reset_peak()
+            call = {"entry": tracemalloc.get_traced_memory()[0], "input": _nbytes(mat)}
+            calls.append(call)
+            x = solve(mat, *args)
+            call["exit"] = tracemalloc.get_traced_memory()[1]
+            return x
+
+        def traced_factorize(k, rows):
+            calls[-1].update(factorize=tracemalloc.get_traced_memory()[1], k=_nbytes(k))
+            return factorize(k, rows)
+
+        monkeypatch.setattr(sparse_core, "solve_linear", traced_solve)
+        monkeypatch.setattr(sparse_core, "_factorize", traced_factorize)
+        data, _ = build_example1(build_space(build_mesh(m)))
+        tracemalloc.start()
+        try:
+            _, rep = kkt_solver.solve_kkt(data)
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        return calls
+
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_peak_before_factorisation(self, m, monkeypatch):
+        fresh = [c for c in self.traced_kkt_solve(m, monkeypatch) if "k" in c]
+        assert fresh
+        for c in fresh:
+            assert c["factorize"] - c["entry"] <= c["input"] + 2.5 * c["k"]
+
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_peak_of_refined_step(self, m, monkeypatch):
+        refined = [c for c in self.traced_kkt_solve(m, monkeypatch) if "k" not in c]
+        assert refined
+        for c in refined:
+            assert c["exit"] - c["entry"] <= 2.5 * c["input"]
 
 
 class TestDiagonalPositions:
