@@ -36,8 +36,16 @@ class ConfigError(ValueError):
     pass
 
 
+# the commands that solve one (m, alpha, gamma) cell; sweep runs them all
+_ONE_CELL = ("state", "kkt", "regpath", "check")
+
+
 def _load_config(args) -> RunConfig:
+    """The RunConfig of ``args``: defaults, then the ``--config`` file, then
+    the flags. A one-cell command given more than one value of a list, by
+    the file or the flags, is a configuration error."""
     cfg = RunConfig()
+    raw = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -53,18 +61,21 @@ def _load_config(args) -> RunConfig:
             setattr(cfg, key, val)
     if args.example is not None:
         cfg.example = args.example
-    if args.m:
-        cfg.m_list = list(args.m)
-    if args.alpha:
-        cfg.alpha_list = list(args.alpha)
-    if args.gamma:
-        cfg.gamma_list = list(args.gamma)
+    lists = {"m_list": args.m, "alpha_list": args.alpha, "gamma_list": args.gamma}
+    for key, flag in lists.items():
+        if flag:
+            setattr(cfg, key, list(flag))
     if args.out:
         cfg.output_dir = args.out
     try:
         cfg.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
+    if args.mode in _ONE_CELL:
+        for key, flag in lists.items():
+            if (flag or key in raw) and len(getattr(cfg, key)) > 1:
+                raise ConfigError(f"{args.mode} solves one cell, but {key} holds "
+                                  f"{len(getattr(cfg, key))} values")
     return cfg
 
 
@@ -92,7 +103,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _first_example(cfg: RunConfig):
-    """(data, exact) of the configured example on the first mesh, alpha and gamma."""
+    """(data, exact) of the configured example on the first mesh, alpha and
+    gamma: the given ones, or the first of the defaults."""
     space = build_space(build_mesh(cfg.m_list[0]))
     return build_example(cfg.example, space, cfg.alpha_list[0], cfg.gamma_list[0])
 

@@ -3,10 +3,9 @@
 Homogeneous Dirichlet boundary conditions; only interior nodes carry
 degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
-five-point stencil (diagonal 4, neighbors -1). ``FeOperators.A_nd`` and
-``M_nd`` are A and M with their rows and columns in the mesh's
-nested-dissection order, built once on first use, from which the solvers
-form the matrices they factorise.
+five-point stencil (diagonal 4, neighbors -1). ``FeOperators.A_nd`` is A
+with its rows and columns in the mesh's nested-dissection order, built once
+on first use, from which the state solver forms the matrices it factorises.
 """
 
 from __future__ import annotations
@@ -118,12 +117,6 @@ class FeOperators:
         leaves them."""
         order = self.space.nd_order
         return self.A[order][:, order]
-
-    @functools.cached_property
-    def M_nd(self) -> sp.csr_matrix:
-        """M[nd][:, nd], laid out as ``A_nd`` is."""
-        order = self.space.nd_order
-        return self.M[order][:, order]
 
 
 def build_mesh(m: int) -> TriMesh:

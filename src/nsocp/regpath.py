@@ -9,26 +9,25 @@ Driving eps -> 0 with warm starts recovers a solution of the limit
 system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
 solve runs ``state_solver.newton`` on the stacked vector (y, p); its
 Jacobian is factorised with the unknowns numbered node by node, as
-(y_i, p_i) pairs in the mesh's nested-dissection order. ``run_path`` lays
-out that pair-ordered Jacobian once, from ``ops.A_nd`` and ``ops.M_nd``, and
-passes it to every solve of the path (a solve called on its own lays out its
-own); each step refills all three varying diagonals, so nothing of an
-earlier step or solve survives in it. The matrix is, entry for entry, the
-one ``sp.bmat`` and a pair-order permutation would build.
+(y_i, p_i) pairs in the mesh's nested-dissection order. ``run_path`` builds
+that pair-ordered Jacobian once, with ``sp.bmat`` and a pair-order
+permutation, and passes it to every solve of the path (a solve called on its
+own builds its own); each step refills all three varying diagonals, so
+nothing of an earlier step or solve survives in it.
 
 Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
-D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule,
-cold retries included. Each Newton step is first solved by
-``sparse_core.refine`` from the held LU; when refinement stops contracting,
-the LU is dropped and a fresh one is factorised and held in its place. The
-holder is cleared when the path returns or raises.
+D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule.
+Each Newton step is first solved by ``sparse_core.refine`` from the held LU;
+when refinement stops contracting, the LU is dropped and a fresh one is
+factorised and held in its place. The holder is cleared when the path
+returns or raises.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,34 +79,20 @@ class RegPathConfig:
 
 def _pair_jacobian(ops, alpha: float):
     """The Jacobian [[A, M/alpha], [-M, A]] of the smoothed system without
-    its smoothing terms, with the unknowns in (y_i, p_i)-pair order, stored
-    entry for entry as ``sp.bmat(...)[order][:, order]`` stores it: row 2i
-    holds row i of ``A_nd`` (columns 2j) and then of ``M_nd / alpha``
-    (columns 2j + 1), row 2i + 1 row i of ``-M_nd`` (columns 2j) and then of
-    ``A_nd`` (columns 2j + 1). Returns it with the positions in its data of
-    the diagonals of the (y, y), (p, p) and (p, y) blocks, node by node, and
-    the diagonals of ``A_nd`` and ``M_nd``, which a step adds its smoothing
+    its smoothing terms, built by ``sp.bmat`` with the unknowns in
+    (y_i, p_i)-pair order: row and column 2i is y at node nd[i], 2i + 1 is p
+    there. Returns it with the positions in its data of the (2i, 2i),
+    (2i + 1, 2i + 1) and (2i + 1, 2i) entries, node by node, and the
+    diagonals of A and M in that order, which a step adds its smoothing
     terms to."""
-    a, m = ops.A_nd, ops.M_nd
-    n = a.shape[0]
-    len_a, len_m = np.diff(a.indptr), np.diff(m.indptr)
-    indptr = np.zeros(2 * n + 1, dtype=a.indptr.dtype)
-    np.cumsum(np.repeat(len_a + len_m, 2), out=indptr[1:])
-    y_rows, p_rows = indptr[:-1:2], indptr[1::2]
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
-    dest = []
-    for blk, starts, shift, vals in ((a, y_rows, 0, a.data),
-                                     (m, y_rows + len_a, 1, (m / alpha).data),
-                                     (m, p_rows, 0, -m.data),
-                                     (a, p_rows + len_m, 1, a.data)):
-        pos = np.repeat(starts - blk.indptr[:-1], np.diff(blk.indptr)) + np.arange(blk.nnz)
-        indices[pos] = 2 * blk.indices + shift
-        data[pos] = vals
-        dest.append(pos)
-    jac = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
-    a_diag, m_diag = diagonal_positions(a), diagonal_positions(m)
-    return jac, dest[0][a_diag], dest[3][a_diag], dest[2][m_diag], a.data[a_diag], m.data[m_diag]
+    a, m = ops.A, ops.M
+    nd = ops.space.nd_order
+    order = np.column_stack([nd, nd + len(nd)]).ravel()
+    jac = sp.bmat([[a, m / alpha], [-m, a]], format="csr")[order][:, order]
+    diag = diagonal_positions(jac)
+    rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
+    py = np.flatnonzero((rows % 2 == 1) & (jac.indices == rows - 1))
+    return jac, diag[::2], diag[1::2], py, a.diagonal()[nd], m.diagonal()[nd]
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
@@ -125,7 +110,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     clears it before returning or raising.
 
     ``_jacobian`` is ``run_path``'s one ``_pair_jacobian(ops, alpha)`` for the
-    whole path; None lays out a new one.
+    whole path; None builds a new one.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -183,34 +168,30 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
 
 @dataclass
 class PathReport:
+    """Per-eps telemetry of ``run_path``: each eps is solved once, from the
+    previous iterate, and the first failed solve ends the path (``aborted``)."""
     eps_values: list[float]
     inner_reports: list[NewtonReport]
     limit_residuals: list[float]
     aborted: bool = False
     failure_reason: Optional[str] = None
-    # failed warm-started solves that were retried cold; the retry's report
-    # is the one in ``inner_reports``
-    warm_failures: list[NewtonReport] = field(default_factory=list)
 
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
     previous iterate, and all of them share one pair-ordered Jacobian and one
     held LU (see the module docstring), the LU cleared on return or raise.
-    Returns the final iterate packaged as a KKT point (chi = max_eps'(y) at
-    the smallest eps) plus per-eps telemetry."""
+    The first solve that fails ends the path, which then returns the last
+    converged iterate. Returns the final iterate packaged as a KKT point
+    (chi = max_eps'(y) at the smallest eps) plus per-eps telemetry."""
     ops = data.ops
     report = PathReport([], [], [])
     init = pt = None
-    held = []  # one LU for the whole schedule, cold retries included
+    held = []  # one LU for the whole schedule
     layout = _pair_jacobian(ops, data.config.alpha)
     try:
         for eps in cfg.eps_schedule:
             (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held, _jacobian=layout)
-            if not rep.converged and init is not None:
-                # one cold-start retry before giving up on the path
-                report.warm_failures.append(rep)
-                (yf, pf), rep = solve_regularized_kkt(data, eps, None, held=held, _jacobian=layout)
             report.eps_values.append(eps)
             report.inner_reports.append(rep)
             if not rep.converged:

@@ -257,6 +257,32 @@ class TestCli:
             code = main(["regpath", "--config", str(cfg)])
             assert code == EXIT_CONFIG_ERROR, raw
 
+    @pytest.mark.parametrize("mode", ["state", "kkt", "regpath", "check"])
+    def test_one_cell_commands_reject_lists(self, mode, tmp_path, capsys):
+        # each of these solves one cell; a second value of a list, from the
+        # flags or from the config file, is refused before anything is solved
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        for flags, raw in ((["--m", "9", "--m", "17"], {}),
+                           (["--alpha", "1e-4", "--alpha", "1e-2"], {}),
+                           (["--gamma", "1e-4", "--gamma", "1e-2"], {}),
+                           (["--config", str(cfg)], {"m_list": [9, 17]}),
+                           (["--config", str(cfg)], {"m_list": [9], "alpha_list": [1e-4, 1e-2]}),
+                           (["--config", str(cfg), "--m", "9"], {"gamma_list": [1e-4, 1e-2]})):
+            cfg.write_text(json.dumps(raw))
+            code = main([mode, "--example", "1", *flags, "--out", str(out)])
+            assert code == EXIT_CONFIG_ERROR, flags
+            assert capsys.readouterr().err.startswith("configuration error:")
+            assert not out.exists()
+
+    def test_one_value_from_the_flags_overrides_a_config_list(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"m_list": [9, 17]}))
+        code = main(["state", "--config", str(cfg), "--m", "5", "--example", "2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "state.vtk").exists()
+
     def test_config_file_drives_sweep(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"example": 2, "m_list": [6],

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import build_mesh, build_space
+from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
 from nsocp import regpath, sparse_core
 from nsocp.kkt_solver import solve_kkt
 from nsocp.nonsmooth import (
@@ -138,6 +138,25 @@ class TestSolveRegularizedKkt:
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
 
+    @pytest.mark.parametrize("m", [5, 9])
+    def test_refill_positions_index_the_pair_diagonals(self, m):
+        # yy, pp and py index the (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i)
+        # entries, each once, node by node
+        ops = assemble_operators(build_space(build_mesh(m)))
+        jac, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, 1e-3)
+        rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
+        i = np.arange(ops.space.n)
+        for pos, row, col in ((yy, 2 * i, 2 * i), (pp, 2 * i + 1, 2 * i + 1),
+                              (py, 2 * i + 1, 2 * i)):
+            assert np.array_equal(rows[pos], row)
+            assert np.array_equal(jac.indices[pos], col)
+            assert np.sum((rows == row[:, None]) & (jac.indices == col[:, None])) == ops.space.n
+        nd = ops.space.nd_order
+        assert np.array_equal(jac.data[yy], a_diag) and np.array_equal(jac.data[pp], a_diag)
+        assert np.array_equal(jac.data[py], -m_diag)
+        assert np.array_equal(a_diag, ops.A.diagonal()[nd])
+        assert np.array_equal(m_diag, ops.M.diagonal()[nd])
+
 
 class TestRunPath:
     def test_limit_residual_strictly_decreasing(self, path_result):
@@ -188,13 +207,11 @@ class TestRunPath:
         for got, want in ((pt.y, pt_cut.y), (pt.p, pt_cut.p), (pt.chi, pt_cut.chi)):
             assert np.array_equal(got.coeffs, want.coeffs)
 
-    def test_failed_warm_starts_are_reported(self, monkeypatch):
-        # at alpha = 1e-6 the warm start fails at eps = 1e-4 and so does its
-        # cold retry; every Newton step of both is in the report
-        monkeypatch.setattr(regpath, "MAX_ITER", 6)
-        space = build_space(build_mesh(9))
-        data, _ = build_example2(space, alpha=1e-6, gamma=1e-12)
-        sched = tuple(10.0 ** -k for k in range(1, 9))
+    def test_aborting_path_runs_each_eps_once(self, monkeypatch):
+        # example 2 on this mesh fails its inner solve at eps = 1e-5; that
+        # solve ends the path, and every Newton step run is in the report
+        space = build_space(build_mesh(17))
+        data, _ = build_example2(space, alpha=1e-4, gamma=1e-12)
         runs = []
         newton = regpath.newton
 
@@ -204,13 +221,14 @@ class TestRunPath:
             return x, rep
 
         monkeypatch.setattr(regpath, "newton", counting_newton)
-        _, report = run_path(data, RegPathConfig(sched))
+        _, report = run_path(data, RegPathConfig(tuple(10.0 ** -k for k in range(1, 7))))
         assert report.aborted
-        assert len(report.eps_values) == len(report.inner_reports) == 4
-        assert [rep.iterations for rep in report.warm_failures] == [6]
-        assert not report.warm_failures[0].converged
-        counted = sum(rep.iterations for rep in report.inner_reports + report.warm_failures)
-        assert counted == sum(runs) == 19
+        assert report.eps_values[-1] == 1e-5
+        assert report.failure_reason == "inner solve failed at eps = 1e-05"
+        assert [rep.iterations for rep in report.inner_reports] == [2, 2, 2, 3, 50]
+        assert [rep.converged for rep in report.inner_reports] == [True] * 4 + [False]
+        assert runs == [rep.iterations for rep in report.inner_reports]
+        assert sum(runs) == 59
 
     def test_unreachable_tolerance_raises(self, ex1_small, monkeypatch):
         _, data, _ = ex1_small
@@ -248,14 +266,13 @@ class TestPathFactorisationReuse:
         calls = counting_splu.calls
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)  # every step fresh
         fresh, rep_fresh = path_iterates(data, self.SCHEDULE, monkeypatch)
-        steps = sum(r.iterations for r in rep_fresh.inner_reports + rep_fresh.warm_failures)
+        steps = sum(r.iterations for r in rep_fresh.inner_reports)
         assert counting_splu.calls - calls == steps  # one LU per step
         assert calls < steps  # so some steps were solved by refinement
         # example 2 stops at eps = 1e-5 on this mesh either way, after a
-        # failed warm start and a failed cold retry
+        # failed inner solve
         assert rep.aborted == rep_fresh.aborted
-        for got, want in zip(rep.inner_reports + rep.warm_failures,
-                             rep_fresh.inner_reports + rep_fresh.warm_failures, strict=True):
+        for got, want in zip(rep.inner_reports, rep_fresh.inner_reports, strict=True):
             assert (got.converged, got.iterations) == (want.converged, want.iterations)
         assert rep.limit_residuals == pytest.approx(rep_fresh.limit_residuals, rel=1e-10)
         assert len(held) == len(fresh)
@@ -294,8 +311,8 @@ class TestPathJacobianLayout:
 
     @pytest.mark.parametrize("build", [build_example1, build_example2])
     def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, monkeypatch):
-        # example 2 on this mesh fails a warm start and its cold retry at
-        # eps = 1e-5, so the path's layout also serves a retry
+        # example 2 on this mesh fails its inner solve at eps = 1e-5, so the
+        # path's layout also serves a solve that does not converge
         data, _ = build(build_space(build_mesh(17)))
         layouts = []
         pair_jacobian = regpath._pair_jacobian
@@ -314,7 +331,7 @@ class TestPathJacobianLayout:
 
         monkeypatch.setattr(regpath, "solve_regularized_kkt", own_layout)
         own, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
-        assert len(layouts) == 2 + len(rep.inner_reports) + len(rep.warm_failures)
+        assert len(layouts) == 2 + len(rep.inner_reports)
         assert len(shared) == len(own)
         for x, x0 in zip(shared, own):
             assert np.array_equal(x, x0)
