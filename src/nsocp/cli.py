@@ -17,7 +17,7 @@ from .examples import build_example
 from .fe_mesh import build_mesh, build_space, export_vtk, interpolate
 from .harness import RunConfig, estimate_order, run_cell, run_sweep
 from .kkt_solver import recover_control, solve_kkt
-from .regpath import RegPathConfig, run_path, verify_lemma_rate
+from .regpath import PathAbortedError, RegPathConfig, run_path, verify_lemma_rate
 from .state_solver import StateProblem, m_norm, solve_state
 from .stationarity import (
     check_bouligand_residual,
@@ -54,6 +54,8 @@ def _load_config(args) -> RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
         known = set(vars(cfg))
         for key, val in raw.items():
             if key not in known:
@@ -147,7 +149,10 @@ def _cmd_regpath(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     data, _ = _first_example(cfg)
     path_cfg = RegPathConfig(tuple(cfg.eps_schedule))
-    pt, report = run_path(data, path_cfg)
+    try:
+        pt, report = run_path(data, path_cfg)
+    except PathAbortedError as exc:  # the first eps failed: a report, no point
+        pt, report = None, exc.report
     rows = [{"eps": e, "iterations": r.iterations, "converged": r.converged,
              "limit_residual": lr}
             for e, r, lr in zip(report.eps_values, report.inner_reports,
@@ -155,7 +160,8 @@ def _cmd_regpath(cfg: RunConfig) -> int:
     _write_json(out / "regpath.json", {"aborted": report.aborted, "steps": rows})
     for r in rows:
         print(f"eps={r['eps']:.1e} iters={r['iterations']} limit_residual={r['limit_residual']}")
-    export_vtk([("y", pt.y), ("p", pt.p), ("chi", pt.chi)], out / "regpath.vtk")
+    if pt is not None:
+        export_vtk([("y", pt.y), ("p", pt.p), ("chi", pt.chi)], out / "regpath.vtk")
     return EXIT_SOLVER_FAILURE if report.aborted else EXIT_OK
 
 

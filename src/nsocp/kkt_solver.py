@@ -13,8 +13,18 @@ y_i + gamma chi_i in [0, gamma] make the Newton matrix singular; their
 chi components are frozen for the step (active-set fix).
 ``solve_kkt`` runs ``state_solver.newton`` on the stacked vector.
 
+``solve_kkt`` lays out the pattern of the 3n Newton matrix once per call
+(``_newton_layout``, one ``assemble_block``): the blocks A, M / alpha and -M
+and every entry of the five diagonals that change between steps, D 1{y>0},
+D chi, D p, D (1 - 1_gamma) and -gamma D 1_gamma, a zero one stored as an
+explicit zero. Each step refills those diagonals in place
+(``newton_matrix``) and writes the unit rows of the critical nodes over
+their prox rows, also in place (``apply_active_set_fix``); nothing else is
+built per step. Since ``solve_linear``'s working copy drops explicit zeros,
+the matrix it factorises equals, entry for entry, one built afresh.
+
 Each step solves the fixed 3n Newton matrix with ``solve_linear``. Every
-prox row has a single entry, so the step fixes chi_i on I_gamma and on
+prox row has a single nonzero, so the step fixes chi_i on I_gamma and on
 critical nodes and y_i on the other inactive nodes; there chi_i follows
 last from adjoint row n + i, through the pivot d_i p_i. What is factorised
 is the primal-dual active-set system (Hintermueller, Ito & Kunisch, SIAM J.
@@ -41,7 +51,7 @@ import scipy.sparse as sp
 from . import sparse_core
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import assemble_block
+from .sparse_core import SparseError, assemble_block, diagonal_positions
 from .state_solver import newton
 
 __all__ = [
@@ -142,44 +152,90 @@ def index_sets(pt: KktPoint, config: KktConfig) -> IndexSets:
     )
 
 
-def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets) -> sp.csr_matrix:
-    """3n x 3n generalized Jacobian of the stacked residual."""
+def _newton_layout(data: ProblemData):
+    """The stored pattern of every Newton matrix of ``data``, laid out once
+    by ``assemble_block`` as [[A, M / alpha, 0], [-M, A, I], [I, 0, I]]: the
+    identity blocks make it store every entry of the five diagonals that
+    change between steps. Returns the matrix with the positions in its data
+    of the diagonals of its (1,1), (2,2), (2,3), (3,1) and (3,3) blocks, node
+    by node, and the diagonal of A, which the first two are refilled from."""
     ops = data.ops
     n = ops.space.n
     a, m = ops.A, ops.M
-    d = ops.d
-    alpha, gamma = data.config.alpha, data.config.gamma
+    eye = sp.identity(n, format="csr")
+    jac = assemble_block([[a, (1.0 / data.config.alpha) * m, None],
+                          [-1.0 * m, a, eye],
+                          [eye, None, eye]])
+    diag = diagonal_positions(jac)
+    rows = np.repeat(np.arange(3 * n), np.diff(jac.indptr))
+    pc = np.flatnonzero((rows >= n) & (rows < 2 * n) & (jac.indices == rows + n))
+    cy = np.flatnonzero((rows >= 2 * n) & (jac.indices == rows - 2 * n))
+    return jac, diag[:n], diag[n:2 * n], pc, cy, diag[2 * n:], a.diagonal()
+
+
+def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets, *,
+                  _layout=None) -> sp.csr_matrix:
+    """3n x 3n generalized Jacobian of the stacked residual
+
+        [[A + D 1{y>0},  M / alpha,     0               ],
+         [-M,            A + D chi,     D p             ],
+         [D (1 - 1_gam), 0,             -gamma D 1_gam  ]]
+
+    in the pattern of ``_newton_layout``: every entry of the five diagonal
+    blocks that vary is stored, a zero one as an explicit zero (which
+    ``solve_linear``'s working copy drops). ``_layout`` is ``solve_kkt``'s one
+    layout for the whole solve, whose five diagonals are refilled in place and
+    returned; None lays out a new matrix. Either way no entry of an earlier
+    step survives, the critical prox rows of ``apply_active_set_fix``
+    included.
+    """
+    jac, yy, pp, pc, cy, cc, a_diag = _layout or _newton_layout(data)
+    d = data.ops.d
+    n = len(d)
+    gamma = data.config.gamma
 
     ind_plus = np.zeros(n)
     ind_plus[sets.i_plus] = 1.0
     ind_gam = np.zeros(n)
     ind_gam[sets.i_gamma] = 1.0
 
-    return assemble_block([
-        [a + sp.diags(d * ind_plus), (1.0 / alpha) * m, None],
-        [-1.0 * m, a + sp.diags(d * pt.chi.coeffs), sp.diags(d * pt.p.coeffs, format="csr")],
-        [sp.diags(d * (1.0 - ind_gam), format="csr"), None,
-         -gamma * sp.diags(d * ind_gam, format="csr")],
-    ])
+    jac.data[yy] = a_diag + d * ind_plus
+    jac.data[pp] = a_diag + d * pt.chi.coeffs
+    jac.data[pc] = d * pt.p.coeffs
+    jac.data[cy] = d * (1.0 - ind_gam)
+    jac.data[cc] = -gamma * (d * ind_gam)
+    return jac
 
 
 def apply_active_set_fix(matrix: sp.csr_matrix, rhs: np.ndarray, sets: IndexSets):
     """Freeze the critical chi components for this Newton step.
 
-    The prox-equation row of each critical node is replaced by the unit
-    row on its chi unknown (rhs 0), so the step leaves chi_i unchanged
-    while its column contributions in the first two block rows remain.
+    The prox-equation row of each critical node is overwritten in place by
+    the unit row on its chi unknown (rhs 0): its stored entries become
+    explicit zeros and its stored diagonal 1, so the step leaves chi_i
+    unchanged while its column contributions in the first two block rows
+    remain. Every other row is left as it is. A critical prox row that does
+    not store its diagonal raises SparseError (the pattern of
+    ``newton_matrix`` stores it). Returns ``matrix`` and a copy of ``rhs``,
+    or both as given when no node is critical.
     """
     if len(sets.i_crit) == 0:
         return matrix, rhs
     n = matrix.shape[0] // 3
     rows = 2 * n + sets.i_crit
-    frozen = np.zeros(3 * n)
-    frozen[rows] = 1.0
-    fixed = (sp.diags(1.0 - frozen) @ matrix + sp.diags(frozen)).tocsr()
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    # positions of every stored entry of those rows, row by row
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    row_of = np.repeat(rows, counts)
+    diag = pos[matrix.indices[pos] == row_of]
+    if not np.array_equal(matrix.indices[diag], rows):
+        raise SparseError("every critical prox row must store its diagonal entry exactly once")
+    matrix.data[pos] = 0.0
+    matrix.data[diag] = 1.0
     rhs = rhs.copy()
     rhs[rows] = 0.0
-    return fixed, rhs
+    return matrix, rhs
 
 
 def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
@@ -206,11 +262,12 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     # [rows, cols, LU] of the last fresh reduced factorisation: a step whose
     # reduced system keeps those rows and columns is solved by refinement
     held = []
+    layout = _newton_layout(data)  # refilled in place by every step
 
     def step(x, r):
         pt = point(x)
         sets = index_sets(pt, cfg)
-        jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), -r, sets)
+        jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets, _layout=layout), -r, sets)
         return sparse_core.solve_linear(jac, rhs, order, held)
 
     try:

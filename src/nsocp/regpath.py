@@ -50,6 +50,7 @@ from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_f
 __all__ = [
     "RegPathConfig",
     "PathReport",
+    "PathAbortedError",
     "RateReport",
     "solve_regularized_kkt",
     "run_path",
@@ -177,12 +178,22 @@ class PathReport:
     failure_reason: Optional[str] = None
 
 
+class PathAbortedError(RuntimeError):
+    """``run_path`` failed at its first eps, so it has no iterate to return;
+    ``report`` is its ``PathReport`` up to and including that failure."""
+
+    def __init__(self, report: PathReport):
+        self.report = report
+        super().__init__("regularization path produced no converged iterate")
+
+
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
     previous iterate, and all of them share one pair-ordered Jacobian and one
     held LU (see the module docstring), the LU cleared on return or raise.
     The first solve that fails ends the path, which then returns the last
-    converged iterate. Returns the final iterate packaged as a KKT point
+    converged iterate, or raises PathAbortedError with the report if that
+    was the first solve. Returns the final iterate packaged as a KKT point
     (chi = max_eps'(y) at the smallest eps) plus per-eps telemetry."""
     ops = data.ops
     report = PathReport([], [], [])
@@ -205,7 +216,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     finally:
         held.clear()
     if pt is None:
-        raise RuntimeError("regularization path produced no converged iterate")
+        raise PathAbortedError(report)
     return pt, report
 
 

@@ -229,6 +229,30 @@ class TestCli:
         assert report["aborted"]
         assert [s["limit_residual"] for s in report["steps"]] == [None, None]
 
+    def test_regpath_first_eps_failure_writes_report(self, tmp_path):
+        # example 2 with alpha = 1e-6 on this mesh fails its first solve, at
+        # eps = 1e-3: the report is written, and no VTK of a point it lacks
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"eps_schedule": [1e-3, 1e-6]}))
+        out = tmp_path / "out"
+        code = main(["regpath", "--config", str(cfg), "--example", "2", "--m", "17",
+                     "--alpha", "1e-6", "--out", str(out)])
+        assert code == EXIT_SOLVER_FAILURE
+        assert strict_json(out / "regpath.json") == {"aborted": True, "steps": [
+            {"eps": 1e-3, "iterations": 50, "converged": False, "limit_residual": None}]}
+        assert not (out / "regpath.vtk").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+    def test_config_must_hold_an_object(self, text, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["kkt", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "must hold a JSON object" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_CONFIG_ERROR

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nsocp import kkt_solver, sparse_core
-from nsocp.examples import build_example1, build_example2
+from nsocp.examples import build_example, build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
 from nsocp.kkt_solver import (
     IndexSets,
@@ -22,7 +22,7 @@ from nsocp.kkt_solver import (
     zero_point,
 )
 from nsocp.nonsmooth import subdiff_max_contains
-from nsocp.sparse_core import SingularMatrixError, solve_linear
+from nsocp.sparse_core import SingularMatrixError, SparseError, solve_linear
 from nsocp.state_solver import StateProblem
 
 
@@ -197,6 +197,8 @@ class TestNewtonMatrix:
         n = 6
         dense = rng.standard_normal((3 * n, 3 * n)) * (rng.random((3 * n, 3 * n)) < 0.4)
         crit = np.array([0, 2, 5])
+        # the critical prox rows store their diagonal, as newton_matrix's do
+        dense[2 * n + crit, 2 * n + crit] = 1.0 + rng.random(len(crit))
         sets = IndexSets(np.array([], dtype=int), np.array([], dtype=int), crit)
         fixed, _ = apply_active_set_fix(sp.csr_matrix(dense), np.ones(3 * n), sets)
         dense[2 * n + crit] = 0.0
@@ -221,11 +223,13 @@ def node_order(space):
     return np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()
 
 
-def mixed_iterate(space, gamma, rng):
-    """A KKT point whose nodes fall, at random, in I_gamma, in I_crit
-    (p_i = 0 inside the prox interval) or among the other inactive nodes."""
+def mixed_iterate(space, gamma, rng, kind=None):
+    """A KKT point whose nodes fall, at random or as ``kind`` says, in
+    I_gamma (0), in I_crit (1: p_i = 0 inside the prox interval) or among
+    the other inactive nodes (2)."""
     n = space.n
-    kind = rng.integers(0, 3, n)
+    if kind is None:
+        kind = rng.integers(0, 3, n)
     y = rng.standard_normal(n)
     inside = rng.uniform(0.02, gamma - 0.02, n)
     outside = np.where(rng.random(n) < 0.5, rng.uniform(-1.0, -0.02, n),
@@ -276,6 +280,199 @@ class TestNewtonStepSolve:
         with pytest.raises(SingularMatrixError) as exc:
             solve_linear(fixed, rhs, node_order(space) if use_order else None)
         assert exc.value.pivot_row == n + i
+
+
+def bmat_newton_matrix(data, pt, sets):
+    """Reference Newton matrix, built afresh by sp.bmat from sparse diagonals,
+    which store no zero entry."""
+    ops = data.ops
+    n = ops.space.n
+    a, m = ops.A, ops.M
+    d = ops.d
+    alpha, gamma = data.config.alpha, data.config.gamma
+    ind_plus = np.zeros(n)
+    ind_plus[sets.i_plus] = 1.0
+    ind_gam = np.zeros(n)
+    ind_gam[sets.i_gamma] = 1.0
+    return sp.bmat([
+        [a + sp.diags(d * ind_plus), (1.0 / alpha) * m, None],
+        [-1.0 * m, a + sp.diags(d * pt.chi.coeffs), sp.diags(d * pt.p.coeffs, format="csr")],
+        [sp.diags(d * (1.0 - ind_gam), format="csr"), None,
+         -gamma * sp.diags(d * ind_gam, format="csr")],
+    ], format="csr")
+
+
+def bmat_active_set_fix(matrix, rhs, sets):
+    """Reference active-set fix: a new matrix with the critical prox rows
+    replaced by unit rows."""
+    if len(sets.i_crit) == 0:
+        return matrix, rhs
+    n = matrix.shape[0] // 3
+    rows = 2 * n + sets.i_crit
+    frozen = np.zeros(3 * n)
+    frozen[rows] = 1.0
+    fixed = (sp.diags(1.0 - frozen) @ matrix + sp.diags(frozen)).tocsr()
+    rhs = rhs.copy()
+    rhs[rows] = 0.0
+    return fixed, rhs
+
+
+def nonzero_csr(matrix):
+    """A canonical copy of ``matrix`` without its explicit zeros, as
+    ``solve_linear``'s working copy holds it."""
+    out = sp.csr_matrix(matrix, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+def mixed_data(space, gamma, rng):
+    return ProblemData(ops=assemble_operators(space),
+                       f=space.function(rng.standard_normal(space.n)),
+                       y_d=space.function(rng.standard_normal(space.n)),
+                       config=KktConfig(alpha=1e-2, gamma=gamma))
+
+
+class TestNewtonLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
+    def test_refill_matches_fresh_matrix(self, seed, m):
+        # one layout refilled through iterates whose nodes move between
+        # I_gamma, I_crit and the other inactive nodes
+        space = build_space(build_mesh(m))
+        rng = np.random.default_rng(seed)
+        gamma = 0.5
+        data = mixed_data(space, gamma, rng)
+        layout = kkt_solver._newton_layout(data)
+        # each node steps through its kinds by +1, +1 and -1, so that every
+        # move between two kinds occurs
+        base = rng.permutation(np.arange(space.n) % 3)
+        kinds = [(base + shift) % 3 for shift in (0, 1, 2, 1)]
+        for kind in kinds:
+            pt, _ = mixed_iterate(space, gamma, rng, kind)
+            sets = index_sets(pt, data.config)
+            assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
+            assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
+            rhs = rng.standard_normal(3 * space.n)
+            jac = newton_matrix(data, pt, sets, _layout=layout)
+            assert jac is layout[0]
+            jac, jrhs = apply_active_set_fix(jac, rhs, sets)
+            fresh, frhs = apply_active_set_fix(newton_matrix(data, pt, sets), rhs, sets)
+            ref, rrhs = bmat_active_set_fix(bmat_newton_matrix(data, pt, sets), rhs, sets)
+            refilled = nonzero_csr(jac)
+            assert_same_bits(refilled, nonzero_csr(fresh))
+            assert_same_bits(refilled, nonzero_csr(ref))
+            assert np.array_equal(jrhs, rrhs) and np.array_equal(frhs, rrhs)
+
+    def test_pattern_stores_every_varying_diagonal(self):
+        # at the zero point every varying diagonal but A + D chi is zero
+        space = build_space(build_mesh(5))
+        ops = assemble_operators(space)
+        data = make_data(space, ops, gamma=0.5)
+        n = space.n
+        pt = zero_point(ops)
+        jac = newton_matrix(data, pt, index_sets(pt, data.config))
+        stored = sp.csr_matrix((np.ones_like(jac.data), jac.indices, jac.indptr),
+                               shape=jac.shape).toarray()
+        for r0, c0 in ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n)):
+            assert np.all(np.diagonal(stored[r0:r0 + n, c0:c0 + n]) == 1.0)
+        assert np.count_nonzero(stored[2 * n:]) == 2 * n  # nothing else in the prox rows
+
+    def test_solve_kkt_lays_out_once(self, monkeypatch):
+        # example 2 on this mesh runs to the iteration limit; its first step,
+        # from zero, has every node critical
+        data, _ = build_example2(build_space(build_mesh(17)))
+        calls = {"assemble_block": 0, "bmat": 0, "diags": 0}
+        matrices = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(kkt_solver, "assemble_block",
+                            counting("assemble_block", kkt_solver.assemble_block))
+        monkeypatch.setattr(sp, "bmat", counting("bmat", sp.bmat))
+        monkeypatch.setattr(sp, "diags", counting("diags", sp.diags))
+        build = kkt_solver.newton_matrix
+
+        def recording(*args, **kwargs):
+            matrices.append(build(*args, **kwargs))
+            return matrices[-1]
+
+        monkeypatch.setattr(kkt_solver, "newton_matrix", recording)
+        for k in (1, 2):
+            _, rep = solve_kkt(data)
+            assert rep.iterations == kkt_solver.MAX_ITER
+            assert calls == {"assemble_block": k, "bmat": k, "diags": 0}
+        steps = rep.iterations
+        assert len(matrices) == 2 * steps
+        assert all(mat is matrices[-1] for mat in matrices[steps:])
+        assert matrices[0] is not matrices[-1]
+
+
+class TestActiveSetFixInPlace:
+    def mixed_case(self, seed=3):
+        space = build_space(build_mesh(7))
+        rng = np.random.default_rng(seed)
+        data = mixed_data(space, 0.5, rng)
+        pt, _ = mixed_iterate(space, 0.5, rng)
+        sets = index_sets(pt, data.config)
+        assert len(sets.i_crit)
+        return space, data, pt, sets, rng.standard_normal(3 * space.n)
+
+    def test_non_critical_rows_untouched(self):
+        space, data, pt, sets, rhs = self.mixed_case()
+        n = space.n
+        mat = newton_matrix(data, pt, sets)
+        before = mat.copy()
+        rhs_before = rhs.copy()
+        fixed, frhs = apply_active_set_fix(mat, rhs, sets)
+        assert fixed is mat
+        assert np.array_equal(rhs, rhs_before)  # the caller's rhs is not written
+        assert np.array_equal(fixed.indptr, before.indptr)
+        assert np.array_equal(fixed.indices, before.indices)
+        crit_rows = 2 * n + sets.i_crit
+        changed = np.zeros(3 * n, dtype=bool)
+        changed[crit_rows] = True
+        in_crit_row = np.repeat(changed, np.diff(before.indptr))
+        assert np.array_equal(fixed.data[~in_crit_row].view(np.uint64),
+                              before.data[~in_crit_row].view(np.uint64))
+        assert np.array_equal(frhs[~changed], rhs[~changed])
+        dense = fixed.toarray()
+        assert np.array_equal(dense[crit_rows], np.eye(3 * n)[crit_rows])
+        assert np.all(frhs[crit_rows] == 0.0)
+
+    def test_missing_prox_diagonal_raises(self):
+        # sp.bmat of sparse diagonals stores no -gamma D 1_gamma entry on an
+        # inactive node, so there is no diagonal to write the unit entry into
+        space, data, pt, sets, rhs = self.mixed_case()
+        mat = bmat_newton_matrix(data, pt, sets)
+        before = mat.copy()
+        with pytest.raises(SparseError, match="diagonal"):
+            apply_active_set_fix(mat, rhs, sets)
+        assert_same_bits(mat, before)  # nothing written before the check
+
+    def test_duplicate_prox_diagonal_raises(self):
+        space, data, pt, sets, rhs = self.mixed_case()
+        n = space.n
+        mat = newton_matrix(data, pt, sets)
+        # a second stored (r, r) entry in the first critical prox row r
+        r = 2 * n + int(sets.i_crit[0])
+        k = mat.indptr[r]
+        indptr = mat.indptr.copy()
+        indptr[r + 1:] += 1
+        dup = sp.csr_matrix((np.insert(mat.data, k, 1.0), np.insert(mat.indices, k, r), indptr),
+                            shape=mat.shape)
+        with pytest.raises(SparseError, match="diagonal"):
+            apply_active_set_fix(dup, rhs, sets)
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +561,31 @@ def kkt_iterates(data, monkeypatch):
         mp.setattr(kkt_solver, "residual", recording)
         _, rep = solve_kkt(data)
     return seen, rep
+
+
+class TestIterateIdentity:
+    # the oracle lays out and fixes a new matrix at every step, with sp.bmat
+    # and a copying fix; refilling one layout in place must not move a bit
+    @pytest.mark.parametrize("example, m, alpha, gamma, reason", [
+        (1, 17, 1e-4, 1e-4, None),
+        (2, 9, 1e-6, 1e-12, "no convergence within iteration limit"),
+        (2, 65, 1e-4, 1e-6, "matrix is singular (deficient pivot in row 5179)"),
+    ])
+    def test_matches_matrix_built_per_step(self, example, m, alpha, gamma, reason,
+                                           monkeypatch):
+        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
+        refilled, rep = kkt_iterates(data, monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(kkt_solver, "newton_matrix",
+                       lambda data, pt, sets, _layout=None: bmat_newton_matrix(data, pt, sets))
+            mp.setattr(kkt_solver, "apply_active_set_fix", bmat_active_set_fix)
+            built, rep_built = kkt_iterates(data, monkeypatch)
+        assert rep.failure_reason == rep_built.failure_reason == reason
+        assert rep == rep_built  # converged, iterations and residual history too
+        assert len(refilled) == len(built) == rep.iterations + 1
+        for x, x0 in zip(refilled, built):
+            for v, v0 in zip(x, x0):
+                assert np.array_equal(v.view(np.uint64), v0.view(np.uint64))
 
 
 class TestFactorisationReuse:

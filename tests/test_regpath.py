@@ -14,6 +14,7 @@ from nsocp.nonsmooth import (
     smoothed_max_second,
 )
 from nsocp.regpath import (
+    PathAbortedError,
     RegPathConfig,
     run_path,
     solve_regularized_kkt,
@@ -235,6 +236,19 @@ class TestRunPath:
         monkeypatch.setattr(regpath, "MAX_ITER", 1)
         with pytest.raises(RuntimeError):
             run_path(data, RegPathConfig((1e-1,)))
+
+    def test_first_eps_failure_carries_its_report(self, ex1_small, monkeypatch):
+        _, data, _ = ex1_small
+        monkeypatch.setattr(regpath, "MAX_ITER", 1)
+        with pytest.raises(PathAbortedError,
+                           match="regularization path produced no converged iterate") as exc:
+            run_path(data, RegPathConfig((1e-1, 1e-2)))
+        assert isinstance(exc.value, RuntimeError)
+        report = exc.value.report
+        assert report.aborted and report.eps_values == [1e-1]
+        assert report.failure_reason == "inner solve failed at eps = 0.1"
+        assert [(r.converged, r.iterations) for r in report.inner_reports] == [(False, 1)]
+        assert report.limit_residuals == []
 
 
 def path_iterates(data, cfg, monkeypatch):
