@@ -81,12 +81,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _finite(obj):
     """``obj`` with every non-finite float replaced by None."""
     if isinstance(obj, float):  # numpy's float64 included
@@ -112,7 +106,7 @@ def _first_example(cfg: RunConfig):
 
 
 def _cmd_state(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     data, exact = _first_example(cfg)
     space = data.ops.space
     prob = StateProblem(data.ops, data.f)
@@ -126,7 +120,7 @@ def _cmd_state(cfg: RunConfig) -> int:
 
 
 def _cmd_kkt(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     row, pt, rep = run_cell(cfg.example, cfg.m_list[0], cfg.alpha_list[0], cfg.gamma_list[0])
     print(f"kkt solve: status={row.status} iters={row.newton_iters} "
           f"err_y_rel={row.err_y_rel} err_p={row.err_p}")
@@ -146,7 +140,7 @@ def _cmd_kkt(cfg: RunConfig) -> int:
 
 
 def _cmd_regpath(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     data, _ = _first_example(cfg)
     path_cfg = RegPathConfig(tuple(cfg.eps_schedule))
     try:
@@ -166,7 +160,7 @@ def _cmd_regpath(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     data, _ = _first_example(cfg)
     pt, rep = solve_kkt(data)
     if not rep.converged:
@@ -255,7 +249,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
+        if args.mode != "selftest":  # the one command that writes nothing
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:  # OSError: --config unreadable or --out not a dir
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:

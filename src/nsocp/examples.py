@@ -77,7 +77,10 @@ def _profile_dd(x1):
 
 
 def build_example2(space: FeSpace, alpha: float = 1e-4, gamma: float = 1e-12):
-    """Nonpositive state vanishing on the right half of the square."""
+    """Nonpositive state vanishing on the right half of the square; requires
+    at least 3 subdivisions (at 2 the one node lies where the state vanishes)."""
+    if space.mesh.m == 2:
+        raise ValueError("example 2 needs at least 3 subdivisions (its one node lies where y* = 0)")
     cfg = KktConfig(alpha=alpha, gamma=gamma)
 
     def y_exact(x1, x2):

@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("mesh subdivisions must be at least 2")
         if self.example == 1 and any(m % 2 == 0 for m in self.m_list):
             raise ValueError("example 1 requires odd mesh subdivisions")
+        if self.example == 2 and 2 in self.m_list:
+            raise ValueError("example 2 requires at least 3 mesh subdivisions")
         for alpha in self.alpha_list:
             for gamma in self.gamma_list:
                 KktConfig(alpha=alpha, gamma=gamma)

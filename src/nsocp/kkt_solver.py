@@ -17,11 +17,11 @@ chi components are frozen for the step (active-set fix).
 (``_newton_layout``, one ``assemble_block``): the blocks A, M / alpha and -M
 and every entry of the five diagonals that change between steps, D 1{y>0},
 D chi, D p, D (1 - 1_gamma) and -gamma D 1_gamma, a zero one stored as an
-explicit zero. Each step refills those diagonals in place
-(``newton_matrix``) and writes the unit rows of the critical nodes over
-their prox rows, also in place (``apply_active_set_fix``); nothing else is
-built per step. Since ``solve_linear``'s working copy drops explicit zeros,
-the matrix it factorises equals, entry for entry, one built afresh.
+explicit zero, with their positions in its data. Each step writes through
+those positions only: it refills the diagonals (``newton_matrix``) and writes
+the unit rows of the critical nodes over their prox rows (``apply_active_set_fix``).
+Since ``solve_linear``'s working copy drops explicit zeros, the matrix it
+factorises equals, entry for entry, one built afresh.
 
 Each step solves the fixed 3n Newton matrix with ``solve_linear``. Every
 prox row has a single nonzero, so the step fixes chi_i on I_gamma and on
@@ -51,7 +51,7 @@ import scipy.sparse as sp
 from . import sparse_core
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import SparseError, assemble_block, diagonal_positions
+from .sparse_core import assemble_block, entry_positions
 from .state_solver import newton
 
 __all__ = [
@@ -158,7 +158,8 @@ def _newton_layout(data: ProblemData):
     identity blocks make it store every entry of the five diagonals that
     change between steps. Returns the matrix with the positions in its data
     of the diagonals of its (1,1), (2,2), (2,3), (3,1) and (3,3) blocks, node
-    by node, and the diagonal of A, which the first two are refilled from."""
+    by node, from ``entry_positions`` (SparseError unless each is stored
+    once), and the diagonal of A, which the first two are refilled from."""
     ops = data.ops
     n = ops.space.n
     a, m = ops.A, ops.M
@@ -166,11 +167,9 @@ def _newton_layout(data: ProblemData):
     jac = assemble_block([[a, (1.0 / data.config.alpha) * m, None],
                           [-1.0 * m, a, eye],
                           [eye, None, eye]])
-    diag = diagonal_positions(jac)
-    rows = np.repeat(np.arange(3 * n), np.diff(jac.indptr))
-    pc = np.flatnonzero((rows >= n) & (rows < 2 * n) & (jac.indices == rows + n))
-    cy = np.flatnonzero((rows >= 2 * n) & (jac.indices == rows - 2 * n))
-    return jac, diag[:n], diag[n:2 * n], pc, cy, diag[2 * n:], a.diagonal()
+    i = np.arange(n)
+    blocks = ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n))
+    return (jac, *(entry_positions(jac, r + i, c + i) for r, c in blocks), a.diagonal())
 
 
 def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets, *,
@@ -184,10 +183,10 @@ def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets, *,
     in the pattern of ``_newton_layout``: every entry of the five diagonal
     blocks that vary is stored, a zero one as an explicit zero (which
     ``solve_linear``'s working copy drops). ``_layout`` is ``solve_kkt``'s one
-    layout for the whole solve, whose five diagonals are refilled in place and
-    returned; None lays out a new matrix. Either way no entry of an earlier
-    step survives, the critical prox rows of ``apply_active_set_fix``
-    included.
+    layout for the whole solve, whose five diagonals are refilled in place
+    and returned; None lays out a new matrix. Either way no entry of an
+    earlier step survives, the critical prox rows of ``apply_active_set_fix``
+    included: a prox row stores only its (3,1) and (3,3) entries.
     """
     jac, yy, pp, pc, cy, cc, a_diag = _layout or _newton_layout(data)
     d = data.ops.d
@@ -207,35 +206,26 @@ def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets, *,
     return jac
 
 
-def apply_active_set_fix(matrix: sp.csr_matrix, rhs: np.ndarray, sets: IndexSets):
+def apply_active_set_fix(layout, rhs: np.ndarray, sets: IndexSets):
     """Freeze the critical chi components for this Newton step.
 
-    The prox-equation row of each critical node is overwritten in place by
-    the unit row on its chi unknown (rhs 0): its stored entries become
-    explicit zeros and its stored diagonal 1, so the step leaves chi_i
-    unchanged while its column contributions in the first two block rows
-    remain. Every other row is left as it is. A critical prox row that does
-    not store its diagonal raises SparseError (the pattern of
-    ``newton_matrix`` stores it). Returns ``matrix`` and a copy of ``rhs``,
-    or both as given when no node is critical.
+    ``layout`` is a ``_newton_layout`` that ``newton_matrix`` has filled for
+    this step. The prox row of each critical node becomes, in place, the
+    unit row on its chi unknown (rhs 0): through the layout's positions its
+    (3,1) entry is written 0 and its (3,3) entry 1, the only two it stores.
+    So the step leaves chi_i unchanged while its column contributions in the
+    first two block rows remain. Every other row is left as it is. Returns
+    the matrix and a copy of ``rhs``, or ``rhs`` itself when no node is
+    critical.
     """
+    jac, _, _, _, cy, cc, _ = layout
     if len(sets.i_crit) == 0:
-        return matrix, rhs
-    n = matrix.shape[0] // 3
-    rows = 2 * n + sets.i_crit
-    starts = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - starts
-    # positions of every stored entry of those rows, row by row
-    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    row_of = np.repeat(rows, counts)
-    diag = pos[matrix.indices[pos] == row_of]
-    if not np.array_equal(matrix.indices[diag], rows):
-        raise SparseError("every critical prox row must store its diagonal entry exactly once")
-    matrix.data[pos] = 0.0
-    matrix.data[diag] = 1.0
+        return jac, rhs
+    jac.data[cy[sets.i_crit]] = 0.0
+    jac.data[cc[sets.i_crit]] = 1.0
     rhs = rhs.copy()
-    rhs[rows] = 0.0
-    return matrix, rhs
+    rhs[2 * len(cy) + sets.i_crit] = 0.0
+    return jac, rhs
 
 
 def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
@@ -267,7 +257,8 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     def step(x, r):
         pt = point(x)
         sets = index_sets(pt, cfg)
-        jac, rhs = apply_active_set_fix(newton_matrix(data, pt, sets, _layout=layout), -r, sets)
+        newton_matrix(data, pt, sets, _layout=layout)
+        jac, rhs = apply_active_set_fix(layout, -r, sets)
         return sparse_core.solve_linear(jac, rhs, order, held)
 
     try:

@@ -43,7 +43,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, diagonal_positions, refine
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, entry_positions, refine
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
                            solve_state, solve_state_regularized)
 
@@ -82,18 +82,17 @@ def _pair_jacobian(ops, alpha: float):
     """The Jacobian [[A, M/alpha], [-M, A]] of the smoothed system without
     its smoothing terms, built by ``sp.bmat`` with the unknowns in
     (y_i, p_i)-pair order: row and column 2i is y at node nd[i], 2i + 1 is p
-    there. Returns it with the positions in its data of the (2i, 2i),
-    (2i + 1, 2i + 1) and (2i + 1, 2i) entries, node by node, and the
-    diagonals of A and M in that order, which a step adds its smoothing
-    terms to."""
+    there. Returns it with that pair order, the positions in its data of the
+    (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i) entries, node by node (from
+    ``entry_positions``), and the diagonals of A and M in that order, which a
+    step adds its smoothing terms to."""
     a, m = ops.A, ops.M
     nd = ops.space.nd_order
     order = np.column_stack([nd, nd + len(nd)]).ravel()
     jac = sp.bmat([[a, m / alpha], [-m, a]], format="csr")[order][:, order]
-    diag = diagonal_positions(jac)
-    rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
-    py = np.flatnonzero((rows % 2 == 1) & (jac.indices == rows - 1))
-    return jac, diag[::2], diag[1::2], py, a.diagonal()[nd], m.diagonal()[nd]
+    y = 2 * np.arange(len(nd))  # the row and column of y_i; those of p_i are y + 1
+    yy, pp, py = (entry_positions(jac, r, c) for r, c in ((y, y), (y + 1, y + 1), (y + 1, y)))
+    return jac, order, yy, pp, py, a.diagonal()[nd], m.diagonal()[nd]
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
@@ -122,8 +121,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
     nd = ops.space.nd_order
-    order = np.column_stack([nd, nd + n]).ravel()
-    jac, yy, pp, py, a_diag, m_diag = _jacobian or _pair_jacobian(ops, alpha)
+    jac, order, yy, pp, py, a_diag, m_diag = _jacobian or _pair_jacobian(ops, alpha)
     own = held is None
     if own:
         held = []

@@ -31,8 +31,8 @@ its probe test, takes its place. The module itself holds nothing.
 step of ``regpath`` uses it too, from an LU held along the eps schedule.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
-M are built with it. ``diagonal_positions`` locates the diagonal entries of a
-CSR matrix in its data, so that a solver can refill them in place.
+M are built with it. ``entry_positions`` locates given entries of a CSR matrix
+in its data, once, so that a solver can refill them in place with no search.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "CsrMatrix",
     "solve_linear",
     "refine",
-    "diagonal_positions",
+    "entry_positions",
     "assemble_block",
 ]
 
@@ -335,15 +335,23 @@ def refine(lu, k, b: np.ndarray):
     return None
 
 
-def diagonal_positions(k: sp.csr_matrix) -> np.ndarray:
-    """Index in ``k.data`` of the diagonal entry of each row of the square
-    CSR matrix ``k``, row by row; every row must store exactly one."""
-    n = k.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(k.indptr))
-    pos = np.flatnonzero(rows == k.indices)
-    if not np.array_equal(rows[pos], np.arange(n)):
-        raise SparseError("every row must store its diagonal entry exactly once")
-    return pos
+def entry_positions(k: sp.csr_matrix, rows, cols) -> np.ndarray:
+    """Index in ``k.data`` of each entry (rows[j], cols[j]) of the CSR matrix
+    ``k``, reading only those rows. ``rows`` must be strictly increasing; a
+    row may store its columns in any order, but the entry exactly once."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    # increasing from -1 to the row count: distinct rows of k, in order
+    if rows.shape != cols.shape or np.any(np.diff(rows, prepend=-1, append=k.shape[0]) <= 0):
+        raise SparseError("rows must be strictly increasing rows of k, one per column")
+    starts = k.indptr[rows]
+    counts = k.indptr[rows + 1] - starts
+    # every stored entry of those rows, row by row, and the entry j it may be
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    j = np.repeat(np.arange(len(rows)), counts)
+    hit = np.flatnonzero(k.indices[pos] == cols[j])
+    if not np.array_equal(j[hit], np.arange(len(rows))):
+        raise SparseError("every entry asked for must be stored exactly once")
+    return pos[hit]
 
 
 def assemble_block(blocks) -> sp.csr_matrix:

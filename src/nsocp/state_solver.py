@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, diagonal_positions
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, entry_positions
 
 __all__ = [
     "StateProblem",
@@ -142,7 +142,8 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             break
     else:
         mat = ops.A_nd.copy()
-        mat.data[diagonal_positions(mat)] += c[order]
+        i = np.arange(len(order))
+        mat.data[entry_positions(mat, i, i)] += c[order]
         try:
             lu = splu(mat.tocsc(), **SPLU_OPTIONS)
         except RuntimeError as exc:

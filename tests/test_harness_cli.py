@@ -49,6 +49,12 @@ class TestExampleConstruction:
         with pytest.raises(ValueError):
             build_example1(build_space(build_mesh(8)))
 
+    def test_example2_two_subdivisions_rejected(self):
+        # the one interior node lies on {x1 = 1/2}, where the exact state is 0
+        with pytest.raises(ValueError, match="at least 3 subdivisions"):
+            build_example2(build_space(build_mesh(2)))
+        build_example2(build_space(build_mesh(3)))
+
     def test_example2_data_consistency(self):
         # interpolated exact state satisfies the state equation with the
         # constructed forcing up to discretization error
@@ -99,6 +105,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(m_list=[8]).validate()
         RunConfig(example=2, m_list=[8]).validate()
+
+    def test_two_subdivisions_with_example2(self):
+        with pytest.raises(ValueError, match="at least 3 mesh subdivisions"):
+            RunConfig(example=2, m_list=[4, 2]).validate()
+        RunConfig(example=2, m_list=[3, 4]).validate()
 
     def test_empty_lists(self):
         with pytest.raises(ValueError):
@@ -298,6 +309,32 @@ class TestCli:
             assert code == EXIT_CONFIG_ERROR, flags
             assert capsys.readouterr().err.startswith("configuration error:")
             assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["state", "kkt", "regpath", "check", "sweep"])
+    def test_out_that_cannot_be_a_directory(self, mode, tmp_path, capsys, monkeypatch):
+        # an existing file, or a path below one, is refused before any solve
+        def no_solve(m):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(cli, "build_mesh", no_solve)
+        monkeypatch.setattr(harness, "build_mesh", no_solve)
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        for out in (afile, afile / "below"):
+            code = main([mode, "--example", "1", "--m", "9", "--out", str(out)])
+            assert code == EXIT_CONFIG_ERROR, out
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and str(afile) in err, err
+            assert afile.read_text() == "keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("mode", ["state", "kkt", "regpath", "check", "sweep"])
+    def test_example2_two_subdivisions_is_a_configuration_error(self, mode, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([mode, "--example", "2", "--m", "2", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
 
     def test_one_value_from_the_flags_overrides_a_config_list(self, tmp_path):
         cfg = tmp_path / "c.json"

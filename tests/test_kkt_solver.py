@@ -48,6 +48,15 @@ def make_point(space, y, p, chi):
                     space.function(np.atleast_1d(np.array(chi, dtype=float))))
 
 
+def fixed_step(data, pt, sets, rhs):
+    """The matrix and rhs of one Newton step as ``solve_kkt`` forms them: a
+    new layout refilled by ``newton_matrix`` and fixed through its
+    positions by ``apply_active_set_fix``."""
+    layout = kkt_solver._newton_layout(data)
+    newton_matrix(data, pt, sets, _layout=layout)
+    return apply_active_set_fix(layout, rhs, sets)
+
+
 class TestResidual:
     def test_zero_point_closed_form(self, tiny):
         # at (0,0,0): r1 = -M f, r2 = M y_d, r3 = 0
@@ -180,9 +189,8 @@ class TestNewtonMatrix:
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 0.0, 0.0, 0.5)
         sets = index_sets(pt, data.config)
-        mat = newton_matrix(data, pt, sets)
         rhs = np.array([1.0, -1.0, 5.0])
-        fixed, frhs = apply_active_set_fix(mat, rhs, sets)
+        fixed, frhs = fixed_step(data, pt, sets, rhs)
         dense = fixed.toarray()
         assert np.allclose(dense[2], [0.0, 0.0, 1.0])
         assert frhs[2] == 0.0
@@ -192,15 +200,18 @@ class TestNewtonMatrix:
         assert np.allclose(dense[:2] @ step, rhs[:2])
 
     def test_fix_matches_row_by_row_reference(self):
-        # reference: replace each critical prox row by its unit row in place
+        # reference: replace each critical prox row of the refilled matrix by
+        # its unit row, on the dense copy
+        space = build_space(build_mesh(7))
         rng = np.random.default_rng(5)
-        n = 6
-        dense = rng.standard_normal((3 * n, 3 * n)) * (rng.random((3 * n, 3 * n)) < 0.4)
-        crit = np.array([0, 2, 5])
-        # the critical prox rows store their diagonal, as newton_matrix's do
-        dense[2 * n + crit, 2 * n + crit] = 1.0 + rng.random(len(crit))
-        sets = IndexSets(np.array([], dtype=int), np.array([], dtype=int), crit)
-        fixed, _ = apply_active_set_fix(sp.csr_matrix(dense), np.ones(3 * n), sets)
+        data = mixed_data(space, 0.5, rng)
+        pt, _ = mixed_iterate(space, 0.5, rng)
+        sets = index_sets(pt, data.config)
+        n, crit = space.n, sets.i_crit
+        assert len(crit)
+        layout = kkt_solver._newton_layout(data)
+        dense = newton_matrix(data, pt, sets, _layout=layout).toarray()
+        fixed, _ = apply_active_set_fix(layout, np.ones(3 * n), sets)
         dense[2 * n + crit] = 0.0
         dense[2 * n + crit, 2 * n + crit] = 1.0
         assert np.array_equal(fixed.toarray(), dense)
@@ -210,10 +221,13 @@ class TestNewtonMatrix:
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 2.0, 2.0, 0.0)
         sets = index_sets(pt, data.config)
-        mat = newton_matrix(data, pt, sets)
+        layout = kkt_solver._newton_layout(data)
+        mat = newton_matrix(data, pt, sets, _layout=layout)
+        before = mat.copy()
         rhs = np.ones(3)
-        fixed, frhs = apply_active_set_fix(mat, rhs, sets)
+        fixed, frhs = apply_active_set_fix(layout, rhs, sets)
         assert fixed is mat and frhs is rhs
+        assert_same_bits(fixed, before)
 
 
 def node_order(space):
@@ -253,8 +267,7 @@ class TestNewtonStepSolve:
                            config=KktConfig(alpha=1e-2, gamma=gamma))
         pt, _ = mixed_iterate(space, gamma, rng)
         sets = index_sets(pt, data.config)
-        fixed, rhs = apply_active_set_fix(newton_matrix(data, pt, sets),
-                                          rng.standard_normal(3 * space.n), sets)
+        fixed, rhs = fixed_step(data, pt, sets, rng.standard_normal(3 * space.n))
         ref = np.linalg.solve(fixed.toarray(), rhs)
         for x in (solve_linear(fixed, rhs, node_order(space)), solve_linear(fixed, rhs)):
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -276,7 +289,7 @@ class TestNewtonStepSolve:
         sets = index_sets(pt, data.config)
         assert i in sets.i_crit  # by the tolerance; the solve must not rely on it
         sets = IndexSets(sets.i_plus, sets.i_gamma, sets.i_crit[sets.i_crit != i])
-        fixed, rhs = apply_active_set_fix(newton_matrix(data, pt, sets), np.ones(3 * n), sets)
+        fixed, rhs = fixed_step(data, pt, sets, np.ones(3 * n))
         with pytest.raises(SingularMatrixError) as exc:
             solve_linear(fixed, rhs, node_order(space) if use_order else None)
         assert exc.value.pivot_row == n + i
@@ -362,13 +375,32 @@ class TestNewtonLayout:
             rhs = rng.standard_normal(3 * space.n)
             jac = newton_matrix(data, pt, sets, _layout=layout)
             assert jac is layout[0]
-            jac, jrhs = apply_active_set_fix(jac, rhs, sets)
-            fresh, frhs = apply_active_set_fix(newton_matrix(data, pt, sets), rhs, sets)
+            jac, jrhs = apply_active_set_fix(layout, rhs, sets)
+            fresh, frhs = fixed_step(data, pt, sets, rhs)
             ref, rrhs = bmat_active_set_fix(bmat_newton_matrix(data, pt, sets), rhs, sets)
             refilled = nonzero_csr(jac)
             assert_same_bits(refilled, nonzero_csr(fresh))
             assert_same_bits(refilled, nonzero_csr(ref))
             assert np.array_equal(jrhs, rrhs) and np.array_equal(frhs, rrhs)
+
+    @pytest.mark.parametrize("m", [5, 9])
+    def test_refill_positions_index_the_five_diagonals(self, m):
+        # yy, pp, pc, cy and cc index the (i, i), (n + i, n + i),
+        # (n + i, 2n + i), (2n + i, i) and (2n + i, 2n + i) entries, each
+        # stored once, node by node
+        space = build_space(build_mesh(m))
+        ops = assemble_operators(space)
+        n = space.n
+        jac, *positions, a_diag = kkt_solver._newton_layout(make_data(space, ops, gamma=0.5))
+        rows = np.repeat(np.arange(3 * n), np.diff(jac.indptr))
+        i = np.arange(n)
+        blocks = ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n))
+        assert len(positions) == len(blocks)
+        for pos, (r0, c0) in zip(positions, blocks):
+            assert np.array_equal(rows[pos], r0 + i)
+            assert np.array_equal(jac.indices[pos], c0 + i)
+            assert np.sum((rows == (r0 + i)[:, None]) & (jac.indices == (c0 + i)[:, None])) == n
+        assert np.array_equal(a_diag, ops.A.diagonal())
 
     def test_pattern_stores_every_varying_diagonal(self):
         # at the zero point every varying diagonal but A + D chi is zero
@@ -431,10 +463,11 @@ class TestActiveSetFixInPlace:
     def test_non_critical_rows_untouched(self):
         space, data, pt, sets, rhs = self.mixed_case()
         n = space.n
-        mat = newton_matrix(data, pt, sets)
+        layout = kkt_solver._newton_layout(data)
+        mat = newton_matrix(data, pt, sets, _layout=layout)
         before = mat.copy()
         rhs_before = rhs.copy()
-        fixed, frhs = apply_active_set_fix(mat, rhs, sets)
+        fixed, frhs = apply_active_set_fix(layout, rhs, sets)
         assert fixed is mat
         assert np.array_equal(rhs, rhs_before)  # the caller's rhs is not written
         assert np.array_equal(fixed.indptr, before.indptr)
@@ -450,17 +483,23 @@ class TestActiveSetFixInPlace:
         assert np.array_equal(dense[crit_rows], np.eye(3 * n)[crit_rows])
         assert np.all(frhs[crit_rows] == 0.0)
 
-    def test_missing_prox_diagonal_raises(self):
+    def laid_out_as(self, monkeypatch, data, mat):
+        """``_newton_layout(data)`` with ``assemble_block`` returning ``mat``."""
+        monkeypatch.setattr(kkt_solver, "assemble_block", lambda blocks: mat)
+        return kkt_solver._newton_layout(data)
+
+    def test_missing_prox_diagonal_raises(self, monkeypatch):
         # sp.bmat of sparse diagonals stores no -gamma D 1_gamma entry on an
-        # inactive node, so there is no diagonal to write the unit entry into
+        # inactive node, so a layout of it has no position to write the unit
+        # entry of a critical node into: that is found at layout time
         space, data, pt, sets, rhs = self.mixed_case()
         mat = bmat_newton_matrix(data, pt, sets)
         before = mat.copy()
-        with pytest.raises(SparseError, match="diagonal"):
-            apply_active_set_fix(mat, rhs, sets)
+        with pytest.raises(SparseError, match="stored exactly once"):
+            self.laid_out_as(monkeypatch, data, mat)
         assert_same_bits(mat, before)  # nothing written before the check
 
-    def test_duplicate_prox_diagonal_raises(self):
+    def test_duplicate_prox_diagonal_raises(self, monkeypatch):
         space, data, pt, sets, rhs = self.mixed_case()
         n = space.n
         mat = newton_matrix(data, pt, sets)
@@ -471,8 +510,63 @@ class TestActiveSetFixInPlace:
         indptr[r + 1:] += 1
         dup = sp.csr_matrix((np.insert(mat.data, k, 1.0), np.insert(mat.indices, k, r), indptr),
                             shape=mat.shape)
-        with pytest.raises(SparseError, match="diagonal"):
-            apply_active_set_fix(dup, rhs, sets)
+        with pytest.raises(SparseError, match="stored exactly once"):
+            self.laid_out_as(monkeypatch, data, dup)
+
+
+def row_scanning_fix(matrix, rhs, sets):
+    """Reference active-set fix, as it was before the layout held positions:
+    scan each critical prox row for its stored entries and its diagonal,
+    write the entries 0 and the diagonal 1, in place."""
+    if len(sets.i_crit) == 0:
+        return matrix, rhs
+    n = matrix.shape[0] // 3
+    rows = 2 * n + sets.i_crit
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    row_of = np.repeat(rows, counts)
+    diag = pos[matrix.indices[pos] == row_of]
+    assert np.array_equal(matrix.indices[diag], rows)
+    matrix.data[pos] = 0.0
+    matrix.data[diag] = 1.0
+    rhs = rhs.copy()
+    rhs[rows] = 0.0
+    return matrix, rhs
+
+
+class TestFixThroughLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
+    def test_matches_row_scanning_fix(self, seed, m):
+        # one layout refilled and fixed through iterates whose nodes move in
+        # and out of I_crit, against a fresh matrix fixed by scanning its rows
+        space = build_space(build_mesh(m))
+        rng = np.random.default_rng(seed)
+        gamma = 0.5
+        data = mixed_data(space, gamma, rng)
+        n = space.n
+        layout = kkt_solver._newton_layout(data)
+        base = rng.permutation(np.arange(n) % 3)
+        for shift in (0, 1, 2, 1):
+            pt, _ = mixed_iterate(space, gamma, rng, (base + shift) % 3)
+            sets = index_sets(pt, data.config)
+            assert len(sets.i_crit)
+            rhs = rng.standard_normal(3 * n)
+            rhs_before = rhs.copy()
+            before = newton_matrix(data, pt, sets, _layout=layout).copy()
+            jac, jrhs = apply_active_set_fix(layout, rhs, sets)
+            ref, rrhs = row_scanning_fix(newton_matrix(data, pt, sets), rhs, sets)
+            assert_same_bits(nonzero_csr(jac), nonzero_csr(ref))
+            assert np.array_equal(jrhs.view(np.uint64), rrhs.view(np.uint64))
+            assert np.array_equal(rhs.view(np.uint64), rhs_before.view(np.uint64))
+            # rows of nodes that are not critical keep every stored entry
+            keep = np.ones(3 * n, dtype=bool)
+            keep[2 * n + sets.i_crit] = False
+            in_kept_row = np.repeat(keep, np.diff(before.indptr))
+            assert np.array_equal(jac.data[in_kept_row].view(np.uint64),
+                                  before.data[in_kept_row].view(np.uint64))
+            assert np.array_equal(jrhs[keep], rhs[keep])
 
 
 @pytest.fixture(scope="module")
@@ -575,10 +669,16 @@ class TestIterateIdentity:
                                            monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
         refilled, rep = kkt_iterates(data, monkeypatch)
+        matrices = []
+
+        def built_per_step(data, pt, sets, _layout=None):
+            matrices.append(bmat_newton_matrix(data, pt, sets))
+            return matrices[-1]
+
         with monkeypatch.context() as mp:
-            mp.setattr(kkt_solver, "newton_matrix",
-                       lambda data, pt, sets, _layout=None: bmat_newton_matrix(data, pt, sets))
-            mp.setattr(kkt_solver, "apply_active_set_fix", bmat_active_set_fix)
+            mp.setattr(kkt_solver, "newton_matrix", built_per_step)
+            mp.setattr(kkt_solver, "apply_active_set_fix",
+                       lambda layout, rhs, sets: bmat_active_set_fix(matrices[-1], rhs, sets))
             built, rep_built = kkt_iterates(data, monkeypatch)
         assert rep.failure_reason == rep_built.failure_reason == reason
         assert rep == rep_built  # converged, iterations and residual history too

@@ -144,7 +144,7 @@ class TestSolveRegularizedKkt:
         # yy, pp and py index the (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i)
         # entries, each once, node by node
         ops = assemble_operators(build_space(build_mesh(m)))
-        jac, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, 1e-3)
+        jac, order, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, 1e-3)
         rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
         i = np.arange(ops.space.n)
         for pos, row, col in ((yy, 2 * i, 2 * i), (pp, 2 * i + 1, 2 * i + 1),
@@ -153,6 +153,7 @@ class TestSolveRegularizedKkt:
             assert np.array_equal(jac.indices[pos], col)
             assert np.sum((rows == row[:, None]) & (jac.indices == col[:, None])) == ops.space.n
         nd = ops.space.nd_order
+        assert np.array_equal(order, np.column_stack([nd, nd + ops.space.n]).ravel())
         assert np.array_equal(jac.data[yy], a_diag) and np.array_equal(jac.data[pp], a_diag)
         assert np.array_equal(jac.data[py], -m_diag)
         assert np.array_equal(a_diag, ops.A.diagonal()[nd])

@@ -14,7 +14,7 @@ from nsocp.sparse_core import (
     SingularMatrixError,
     SparseError,
     assemble_block,
-    diagonal_positions,
+    entry_positions,
     solve_linear,
 )
 
@@ -455,19 +455,48 @@ class TestSolveLinearMemory:
             assert c["exit"] - c["entry"] <= 2.5 * c["input"]
 
 
-class TestDiagonalPositions:
+class TestEntryPositions:
     def test_positions_in_unsorted_rows(self):
         # row 0 stores its diagonal last, row 1 first
         k = sp.csr_matrix((np.array([5.0, 1.0, 2.0, 6.0]), np.array([1, 0, 1, 0]),
                            np.array([0, 2, 4])), shape=(2, 2))
-        pos = diagonal_positions(k)
+        i = np.arange(2)
+        pos = entry_positions(k, i, i)
         assert pos.tolist() == [1, 2]
         assert k.data[pos].tolist() == [1.0, 2.0]
 
+    def test_off_diagonal_entries_of_some_rows(self):
+        # rows 0 and 2 of an unsorted 3 x 3 matrix, asked for (0, 2) and (2, 1)
+        k = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+                           np.array([2, 0, 1, 1, 2, 0]), np.array([0, 2, 3, 6])),
+                          shape=(3, 3))
+        pos = entry_positions(k, [0, 2], [2, 1])
+        assert pos.tolist() == [0, 3]
+        assert k.data[pos].tolist() == [1.0, 4.0]
+        assert entry_positions(k, [], []).tolist() == []
+
     @pytest.mark.parametrize("dense", [[[1.0, 2.0], [3.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
     def test_missing_diagonal_entry_rejected(self, dense):
-        with pytest.raises(SparseError):
-            diagonal_positions(csr(dense))
+        i = np.arange(2)
+        with pytest.raises(SparseError, match="stored exactly once"):
+            entry_positions(csr(dense), i, i)
+
+    def test_duplicated_entry_rejected(self):
+        # row 1 stores (1, 0) twice; summing the duplicates would hide it
+        k = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
+                           np.array([0, 1, 4])), shape=(2, 2))
+        with pytest.raises(SparseError, match="stored exactly once"):
+            entry_positions(k, [1], [0])
+        assert entry_positions(k, [1], [1]).tolist() == [3]
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1, 0], [0, 2]])
+    def test_rows_must_increase_strictly_within_the_matrix(self, rows):
+        with pytest.raises(SparseError, match="strictly increasing"):
+            entry_positions(csr(np.eye(2)), rows, [0, 1])
+
+    def test_rows_and_columns_must_pair_up(self):
+        with pytest.raises(SparseError, match="one per column"):
+            entry_positions(csr(np.eye(2)), [0, 1], [0])
 
 
 class TestAssembleBlock:
