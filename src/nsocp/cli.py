@@ -131,6 +131,7 @@ def _cmd_kkt(cfg: RunConfig) -> int:
         "err_y_rel": row.err_y_rel,
         "err_p": row.err_p,
         "err_chi_linf": row.err_chi_linf,
+        "failure_reason": rep.failure_reason,  # None on convergence
     }
     _write_json(out / "kkt.json", report)
     if rep.converged:

@@ -33,9 +33,11 @@ at most 2n, with the unknowns numbered node by node in the nested-dissection
 order ``FeSpace.nd_order``. From one step to the next only its diagonal
 entries D 1{y>0} and D chi change, so while ``solve_kkt`` runs, a step with
 the same union of I_gamma and I_crit as the last factorised step (hence the
-same reduced rows and columns) is solved by iterative refinement from that
-step's LU, and is factorised afresh only when refinement stops contracting.
-That LU lives in a holder that ``solve_kkt`` owns and passes to
+same reduced rows and columns) is solved by float64 iterative refinement
+from that step's LU, and is factorised afresh only when refinement declines.
+That LU is a float32 one whenever its own solve refined to float64 accuracy,
+and a float64 one otherwise; only a float64 LU reports a singular step. It
+lives in a holder that ``solve_kkt`` owns and passes to
 ``sparse_core.solve_linear``; it is dropped before ``solve_kkt`` returns or
 raises.
 """

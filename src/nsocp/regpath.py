@@ -18,7 +18,7 @@ nothing of an earlier step or solve survives in it.
 Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
 D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule.
 Each Newton step is first solved by ``sparse_core.refine`` from the held LU;
-when refinement stops contracting, the LU is dropped and a fresh one is
+when refinement declines, the LU is dropped and a fresh float64 one is
 factorised and held in its place. The holder is cleared when the path
 returns or raises.
 
@@ -103,8 +103,8 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
 
     ``held`` is the caller's holder: None, or a list that is empty or holds
     ``[LU]`` of a Jacobian in (y_i, p_i)-pair order. Each step is first
-    solved by ``sparse_core.refine`` from the held LU; when that stops
-    contracting, the holder is cleared and the step takes the fresh path:
+    solved by ``sparse_core.refine`` from the held LU; when that declines,
+    the holder is cleared and the step takes the fresh path:
     factorise this Jacobian (a failed LU raises SingularMatrixError with row
     -1) and hold its LU. Without a holder the call keeps one of its own and
     clears it before returning or raising.

@@ -5,30 +5,39 @@ module pins down the error behavior the rest of the package relies on.
 ``solve_linear`` equilibrates the rows, eliminates singleton rows and
 columns, and factorises only the reduced system, in an order the caller
 supplies (for the KKT step, nested dissection of the mesh nodes). Every
-singleton pivot it takes is tested, and every fresh LU of the reduced system
-is tested by a condition estimate: a transposed solve of a fixed probe and
-a solve of its result, which read neither factor. A deficient row is
-reported in the caller's numbering. It keeps one copy of the system alive
+singleton pivot it takes is tested. It keeps one copy of the system alive
 at a time: the equilibrated copy of its input gives way to the reduced rows,
 they to their column slice, and that to the CSC matrix that is factorised;
 refinement from a held LU (below) takes its products from the equilibrated
 copy and makes no other.
 
+The reduced system is factorised in single precision and its solution is
+refined in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci.
+Comput. 40, 2018): after row equilibration it is well conditioned, and the
+float32 factors take half the memory and less time. A float32 LU is kept
+when a condition estimate passes (a transposed solve of a fixed probe and a
+solve of its result, which read neither factor) and ``refine`` accepts its
+solution. Otherwise a float64 LU takes its place, with the same estimate at
+a tighter threshold and one correction of its solution. Only that float64
+LU says singular: a deficient row is reported in the caller's numbering, so
+every singular verdict is the one a float64 factorisation gives.
+
 ``SPLU_OPTIONS`` are the SuperLU options of every LU in the package: this
 module's and those of ``state_solver`` and ``regpath``, which call their own
-``splu`` with them. Beside the caller's order and threshold pivoting they fix
-a small panel, which bounds the work arrays SuperLU holds on top of the
-finished factors.
+``splu`` with them and factorise in float64. Beside the caller's order and
+threshold pivoting they fix a small panel, which bounds the work arrays
+SuperLU holds on top of the finished factors.
 
 A caller that passes a holder (a list; ``kkt_solver.solve_kkt`` keeps one
-per call) gets the last fresh LU of the reduced system held in it with its
-rows and columns. A later system that reduces to the same rows and columns
-is solved by iterative refinement preconditioned by that LU (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12); when
-refinement stops contracting, the held LU is dropped and a fresh one, with
-its probe test, takes its place. The module itself holds nothing.
-``refine`` is that refinement and its acceptance rule; the continuation
-step of ``regpath`` uses it too, from an LU held along the eps schedule.
+per call) gets the last fresh LU of the reduced system, float32 or float64,
+held in it with its rows and columns. A later system that reduces to the
+same rows and columns is solved by iterative refinement preconditioned by
+that LU (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+ch. 12); when refinement declines, the held LU is dropped and a fresh one
+takes its place. The module itself holds nothing. ``refine`` is that
+refinement and its one acceptance rule, for fresh and held LUs alike; the
+continuation step of ``regpath`` uses it too, from an LU held along the eps
+schedule.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it. ``entry_positions`` locates given entries of a CSR matrix
@@ -67,14 +76,21 @@ SPLU_OPTIONS = MappingProxyType(
     {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 4})
 
 # Singular, after each row is scaled to max magnitude 1: a singleton pivot
-# below PIVOT_RTOL, or a probe solve of the reduced system k that grows by
-# 1 / PIVOT_RTOL or more (max|z| / max|s| for z = k^-T s, or the same for
-# the solve with k that follows; see _factorize).
+# below PIVOT_RTOL, or a probe solve with the float64 LU of the reduced
+# system k that grows by 1 / PIVOT_RTOL or more (max|z| / max|s| for
+# z = k^-T s, or the same for the solve with k that follows; see _probe).
 PIVOT_RTOL = 1e-14
-# Refinement from a held LU accepts a correction of at most REFINE_RTOL times
-# the solution (max norms); it gives up on a correction more than
-# CONTRACTION times the one before, or after MAX_CORRECTIONS corrections.
+# A float32 LU of the reduced system is given up for a float64 one when its
+# probe solve grows by 1 / SINGLE_PIVOT_RTOL or more (about 1 / eps32).
+SINGLE_PIVOT_RTOL = 1e-7
+# Refinement accepts a solution once a correction is at most REFINE_RTOL times
+# it (max norms). When a correction is more than CONTRACTION times the one
+# before, the corrections have reached their rounding floor, and it accepts
+# only if that correction is at most SETTLE_RTOL times the solution; it also
+# gives up after MAX_CORRECTIONS corrections. On example 2 the corrections
+# from a float32 LU level off at 1.4e-14 to 8.8e-14 of the solution.
 REFINE_RTOL = 1e-14
+SETTLE_RTOL = 1e-12
 CONTRACTION = 0.5
 MAX_CORRECTIONS = 30
 
@@ -105,42 +121,84 @@ class CsrMatrix(sp.csr_matrix):
         return m
 
 
-def _factorize(k: sp.csc_matrix, rows: np.ndarray):
-    """Sparse LU of the reduced system ``k`` in the order it is given
-    (no fill-reducing column ordering), with threshold partial pivoting,
-    and its singularity test.
+def _factorize(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray):
+    """LU of the reduced system ``k`` and the solution of k x = b from it:
+    single precision refined to double when that works, else double.
 
-    The test is a LINPACK-style condition estimate with a fixed probe s
-    (Cline, Moler, Stewart and Wilkinson, SIAM J. Numer. Anal. 16, 1979;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 15): a transposed solve z = k^-T s, then y = k^-1 w with
-    w = z / max|z|. ``k`` must be row-equilibrated (max row magnitude at
-    most 1), so a growth max|z| / max|s| or max|y| / max|w| of at least
-    1 / PIVOT_RTOL, or a non-finite z or y, marks it numerically singular.
-    The second solve catches a singular system whose right null vector is
-    nearly orthogonal to s, for which z stays moderate (two equal columns
-    did so under some elimination orders). z points along the left null
-    vector, which is nonzero only on the dependent rows whatever the
-    elimination order, and its largest entry names the row: ``rows[i]`` is
-    the original number of row i of ``k``. The test reads neither factor,
-    so SuperLU never builds copies of L and U.
+    The float32 LU (``_single_lu``) is kept when it factorises, passes the
+    probe test below at growth 1 / SINGLE_PIVOT_RTOL and ``refine`` accepts
+    its solution. Otherwise it is dropped for the float64 path
+    (``_double_lu``): a float64 LU that passes the probe test at growth
+    1 / PIVOT_RTOL, or raises SingularMatrixError naming the row, and one
+    correction of its solution. So only the float64 LU ever says singular.
     """
+    found = _single_lu(k, b)
+    if found is not None:
+        return found
+    lu = _double_lu(k, rows)
+    x = lu.solve(b)
+    x += lu.solve(b - k @ x)
+    return lu, x
+
+
+def _single_lu(k: sp.csc_matrix, b: np.ndarray):
+    """(float32 LU of ``k``, float64 solution of k x = b refined from it), or
+    None when ``splu`` fails, the probe grows by 1 / SINGLE_PIVOT_RTOL or
+    more, or ``refine`` declines."""
+    try:
+        lu = splu(k.astype(np.float32), **SPLU_OPTIONS)
+    except RuntimeError:
+        return None
+    if not _probe(lu, SINGLE_PIVOT_RTOL)[1]:
+        return None
+    x = refine(lu, k, b)
+    return None if x is None else (lu, x)
+
+
+def _double_lu(k: sp.csc_matrix, rows: np.ndarray):
+    """Float64 sparse LU of the reduced system ``k`` in the order it is
+    given (no fill-reducing column ordering), with threshold partial
+    pivoting, and its singularity test: SingularMatrixError names the row
+    as ``rows[i]``, the original number of row i of ``k``."""
     try:
         lu = splu(k, **SPLU_OPTIONS)
     except RuntimeError as exc:
         row = _first_deficient_row(k)
         raise SingularMatrixError(int(rows[row]) if row >= 0 else -1) from exc
+    z, regular = _probe(lu, PIVOT_RTOL)
+    if not regular:
+        raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
+    return lu
+
+
+def _probe(lu, rtol: float):
+    """(z, whether ``lu`` passes): a condition estimate, in the precision of
+    ``lu``, of the system k it factorises, which must be row-equilibrated.
+
+    The test is a LINPACK-style condition estimate with a fixed probe s
+    (Cline, Moler, Stewart and Wilkinson, SIAM J. Numer. Anal. 16, 1979;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 15): a transposed solve z = k^-T s, then y = k^-1 w with
+    w = z / max|z|. The rows of k have max magnitude at most 1, so a growth
+    max|z| / max|s| or max|y| / max|w| of at least 1 / ``rtol``, or a
+    non-finite z or y, fails it. The second solve catches a singular system
+    whose right null vector is nearly orthogonal to s, for which z stays
+    moderate (two equal columns did so under some elimination orders). z
+    points along the left null vector, which is nonzero only on the
+    dependent rows whatever the elimination order, so its largest entry
+    names the row. The test reads neither factor, so SuperLU never builds
+    copies of L and U.
+    """
     # random, so that no structured system is orthogonal to it (a constant
     # probe is to the null vector e_i - e_k of two equal columns) and z
     # points along the left null vector
-    s = np.random.default_rng(20171).standard_normal(k.shape[0])
+    s = np.random.default_rng(20171).standard_normal(lu.shape[0])
+    s = s.astype(_solve_dtype(lu), copy=False)
     z = lu.solve(s, trans="T")
     z_max = np.max(np.abs(z))
     y_max = np.max(np.abs(lu.solve(z / z_max)))
     # written so that a NaN fails it
-    if not (z_max * PIVOT_RTOL < np.max(np.abs(s)) and y_max * PIVOT_RTOL < 1.0):
-        raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
-    return lu
+    return z, bool(z_max * rtol < np.max(np.abs(s)) and y_max * rtol < 1.0)
 
 
 def _first_deficient_row(m_sp) -> int:
@@ -191,31 +249,29 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
        its equation, in elimination order; None keeps the given numbering).
        ``held`` is the caller's holder: None, or a list that is empty or
        ``[rows, cols, LU]`` of an earlier reduced system. If that system
-       had the same rows and columns, the solution is found by iterative
-       refinement preconditioned by its LU, and is accepted once a
-       correction is at most REFINE_RTOL of the solution (max norms). Its
-       products with the reduced system are taken from the working copy, so
-       no copy of the reduced system is made. If a
-       correction is more than CONTRACTION times the one before, or
-       MAX_CORRECTIONS pass, the holder is cleared and the system falls
-       back to the fresh path.
+       had the same rows and columns, the solution is found by ``refine``
+       from its LU, with its products taken from the working copy, so no
+       copy of the reduced system is made. If refinement declines, the
+       holder is cleared and the system takes the fresh path.
     4. Fresh path: the reduced rows of the working copy replace it, their
        column slice replaces them and its CSC copy replaces the slice, each
-       freed as soon as the next exists. That matrix is factorised by
-       sparse LU with ``SPLU_OPTIONS`` (threshold partial pivoting, a small
-       panel) and tested by a transposed solve of a fixed probe and a solve
-       of its result (see ``_factorize``), and its solution is refined
-       once; a holder given in ``held`` then holds that LU with its rows and
-       columns.
+       freed as soon as the next exists. ``_factorize`` factorises a float32
+       copy of that matrix by sparse LU with ``SPLU_OPTIONS`` (threshold
+       partial pivoting, a small panel) and refines the solution in float64
+       with ``refine``. It falls back to a float64 LU, with its probe test
+       and one correction, when the float32 ``splu`` fails, its probe solve
+       grows by 1 / SINGLE_PIVOT_RTOL or more, or refinement declines. A
+       holder given in ``held`` then holds the LU that was kept with its
+       rows and columns.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
     empty row, a second singleton row on a fixed unknown, or a singleton
-    pivot below PIVOT_RTOL (tested on every call), or, for a fresh reduced
-    LU, a probe solve that grows by 1 / PIVOT_RTOL or more, named by the
-    largest entry of the transposed solve. A singular reduced system stops
-    refinement from contracting, so it reaches the fresh LU and its probe
-    test.
+    pivot below PIVOT_RTOL (tested on every call), or, for the float64 LU
+    of the reduced system, a probe solve that grows by 1 / PIVOT_RTOL or
+    more, named by the largest entry of the transposed solve. A singular
+    reduced system makes refinement decline from a held LU and from a
+    float32 one, so it reaches the float64 LU and its probe test.
     """
     if m.shape[0] != m.shape[1]:
         raise SparseError("solve_linear requires a square matrix")
@@ -288,11 +344,9 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
             m_eq = m_eq[:, cols]
             k = m_eq.tocsc()
             del m_eq
-            lu = _factorize(k, rows)
+            lu, x_red = _factorize(k, rows, b_red)
             if held is not None:
                 held.extend((rows, cols, lu))
-            x_red = lu.solve(b_red)
-            x_red += lu.solve(b_red - k @ x_red)
         x[cols] = x_red
     if len(def_rows):
         # each deferred row holds no other deferred unknown, and x is 0 there
@@ -313,26 +367,41 @@ def _reduced_operator(m_eq, rows: np.ndarray, cols: np.ndarray) -> LinearOperato
 
 
 def refine(lu, k, b: np.ndarray):
-    """Iterative refinement x <- x + LU^-1 (b - k x) from x = 0, with ``lu``
-    the factorisation of a nearby matrix and ``k`` the matrix or an operator
-    with ``k @ x``; None when it stops contracting.
+    """Iterative refinement x <- x + LU^-1 (b - k x) in float64 from x = 0,
+    with ``lu`` a float32 or float64 factorisation of k or of a nearby
+    matrix and ``k`` the matrix or an operator with ``k @ x``; None when it
+    declines.
 
-    ``solve_linear`` and ``regpath.solve_regularized_kkt`` both use it, so
-    REFINE_RTOL, CONTRACTION and MAX_CORRECTIONS are the one acceptance
-    rule for a held LU.
+    Each residual is scaled by the power of two nearest above its max norm,
+    which is exact, and cast to the precision of ``lu`` for the solve: a
+    float32 LU takes only float32 right-hand sides, and the scaling keeps
+    small residuals clear of float32's underflow. The result is accepted by
+    REFINE_RTOL, or by SETTLE_RTOL once the corrections stop contracting
+    (see there). ``solve_linear``, for its fresh and its held LUs, and
+    ``regpath.solve_regularized_kkt`` all use it, so that is the one
+    acceptance rule of the package.
     """
+    dtype = _solve_dtype(lu)
     x = np.zeros(len(b))
     prev = np.inf
     for _ in range(MAX_CORRECTIONS):
-        dx = lu.solve(b - k @ x)
+        r = b - k @ x
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
+        dx = scale * lu.solve((r / scale).astype(dtype, copy=False))  # float64
         x += dx
-        size = np.max(np.abs(dx))
-        if size <= REFINE_RTOL * np.max(np.abs(x)):
+        size, x_max = np.max(np.abs(dx)), np.max(np.abs(x))
+        if size <= REFINE_RTOL * x_max:
             return x
         if not size <= CONTRACTION * prev:  # also ends on a NaN
-            return None
+            return x if size <= SETTLE_RTOL * x_max else None
         prev = size
     return None
+
+
+def _solve_dtype(lu) -> np.dtype:
+    """The precision ``lu`` solves in. SuperLU does not expose it, but a
+    solve with no right-hand side returns an empty array of that type."""
+    return lu.solve(np.empty((lu.shape[0], 0), np.float32)).dtype
 
 
 def entry_positions(k: sp.csr_matrix, rows, cols) -> np.ndarray:

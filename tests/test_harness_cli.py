@@ -193,8 +193,19 @@ class TestCli:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "kkt.json").read_text())
         assert report["status"] == "converged"
+        assert report["failure_reason"] is None
         assert report["residual_history"][-1] < 1e-12
         assert (tmp_path / "kkt.vtk").exists()
+
+    def test_kkt_report_names_the_singular_row(self, tmp_path):
+        # the gate's singular cell: the reason is the solver's own text
+        code = main(["kkt", "--example", "2", "--m", "65", "--gamma", "1e-6",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER_FAILURE
+        report = strict_json(tmp_path / "kkt.json")
+        assert report["status"] == "no_conv"
+        assert report["failure_reason"] == "matrix is singular (deficient pivot in row 5179)"
+        assert not (tmp_path / "kkt.vtk").exists()
 
     def test_check_passes_on_converged_solve(self, tmp_path):
         code = main(["check", "--example", "2", "--m", "9", "--gamma", "1e-12",
@@ -224,6 +235,7 @@ class TestCli:
         assert code == EXIT_SOLVER_FAILURE
         report = strict_json(tmp_path / "kkt.json")
         assert report["status"] == "no_conv"
+        assert report["failure_reason"] == "non-finite residual"
         assert report["residual_history"] == [1.0, None, None]
 
     def test_regpath_nonfinite_residual_is_null(self, tmp_path, monkeypatch):

@@ -694,7 +694,10 @@ class TestFactorisationReuse:
         data, _ = build(build_space(build_mesh(17)))
         reused, rep = kkt_iterates(data, monkeypatch)
         calls = counting_splu.calls
-        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        # no holder: every step is factorised afresh
+        solve = sparse_core.solve_linear
+        monkeypatch.setattr(sparse_core, "solve_linear",
+                            lambda m, b, order, held: solve(m, b, order))
         fresh, rep_fresh = kkt_iterates(data, monkeypatch)
         assert counting_splu.calls - calls == rep_fresh.iterations  # one LU per step
         assert calls < rep.iterations  # so some steps were solved by refinement
@@ -740,6 +743,45 @@ class TestFactorisationReuse:
         # the traceback keeps the frames of solve_kkt and of its step alive
         assert excinfo.tb is not None
         assert counting_splu.refs[0]() is None
+
+
+class TestSinglePrecisionAgainstDouble:
+    """The float32 LU refined in float64 against the float64 LU path, iterate
+    by iterate, on the m = 33 and 65 cells of both tables and the gamma =
+    1e-6 cells that fail.
+
+    Every cell must reach the same decision. On the converged cells every
+    iterate's y and p must agree to 1e-10 relative. A failing cell ends where
+    the Newton systems turn singular or the active sets cycle, and rounding
+    is amplified there (its last iterates' y moved by up to 1e-8 between the
+    two paths), so only its decision is compared. chi is reported, not
+    judged: any change of SuperLU's rounding moves it through the pivot
+    d_i p_i (run pytest with -rP to see the lines)."""
+
+    @pytest.mark.parametrize("example, m, alpha, gamma", [
+        (1, 33, 1e-4, 1e-4), (1, 65, 1e-4, 1e-4),
+        (2, 33, 1e-4, 1e-12), (2, 65, 1e-4, 1e-12),
+        (2, 33, 1e-4, 1e-6), (2, 65, 1e-4, 1e-6),
+    ])
+    def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
+        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
+        single, rep = kkt_iterates(data, monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(sparse_core, "_single_lu", lambda k, b: None)  # always decline
+            double, rep_double = kkt_iterates(data, monkeypatch)
+        assert (rep.converged, rep.iterations, rep.failure_reason) == (
+            rep_double.converged, rep_double.iterations, rep_double.failure_reason)
+        assert len(single) == len(double) == rep.iterations + 1
+
+        def rel(v, v0):
+            return np.linalg.norm(v - v0) / max(np.linalg.norm(v0), np.finfo(float).tiny)
+
+        moved = np.array([[rel(v, v0) for v, v0 in zip(x, x0)]
+                          for x, x0 in zip(single, double)]).max(axis=0)
+        print(f"max relative move over the iterates: y {moved[0]:.1e}, "
+              f"p {moved[1]:.1e}, chi {moved[2]:.1e}")
+        if rep.converged:
+            assert moved[0] <= 1e-10 and moved[1] <= 1e-10
 
 
 class TestRecoverControl:

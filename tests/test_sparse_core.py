@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU
 
 from nsocp import kkt_solver, regpath, sparse_core, state_solver
-from nsocp.examples import build_example1
+from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
@@ -306,8 +306,9 @@ class TestHeldFactorisation:
 
     def test_dependent_row_after_good_one_names_a_dependent_row(self, splu_calls):
         # the held LU is that of a regular matrix with the same pattern;
-        # refinement on the singular one cannot contract, so the fresh LU's
-        # pivot test must name the row
+        # refinement on the singular one cannot contract, so it gets a fresh
+        # float32 LU, which cannot pass either, and then the float64 LU,
+        # whose pivot test must name the row
         for seed in range(20):
             rng = np.random.default_rng(seed)
             dense = rng.standard_normal((8, 8))
@@ -320,7 +321,7 @@ class TestHeldFactorisation:
             solve_linear(csr(good), np.ones(8), held=held)
             with pytest.raises(SingularMatrixError) as exc:
                 solve_linear(csr(dense), np.ones(8), held=held)
-            assert len(splu_calls) == 2, seed
+            assert len(splu_calls) == 3, seed
             assert exc.value.pivot_row in (i, j, k), seed
 
     def test_holder_is_rows_cols_lu_after_a_fresh_solve(self, splu_calls):
@@ -333,6 +334,74 @@ class TestHeldFactorisation:
         rows, cols, lu = held
         assert np.array_equal(rows, [1, 2, 3]) and np.array_equal(cols, [1, 2, 3])
         assert isinstance(lu, SuperLU) and lu.shape == (3, 3)
+
+
+@pytest.fixture
+def splu_dtypes(monkeypatch):
+    """The dtype of each matrix ``sparse_core.splu`` factorises, in order."""
+    dtypes = []
+    splu = sparse_core.splu
+
+    def recording(k, **kwargs):
+        dtypes.append(k.dtype)
+        return splu(k, **kwargs)
+
+    monkeypatch.setattr(sparse_core, "splu", recording)
+    return dtypes
+
+
+class TestMixedPrecision:
+    """A fresh LU of the reduced system is a float32 SuperLU refined in
+    float64; a float64 LU replaces it when it fails, and gives every
+    singular verdict."""
+
+    def test_holder_keeps_the_float32_superlu(self, splu_dtypes):
+        rng = np.random.default_rng(2)
+        dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        held = []
+        solve_linear(csr(dense), rng.standard_normal(6), held=held)
+        assert splu_dtypes == [np.float32]
+        lu = held[2]
+        assert isinstance(lu, SuperLU)
+        assert lu.solve(np.ones(6, dtype=np.float32)).dtype == np.float32
+
+    def test_float32_solution_has_float64_accuracy(self, splu_dtypes):
+        rng = np.random.default_rng(4)
+        dense = rng.standard_normal((40, 40)) + 10 * np.eye(40)
+        b = rng.standard_normal(40)
+        x = solve_linear(csr(dense), b)
+        assert splu_dtypes == [np.float32]
+        ref = np.linalg.solve(dense, b)
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_singular_in_float32_regular_in_float64(self, splu_dtypes):
+        # rows i and j differ by 1e-9 after equilibration (their largest
+        # entries are equal), less than float32 resolves: the float32 LU
+        # fails, and the float64 LU solves the system backward stably
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            dense = rng.standard_normal((8, 8))
+            i, j = rng.choice(8, 2, replace=False)
+            c = np.argmax(np.abs(dense[i]))
+            dense[i] /= np.abs(dense[i, c])
+            noise = 1e-9 * rng.standard_normal(8)
+            noise[c] = 0.0
+            dense[j] = dense[i] + noise
+            b = rng.standard_normal(8)
+            del splu_dtypes[:]
+            x = solve_linear(csr(dense), b)
+            assert splu_dtypes == [np.float32, np.float64], seed
+            backward = np.max(np.abs(dense @ x - b)) / (
+                np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b)))
+            assert backward <= 1e-12, seed
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+    def test_example2_step_needs_no_float64_lu(self, alpha, splu_dtypes):
+        # at alpha = 1e-6 the float32 corrections of the first step level off
+        # above REFINE_RTOL, so only SETTLE_RTOL accepts it
+        data, _ = build_example2(build_space(build_mesh(33)), alpha, 1e-12)
+        kkt_solver.solve_kkt(data)
+        assert splu_dtypes == [np.float32]
 
 
 class TestPivotTestReadsNoFactor:
@@ -349,12 +418,14 @@ class TestPivotTestReadsNoFactor:
         dense[5] = dense[1] + dense[2]
         with pytest.raises(SingularMatrixError):
             solve_linear(csr(dense), np.ones(8))
-        assert counting_splu.calls == 2
+        # one LU for the regular system; a float32 and a float64 one for the
+        # singular system, whose verdict only the float64 LU gives
+        assert counting_splu.calls == 3
         assert "solve" in counting_splu.served
         assert not counting_splu.served & self.FACTORS
 
     def test_solve_kkt(self, counting_splu):
-        from nsocp.examples import build_example1
+        from nsocp.examples import build_example1, build_example2
         from nsocp.fe_mesh import build_mesh, build_space
         from nsocp.kkt_solver import solve_kkt
         data, _ = build_example1(build_space(build_mesh(9)))
@@ -425,9 +496,9 @@ class TestSolveLinearMemory:
             call["exit"] = tracemalloc.get_traced_memory()[1]
             return x
 
-        def traced_factorize(k, rows):
+        def traced_factorize(k, rows, b):
             calls[-1].update(factorize=tracemalloc.get_traced_memory()[1], k=_nbytes(k))
-            return factorize(k, rows)
+            return factorize(k, rows, b)
 
         monkeypatch.setattr(sparse_core, "solve_linear", traced_solve)
         monkeypatch.setattr(sparse_core, "_factorize", traced_factorize)
