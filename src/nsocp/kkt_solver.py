@@ -40,6 +40,16 @@ and a float64 one otherwise; only a float64 LU reports a singular step. It
 lives in a holder that ``solve_kkt`` owns and passes to
 ``sparse_core.solve_linear``; it is dropped before ``solve_kkt`` returns or
 raises.
+
+A cold solve starts at y = p = chi = 0, where every node is critical: the
+first step fixes chi and reduces to the smooth optimality system
+[[A, M / alpha], [-M, A]] in dy and dp, whatever the example, alpha and
+gamma. So ``solve_kkt`` seeds its holder with that system's
+``sparse_core.PairLu``, the complex64 LU of the n x n matrix
+A - i M / sqrt(alpha), and the first step, with every later one that keeps
+I_gamma and I_crit covering every node, is refined from it. When refinement
+declines, the step takes the fresh float32 and float64 path above, so every
+singular verdict is still a float64 LU's. A warm start seeds nothing.
 """
 
 from __future__ import annotations
@@ -251,8 +261,9 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     nd = ops.space.nd_order
     order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
 
-    # [rows, cols, LU] of the last fresh reduced factorisation: a step whose
-    # reduced system keeps those rows and columns is solved by refinement
+    # [rows, cols, LU] of the last fresh reduced factorisation, or of the
+    # pair LU of a cold start: a step whose reduced system keeps those rows
+    # and columns is solved by refinement
     held = []
     layout = _newton_layout(data)  # refilled in place by every step
 
@@ -264,11 +275,24 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         return sparse_core.solve_linear(jac, rhs, order, held)
 
     try:
+        if not x0.any():
+            held += _cold_start_holder(data, order)
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
                            TOL_RESIDUAL, MAX_ITER)
     finally:
         held.clear()  # no LU outlives the call, even from a traceback's frame
     return point(x), report
+
+
+def _cold_start_holder(data: ProblemData, order: np.ndarray) -> list:
+    """[rows, cols, LU] of the first Newton step from the zero point. There
+    every node is critical, so the step fixes chi and reduces to the smooth
+    optimality system [[A, M / alpha], [-M, A]] in the (y_i, p_i) pairs of
+    ``order``, whatever the example, alpha and gamma; its LU is the
+    ``sparse_core.PairLu`` of that system."""
+    ops = data.ops
+    pairs = order[order < 2 * ops.space.n]
+    return [pairs, pairs, sparse_core.PairLu(ops.A, ops.M, data.config.alpha, ops.space.nd_order)]
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

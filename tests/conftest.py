@@ -9,13 +9,15 @@ class _CountingSplu:
     """Stand-in for a module's ``splu`` that counts the factorisations and
     hands out weakly referenced proxies of them, so a test can see whether
     any is still held; ``served`` collects the attribute names the proxies
-    were asked for, and ``kwargs`` the keyword arguments of each call."""
+    were asked for, ``kwargs`` the keyword arguments of each call and
+    ``dtypes`` the dtype of each matrix factorised."""
 
     def __init__(self, splu):
         self.splu = splu
         self.refs = []
         self.served = set()
         self.kwargs = []
+        self.dtypes = []
 
     @property
     def calls(self):
@@ -23,6 +25,7 @@ class _CountingSplu:
 
     def __call__(self, k, **kwargs):
         self.kwargs.append(kwargs)
+        self.dtypes.append(k.dtype)
         factor = _Factor(self.splu(k, **kwargs), self.served)
         self.refs.append(weakref.ref(factor))
         return factor

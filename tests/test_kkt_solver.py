@@ -688,18 +688,26 @@ class TestIterateIdentity:
                 assert np.array_equal(v.view(np.uint64), v0.view(np.uint64))
 
 
+def half_chi_point(space):
+    """The warm start y = p = 0, chi = 1/2. Every node is critical there, as
+    at the zero point, but only a zero start seeds the pair LU."""
+    return KktPoint(space.zero(), space.zero(), space.function(np.full(space.n, 0.5)))
+
+
 class TestFactorisationReuse:
     @pytest.mark.parametrize("build", [build_example1, build_example2])
     def test_iterates_match_fresh_lu(self, build, counting_splu, monkeypatch):
         data, _ = build(build_space(build_mesh(17)))
         reused, rep = kkt_iterates(data, monkeypatch)
         calls = counting_splu.calls
-        # no holder: every step is factorised afresh
+        # no holder: every step is factorised afresh, and the pair LU that
+        # solve_kkt seeds its holder with for the cold start goes unused
         solve = sparse_core.solve_linear
         monkeypatch.setattr(sparse_core, "solve_linear",
                             lambda m, b, order, held: solve(m, b, order))
         fresh, rep_fresh = kkt_iterates(data, monkeypatch)
-        assert counting_splu.calls - calls == rep_fresh.iterations  # one LU per step
+        # the unused pair LU, then one LU per step
+        assert counting_splu.calls - calls == 1 + rep_fresh.iterations
         assert calls < rep.iterations  # so some steps were solved by refinement
         assert (rep.converged, rep.iterations) == (rep_fresh.converged, rep_fresh.iterations)
         assert len(reused) == len(fresh)
@@ -713,75 +721,127 @@ class TestFactorisationReuse:
             assert np.linalg.norm(chi - chi0) <= 1e-12 * scale
 
     def test_example1_factorises_once(self, counting_splu):
+        # the cold start's pair LU preconditions all three steps
         data, _ = build_example1(build_space(build_mesh(33)))
         _, rep = solve_kkt(data)
         assert rep.converged and rep.iterations == 3
-        assert counting_splu.calls == 1
+        assert counting_splu.dtypes == [np.complex64]
+
+    def test_warm_start_makes_no_pair_lu(self, counting_splu):
+        # the first step solves the reduced system of a cold start, but
+        # through the real LU path
+        data, _ = build_example1(build_space(build_mesh(17)))
+        _, rep = solve_kkt(data, half_chi_point(data.ops.space))
+        assert rep.converged and counting_splu.calls >= 1
+        assert np.complex64 not in counting_splu.dtypes
 
     def test_nothing_held_after_return(self, counting_splu):
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data)
-        assert rep.converged and counting_splu.calls >= 1
+        assert rep.converged and counting_splu.dtypes[0] == np.complex64  # the pair LU
         gc.collect()
         assert all(ref() is None for ref in counting_splu.refs)
 
-    def test_nothing_held_after_raise(self, counting_splu, monkeypatch):
+    def test_nothing_held_after_warm_start_returns(self, counting_splu):
+        data, _ = build_example1(build_space(build_mesh(17)))
+        _, rep = solve_kkt(data, half_chi_point(data.ops.space))
+        assert rep.converged and counting_splu.dtypes[0] == np.float32
+        gc.collect()
+        assert all(ref() is None for ref in counting_splu.refs)
+
+    @staticmethod
+    def interrupted_solve(counting_splu, monkeypatch, failing):
+        """solve_kkt of example 1 at m = 17 with ``index_sets`` raising on
+        Newton step ``failing``: the one LU made, the pair LU of the cold
+        start, must be gone while the traceback is still alive."""
         data, _ = build_example1(build_space(build_mesh(17)))
         calls = []
 
-        def failing_second_step(pt, config):
+        def failing_step(pt, config):
             calls.append(pt)
-            if len(calls) == 2:
+            if len(calls) == failing:
                 raise RuntimeError("interrupted")
             return index_sets(pt, config)
 
-        monkeypatch.setattr(kkt_solver, "index_sets", failing_second_step)
+        monkeypatch.setattr(kkt_solver, "index_sets", failing_step)
         with pytest.raises(RuntimeError, match="interrupted") as excinfo:
             solve_kkt(data)
-        assert counting_splu.calls == 1
+        assert counting_splu.dtypes == [np.complex64]
         gc.collect()
         # the traceback keeps the frames of solve_kkt and of its step alive
         assert excinfo.tb is not None
         assert counting_splu.refs[0]() is None
 
+    def test_nothing_held_after_raise(self, counting_splu, monkeypatch):
+        # the first step was refined from the pair LU
+        self.interrupted_solve(counting_splu, monkeypatch, failing=2)
+
+    def test_nothing_held_after_raise_before_first_step(self, counting_splu, monkeypatch):
+        # the pair LU is made before the first step, and held unused
+        self.interrupted_solve(counting_splu, monkeypatch, failing=1)
+
 
 class TestSinglePrecisionAgainstDouble:
-    """The float32 LU refined in float64 against the float64 LU path, iterate
-    by iterate, on the m = 33 and 65 cells of both tables and the gamma =
-    1e-6 cells that fail.
+    """Each faster LU path against the one it replaces, iterate by iterate,
+    on the m = 33 and 65 cells of both tables and the gamma = 1e-6 cells
+    that fail: the float32 LU refined in float64 against the float64 LU
+    path, and the cold start's complex64 pair LU against the real LU path.
 
     Every cell must reach the same decision. On the converged cells every
     iterate's y and p must agree to 1e-10 relative. A failing cell ends where
     the Newton systems turn singular or the active sets cycle, and rounding
     is amplified there (its last iterates' y moved by up to 1e-8 between the
-    two paths), so only its decision is compared. chi is reported, not
-    judged: any change of SuperLU's rounding moves it through the pivot
-    d_i p_i (run pytest with -rP to see the lines)."""
+    float32 and float64 paths), so only its decision is compared. chi is
+    reported, not judged: any change of SuperLU's rounding moves it through
+    the pivot d_i p_i (run pytest with -rP to see the lines)."""
 
-    @pytest.mark.parametrize("example, m, alpha, gamma", [
+    CELLS = [
         (1, 33, 1e-4, 1e-4), (1, 65, 1e-4, 1e-4),
         (2, 33, 1e-4, 1e-12), (2, 65, 1e-4, 1e-12),
         (2, 33, 1e-4, 1e-6), (2, 65, 1e-4, 1e-6),
-    ])
-    def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
-        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        single, rep = kkt_iterates(data, monkeypatch)
+    ]
+
+    @staticmethod
+    def compare(data, monkeypatch, patch):
+        """The iterates of solve_kkt as it is and with ``patch`` applied to
+        a monkeypatch context: same decisions, and on a converged cell y
+        and p within 1e-10 relative."""
+        fast, rep = kkt_iterates(data, monkeypatch)
         with monkeypatch.context() as mp:
-            mp.setattr(sparse_core, "_single_lu", lambda k, b: None)  # always decline
-            double, rep_double = kkt_iterates(data, monkeypatch)
+            patch(mp)
+            slow, rep_slow = kkt_iterates(data, monkeypatch)
         assert (rep.converged, rep.iterations, rep.failure_reason) == (
-            rep_double.converged, rep_double.iterations, rep_double.failure_reason)
-        assert len(single) == len(double) == rep.iterations + 1
+            rep_slow.converged, rep_slow.iterations, rep_slow.failure_reason)
+        assert len(fast) == len(slow) == rep.iterations + 1
 
         def rel(v, v0):
             return np.linalg.norm(v - v0) / max(np.linalg.norm(v0), np.finfo(float).tiny)
 
         moved = np.array([[rel(v, v0) for v, v0 in zip(x, x0)]
-                          for x, x0 in zip(single, double)]).max(axis=0)
+                          for x, x0 in zip(fast, slow)]).max(axis=0)
         print(f"max relative move over the iterates: y {moved[0]:.1e}, "
               f"p {moved[1]:.1e}, chi {moved[2]:.1e}")
         if rep.converged:
             assert moved[0] <= 1e-10 and moved[1] <= 1e-10
+        return rep
+
+    @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
+    def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
+        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
+        # with no pair LU, so that the first step takes a fresh LU, and then
+        # with every fresh float32 LU declined
+        monkeypatch.setattr(kkt_solver, "_cold_start_holder", lambda data, order: [])
+        self.compare(data, monkeypatch,
+                     lambda mp: mp.setattr(sparse_core, "_single_lu", lambda k, b: None))
+
+    @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
+    def test_iterates_match_without_pair_lu(self, example, m, alpha, gamma, monkeypatch):
+        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
+        # the holder starts empty, so the first step is factorised afresh
+        rep = self.compare(data, monkeypatch, lambda mp: mp.setattr(
+            kkt_solver, "_cold_start_holder", lambda data, order: []))
+        if (m, gamma) == (65, 1e-6):
+            assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
 
 
 class TestRecoverControl:
