@@ -3,9 +3,7 @@
 Homogeneous Dirichlet boundary conditions; only interior nodes carry
 degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
-five-point stencil (diagonal 4, neighbors -1). ``FeOperators.A_nd`` is A
-with its rows and columns in the mesh's nested-dissection order, built once
-on first use, from which the state solver forms the matrices it factorises.
+five-point stencil (diagonal 4, neighbors -1).
 """
 
 from __future__ import annotations
@@ -109,14 +107,6 @@ class FeOperators:
     A: CsrMatrix  # stiffness
     M: CsrMatrix  # consistent mass
     d: np.ndarray  # lumped mass, d_i = |supp phi_i| / 3
-
-    @functools.cached_property
-    def A_nd(self) -> sp.csr_matrix:
-        """A[nd][:, nd] for nd = ``space.nd_order``, computed on first use;
-        each row keeps its entries in A's column order, as that indexing
-        leaves them."""
-        order = self.space.nd_order
-        return self.A[order][:, order]
 
 
 def build_mesh(m: int) -> TriMesh:

@@ -36,20 +36,22 @@ the same union of I_gamma and I_crit as the last factorised step (hence the
 same reduced rows and columns) is solved by float64 iterative refinement
 from that step's LU, and is factorised afresh only when refinement declines.
 That LU is a float32 one whenever its own solve refined to float64 accuracy,
-and a float64 one otherwise; only a float64 LU reports a singular step. It
-lives in a holder that ``solve_kkt`` owns and passes to
-``sparse_core.solve_linear``; it is dropped before ``solve_kkt`` returns or
-raises.
+and a float64 one otherwise. It lives in a holder that ``solve_kkt`` owns and
+passes to ``sparse_core.solve_linear``; it is dropped before ``solve_kkt``
+returns or raises. A singular step is reported by ``solve_linear``: by its
+test of the singleton pivots, such as a deferred d_i p_i that names adjoint
+row n + i, or, on the reduced system, by the float64 LU alone.
 
-A cold solve starts at y = p = chi = 0, where every node is critical: the
-first step fixes chi and reduces to the smooth optimality system
-[[A, M / alpha], [-M, A]] in dy and dp, whatever the example, alpha and
-gamma. So ``solve_kkt`` seeds its holder with that system's
+The smooth optimality system K0 = [[A, M / alpha], [-M, A]] in dy and dp is,
+up to its diagonals D 1{y>0} and D chi, the reduced system of every step
+whose I_gamma and I_crit together cover every node: such a step fixes every
+chi_i. At y = p = chi = 0 every node is critical, so it is the first step's
+system from that start, whatever the example, alpha and gamma. So
+``solve_kkt`` seeds its holder, from every start, with K0's
 ``sparse_core.PairLu``, the complex64 LU of the n x n matrix
-A - i M / sqrt(alpha), and the first step, with every later one that keeps
-I_gamma and I_crit covering every node, is refined from it. When refinement
-declines, the step takes the fresh float32 and float64 path above, so every
-singular verdict is still a float64 LU's. A warm start seeds nothing.
+A - i M / sqrt(alpha), and every step of that kind is refined from it. A
+step with other reduced rows and columns, or one whose refinement declines,
+drops the seed and takes the fresh float32 and float64 path above.
 """
 
 from __future__ import annotations
@@ -261,11 +263,11 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     nd = ops.space.nd_order
     order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
 
-    # [rows, cols, LU] of the last fresh reduced factorisation, or of the
-    # pair LU of a cold start: a step whose reduced system keeps those rows
-    # and columns is solved by refinement
-    held = []
     layout = _newton_layout(data)  # refilled in place by every step
+    # [rows, cols, LU] of the pair LU, or of the last fresh reduced
+    # factorisation: a step whose reduced system keeps those rows and
+    # columns is solved by refinement
+    held = _pair_holder(data, order)
 
     def step(x, r):
         pt = point(x)
@@ -275,8 +277,6 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         return sparse_core.solve_linear(jac, rhs, order, held)
 
     try:
-        if not x0.any():
-            held += _cold_start_holder(data, order)
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
                            TOL_RESIDUAL, MAX_ITER)
     finally:
@@ -284,12 +284,11 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     return point(x), report
 
 
-def _cold_start_holder(data: ProblemData, order: np.ndarray) -> list:
-    """[rows, cols, LU] of the first Newton step from the zero point. There
-    every node is critical, so the step fixes chi and reduces to the smooth
-    optimality system [[A, M / alpha], [-M, A]] in the (y_i, p_i) pairs of
-    ``order``, whatever the example, alpha and gamma; its LU is the
-    ``sparse_core.PairLu`` of that system."""
+def _pair_holder(data: ProblemData, order: np.ndarray) -> list:
+    """[rows, cols, LU] of the reduced system K0 = [[A, M / alpha], [-M, A]]
+    of a Newton step whose I_gamma and I_crit cover every node, which fixes
+    every chi_i: the (y_i, p_i) pairs of ``order`` and the
+    ``sparse_core.PairLu`` of K0."""
     ops = data.ops
     pairs = order[order < 2 * ops.space.n]
     return [pairs, pairs, sparse_core.PairLu(ops.A, ops.M, data.config.alpha, ops.space.nd_order)]

@@ -136,16 +136,12 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         y, p = x[:n], x[n:]
         jac.data[yy] = jac.data[pp] = a_diag + (d * smoothed_max_prime(params, y))[nd]
         jac.data[py] = (d * smoothed_max_second(params, y) * p)[nd] - m_diag
-        k = jac
-        if not jac.data[py].all():  # sp.bmat stores no zero (p, y) diagonal entry
-            k = jac.copy()
-            k.eliminate_zeros()
         b = -r[order]
-        sol = refine(held[0], k, b) if held else None
+        sol = refine(held[0], jac, b) if held else None
         if sol is None:
             held.clear()  # free the old LU before the new one is built
             try:
-                lu = splu(k.tocsc(), **SPLU_OPTIONS)
+                lu = splu(jac.tocsc(), **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SingularMatrixError(-1) from exc
             held.append(lu)

@@ -20,7 +20,8 @@ solve of its result, which read neither factor) and ``refine`` accepts its
 solution. Otherwise a float64 LU takes its place, with the same estimate at
 a tighter threshold and one correction of its solution. Only that float64
 LU says singular: a deficient row is reported in the caller's numbering, so
-every singular verdict is the one a float64 factorisation gives.
+every singular verdict of an LU is the one a float64 factorisation gives. The
+other verdicts come from the test of the singleton pivots.
 
 ``SPLU_OPTIONS`` are the SuperLU options of every LU in the package: this
 module's and those of ``state_solver`` and ``regpath``, which call their own
@@ -40,9 +41,10 @@ continuation step of ``regpath`` uses it too, from an LU held along the eps
 schedule.
 
 A caller may also seed its holder. ``PairLu`` is the LU of the smooth
-optimality system [[A, M / alpha], [-M, A]] in (y_i, p_i) pairs, which is
-the reduced system of a KKT step from the zero point: the complex64 LU of
-the n x n matrix A - i M / sqrt(alpha), whose real form that system is
+optimality system [[A, M / alpha], [-M, A]] in (y_i, p_i) pairs, which is,
+up to two diagonals, the reduced system of a KKT step that fixes every
+chi_i, as the first step from the zero point does: the complex64 LU of the
+n x n matrix A - i M / sqrt(alpha), whose real form that system is
 (Axelsson & Kucherov, Numer. Linear Algebra Appl. 7, 2000). It holds a
 quarter of the entries of the 2n real LU, and ``solve_linear`` refines from
 it as from any held LU; when refinement declines, it gives way to the fresh

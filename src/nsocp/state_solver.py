@@ -9,10 +9,9 @@ of A y + D phi(y) = M g with different phi. Also provides the linear
 operators G_chi representing generalized-derivative elements.
 
 Every n x n matrix is A + diag(c), factorised with its rows and columns in
-the mesh's nested-dissection order: it is formed as ``ops.A_nd`` with c added
-to its diagonal, the same matrix, entry for entry, as (A + diag(c))[nd][:, nd].
-While a multi-solve check runs (it is wrapped in ``reusing_factorisations``),
-the last ``LU_MEMO_SIZE`` factorisations are kept, and a matrix met again
+the mesh's nested-dissection order nd, as (A + diag(c))[nd][:, nd]. While a
+multi-solve check runs (it is wrapped in ``reusing_factorisations``), the
+last ``LU_MEMO_SIZE`` factorisations are kept, and a matrix met again
 (the same A object and a bit-identical c) is solved with its kept
 factorisation; the results are the same as from a fresh one. Nothing is kept
 once the outermost check returns.
@@ -32,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fe_mesh import FeFunction, FeOperators
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, entry_positions
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError
 
 __all__ = [
     "StateProblem",
@@ -141,11 +141,8 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             lu = entry[2]
             break
     else:
-        mat = ops.A_nd.copy()
-        i = np.arange(len(order))
-        mat.data[entry_positions(mat, i, i)] += c[order]
         try:
-            lu = splu(mat.tocsc(), **SPLU_OPTIONS)
+            lu = splu((a + sp.diags(c))[order][:, order].tocsc(), **SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SingularMatrixError(-1) from exc
         if memo is not None:

@@ -136,26 +136,6 @@ def element_assembly(space):
     return a, m, d[ix]
 
 
-class TestOrderedOperators:
-    def test_computed_on_first_use_and_cached(self):
-        ops = assemble_operators(build_space(build_mesh(9)))
-        assert "A_nd" not in vars(ops)
-        assert ops.A_nd is ops.A_nd
-
-    @pytest.mark.parametrize("m", [2, 5, 17])
-    def test_layout_of_the_permuted_operators(self, m):
-        ops = assemble_operators(build_space(build_mesh(m)))
-        order = ops.space.nd_order
-        got, want = ops.A_nd, ops.A[order][:, order]
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
-        # each row keeps its entries in the column order of the unpermuted row
-        for i in range(ops.space.n):
-            cols = order[got.indices[got.indptr[i]:got.indptr[i + 1]]]
-            assert np.all(np.diff(cols) > 0)
-
-
 class TestAssembleOperators:
     def test_hand_assembly_m2(self):
         ops = assemble_operators(build_space(build_mesh(2)))

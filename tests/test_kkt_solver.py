@@ -690,8 +690,16 @@ class TestIterateIdentity:
 
 def half_chi_point(space):
     """The warm start y = p = 0, chi = 1/2. Every node is critical there, as
-    at the zero point, but only a zero start seeds the pair LU."""
+    at the zero point."""
     return KktPoint(space.zero(), space.zero(), space.function(np.full(space.n, 0.5)))
+
+
+def perturbed_point(pt, rng):
+    """The KKT point ``pt`` with 1e-3 times standard normal noise added to
+    y, p and chi."""
+    space = pt.y.space
+    return KktPoint(*(space.function(v.coeffs + 1e-3 * rng.standard_normal(space.n))
+                      for v in (pt.y, pt.p, pt.chi)))
 
 
 class TestFactorisationReuse:
@@ -701,7 +709,7 @@ class TestFactorisationReuse:
         reused, rep = kkt_iterates(data, monkeypatch)
         calls = counting_splu.calls
         # no holder: every step is factorised afresh, and the pair LU that
-        # solve_kkt seeds its holder with for the cold start goes unused
+        # solve_kkt seeds its holder with goes unused
         solve = sparse_core.solve_linear
         monkeypatch.setattr(sparse_core, "solve_linear",
                             lambda m, b, order, held: solve(m, b, order))
@@ -720,20 +728,35 @@ class TestFactorisationReuse:
             scale = np.linalg.norm(chi0) + np.linalg.norm(y0) / gamma
             assert np.linalg.norm(chi - chi0) <= 1e-12 * scale
 
-    def test_example1_factorises_once(self, counting_splu):
-        # the cold start's pair LU preconditions all three steps
-        data, _ = build_example1(build_space(build_mesh(33)))
-        _, rep = solve_kkt(data)
-        assert rep.converged and rep.iterations == 3
-        assert counting_splu.dtypes == [np.complex64]
+    @pytest.mark.parametrize("start", ["cold", "half_chi", "perturbed"])
+    @pytest.mark.parametrize("example, gamma", [(1, 1e-4), (2, 1e-12)])
+    def test_factorises_once(self, example, gamma, start, counting_splu):
+        # every start seeds the pair LU, and on these cells it preconditions
+        # every step: at each iterate every node is in I_gamma or I_crit
+        data, _ = build_example(example, build_space(build_mesh(33)), 1e-4, gamma)
+        space = data.ops.space
+        init = None
+        if start == "half_chi":
+            init = half_chi_point(space)
+        elif start == "perturbed":
+            pt, rep = solve_kkt(data)
+            assert rep.converged
+            init = perturbed_point(pt, np.random.default_rng(example))
+        made = counting_splu.calls
+        _, rep = solve_kkt(data, init)
+        assert rep.converged
+        if (example, start) == (1, "cold"):
+            assert rep.iterations == 3
+        assert counting_splu.dtypes[made:] == [np.complex64]
 
-    def test_warm_start_makes_no_pair_lu(self, counting_splu):
-        # the first step solves the reduced system of a cold start, but
-        # through the real LU path
-        data, _ = build_example1(build_space(build_mesh(17)))
-        _, rep = solve_kkt(data, half_chi_point(data.ops.space))
-        assert rep.converged and counting_splu.calls >= 1
-        assert np.complex64 not in counting_splu.dtypes
+    def test_singular_verdict_is_a_singleton_pivot(self, counting_splu):
+        # the verdict is solve_linear's test of the deferred singleton
+        # d_i p_i, which names adjoint row n + i (n = 4096); no float64 LU
+        # of the reduced system is made
+        data, _ = build_example(2, build_space(build_mesh(65)), 1e-4, 1e-6)
+        _, rep = solve_kkt(data)
+        assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
+        assert counting_splu.dtypes == [np.complex64, np.float32, np.float32]
 
     def test_nothing_held_after_return(self, counting_splu):
         data, _ = build_example1(build_space(build_mesh(17)))
@@ -745,7 +768,7 @@ class TestFactorisationReuse:
     def test_nothing_held_after_warm_start_returns(self, counting_splu):
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data, half_chi_point(data.ops.space))
-        assert rep.converged and counting_splu.dtypes[0] == np.float32
+        assert rep.converged and counting_splu.dtypes[0] == np.complex64  # the pair LU
         gc.collect()
         assert all(ref() is None for ref in counting_splu.refs)
 
@@ -785,7 +808,7 @@ class TestSinglePrecisionAgainstDouble:
     """Each faster LU path against the one it replaces, iterate by iterate,
     on the m = 33 and 65 cells of both tables and the gamma = 1e-6 cells
     that fail: the float32 LU refined in float64 against the float64 LU
-    path, and the cold start's complex64 pair LU against the real LU path.
+    path, and the complex64 pair LU against the real LU path.
 
     Every cell must reach the same decision. On the converged cells every
     iterate's y and p must agree to 1e-10 relative. A failing cell ends where
@@ -830,7 +853,7 @@ class TestSinglePrecisionAgainstDouble:
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
         # with no pair LU, so that the first step takes a fresh LU, and then
         # with every fresh float32 LU declined
-        monkeypatch.setattr(kkt_solver, "_cold_start_holder", lambda data, order: [])
+        monkeypatch.setattr(kkt_solver, "_pair_holder", lambda data, order: [])
         self.compare(data, monkeypatch,
                      lambda mp: mp.setattr(sparse_core, "_single_lu", lambda k, b: None))
 
@@ -839,7 +862,7 @@ class TestSinglePrecisionAgainstDouble:
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
         # the holder starts empty, so the first step is factorised afresh
         rep = self.compare(data, monkeypatch, lambda mp: mp.setattr(
-            kkt_solver, "_cold_start_holder", lambda data, order: []))
+            kkt_solver, "_pair_holder", lambda data, order: []))
         if (m, gamma) == (65, 1e-6):
             assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
 

@@ -482,13 +482,13 @@ class TestSolveLinearMemory:
     most 2.5 times its input (4.4 times when it sliced and converted one)."""
 
     @staticmethod
-    def traced_kkt_solve(m, monkeypatch, warm=False):
+    def traced_kkt_solve(m, monkeypatch, fresh=False):
         """solve_kkt of example 1 on an m-mesh under tracemalloc: per
         solve_linear call, the traced bytes at its entry, its input's bytes
         and the peak at its exit; for a fresh LU also the peak when
-        ``_factorize`` is entered and the bytes of the matrix it gets. A
-        cold solve refines every step from its pair LU; ``warm`` starts
-        from chi = 1/2, whose first step is factorised afresh."""
+        ``_factorize`` is entered and the bytes of the matrix it gets. The
+        solve refines every step from its pair LU; with ``fresh`` its holder
+        starts empty, so that its first step is factorised afresh."""
         solve, factorize = sparse_core.solve_linear, sparse_core._factorize
         calls = []
 
@@ -506,13 +506,12 @@ class TestSolveLinearMemory:
 
         monkeypatch.setattr(sparse_core, "solve_linear", traced_solve)
         monkeypatch.setattr(sparse_core, "_factorize", traced_factorize)
+        if fresh:
+            monkeypatch.setattr(kkt_solver, "_pair_holder", lambda data, order: [])
         data, _ = build_example1(build_space(build_mesh(m)))
-        space = data.ops.space
-        init = kkt_solver.KktPoint(space.zero(), space.zero(),
-                                   space.function(np.full(space.n, 0.5)))
         tracemalloc.start()
         try:
-            _, rep = kkt_solver.solve_kkt(data, init if warm else None)
+            _, rep = kkt_solver.solve_kkt(data)
         finally:
             tracemalloc.stop()
         assert rep.converged
@@ -520,7 +519,7 @@ class TestSolveLinearMemory:
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_peak_before_factorisation(self, m, monkeypatch):
-        fresh = [c for c in self.traced_kkt_solve(m, monkeypatch, warm=True) if "k" in c]
+        fresh = [c for c in self.traced_kkt_solve(m, monkeypatch, fresh=True) if "k" in c]
         assert fresh
         for c in fresh:
             assert c["factorize"] - c["entry"] <= c["input"] + 2.5 * c["k"]
