@@ -3,7 +3,9 @@
 Homogeneous Dirichlet boundary conditions; only interior nodes carry
 degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
-five-point stencil (diagonal 4, neighbors -1).
+five-point stencil (diagonal 4, neighbors -1). ``sine_spectrum`` gives the
+2-D sine basis of the interior grid, in which A and all of M but one small
+term are diagonal, with their eigenvalues there.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "build_mesh",
     "build_space",
     "assemble_operators",
+    "sine_spectrum",
     "interpolate",
     "linf_nodal_error",
     "export_vtk",
@@ -160,6 +163,36 @@ def assemble_operators(space: FeSpace) -> FeOperators:
                                + (h2 / 12) * (kron(eye, s) + kron(s, eye) + e + e.T)),
         d=np.full(space.n, h2),
     )
+
+
+def sine_spectrum(space: FeSpace):
+    """(phi, lam_a, lam_m): the 2-D sine basis of the interior grid and the
+    eigenvalues in it of the stencils of ``assemble_operators``.
+
+    phi is the symmetric orthonormal (m-1) x (m-1) matrix
+    phi_ij = sqrt(2/m) sin(i j pi / m), the DST-I, and on a grid X of nodal
+    values (row j, column i) X -> phi X phi applies phi (x) phi. With
+    theta_j = j pi / m, the (m-1) x (m-1) grids of eigenvalues are
+
+        lam_a[j, i] = (2 - 2 cos theta_j) + (2 - 2 cos theta_i),
+        lam_m[j, i] = (h^2/12) (6 + 2 cos theta_j + 2 cos theta_i
+                                 + 2 cos theta_j cos theta_i),
+
+    so that (phi (x) phi) A (phi (x) phi) = diag(lam_a) and the same holds
+    for lam_m and M~ = (h^2/12) (6 I + I (x) S + S (x) I + S (x) S / 2). Since
+    E + E^T = (S (x) S + K (x) K) / 2 with K = L - L^T, M~ is M without its
+    one term that is not diagonal there, (h^2/24) K (x) K (Pearson & Wathen,
+    Numer. Linear Algebra Appl. 19, 2012).
+    """
+    m = space.mesh.m
+    j = np.arange(1, m)
+    # i j reduced mod 2m, exactly, so that every angle is at most 2 pi
+    phi = np.sqrt(2.0 / m) * np.sin((np.outer(j, j) % (2 * m)) * (np.pi / m))
+    t = 4.0 * np.sin(j * (np.pi / (2 * m))) ** 2  # 2 - 2 cos theta, without cancellation
+    c = np.cos(j * (np.pi / m))
+    lam_a = t[:, None] + t
+    lam_m = (space.mesh.h ** 2 / 12) * (6.0 + 2.0 * c[:, None] + 2.0 * c + 2.0 * np.outer(c, c))
+    return phi, lam_a, lam_m
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

@@ -47,11 +47,16 @@ up to its diagonals D 1{y>0} and D chi, the reduced system of every step
 whose I_gamma and I_crit together cover every node: such a step fixes every
 chi_i. At y = p = chi = 0 every node is critical, so it is the first step's
 system from that start, whatever the example, alpha and gamma. So
-``solve_kkt`` seeds its holder, from every start, with K0's
-``sparse_core.PairLu``, the complex64 LU of the n x n matrix
-A - i M / sqrt(alpha), and every step of that kind is refined from it. A
-step with other reduced rows and columns, or one whose refinement declines,
-drops the seed and takes the fresh float32 and float64 path above.
+``solve_kkt`` seeds its holder, from every start, with a ``_PairSeed``, and
+every step of that kind is refined from it. The seed solves, with no
+factorisation, the system that K0 is up to one small term: in the 2-D sine
+basis of the grid (``fe_mesh.sine_spectrum``) A is diagonal and so is M but
+for (h^2/24) K (x) K, and K0 is the real form of A - i M / sqrt(alpha)
+(Axelsson & Kucherov, Numer. Linear Algebra Appl. 7, 2000). Refinement,
+always against the step's own matrix, makes up that term and the two
+diagonals. A step with other reduced rows and columns, or one whose
+refinement declines, drops the seed and takes the fresh float32 and float64
+path above.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse_core
-from .fe_mesh import FeFunction, FeOperators
+from .fe_mesh import FeFunction, FeOperators, sine_spectrum
 from .nonsmooth import max0, prox, prox_active
 from .sparse_core import assemble_block, entry_positions
 from .state_solver import newton
@@ -264,7 +269,7 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
 
     layout = _newton_layout(data)  # refilled in place by every step
-    # [rows, cols, LU] of the pair LU, or of the last fresh reduced
+    # [rows, cols, LU] of the pair seed, or of the last fresh reduced
     # factorisation: a step whose reduced system keeps those rows and
     # columns is solved by refinement
     held = _pair_holder(data, order)
@@ -285,13 +290,60 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
 
 
 def _pair_holder(data: ProblemData, order: np.ndarray) -> list:
-    """[rows, cols, LU] of the reduced system K0 = [[A, M / alpha], [-M, A]]
+    """[rows, cols, seed] of the reduced system K0 = [[A, M / alpha], [-M, A]]
     of a Newton step whose I_gamma and I_crit cover every node, which fixes
-    every chi_i: the (y_i, p_i) pairs of ``order`` and the
-    ``sparse_core.PairLu`` of K0."""
-    ops = data.ops
-    pairs = order[order < 2 * ops.space.n]
-    return [pairs, pairs, sparse_core.PairLu(ops.A, ops.M, data.config.alpha, ops.space.nd_order)]
+    every chi_i: the (y_i, p_i) pairs of ``order`` and the ``_PairSeed`` of
+    K0."""
+    pairs = order[order < 2 * data.ops.space.n]
+    return [pairs, pairs, _PairSeed(data.ops, data.config.alpha)]
+
+
+class _PairSeed:
+    """K0 = [[A, M / alpha], [-M, A]], with its unknowns numbered node by
+    node as (y_i, p_i) pairs in ``nd_order`` and its rows equilibrated as
+    ``solve_linear`` equilibrates them, solved up to one small term by the
+    sine transform of the grid.
+
+    With z = y + i p / sqrt(alpha), K0 (y, p) = (f, g) reads C z =
+    f + i g / sqrt(alpha) for C = A - i M / sqrt(alpha). The seed solves
+    C~ z = f + i g / sqrt(alpha) instead, C~ = A - i M~ / sqrt(alpha) with M~
+    the part of M that ``fe_mesh.sine_spectrum`` diagonalises: a transform,
+    a division by lam_a - i lam_m / sqrt(alpha) and a transform back. C~ is
+    regular for every alpha > 0 (lam_a > 0). It holds the sine matrix and
+    O(n) numbers, no factor. ``solve`` takes and returns float64 arrays of
+    2n rows, like the ``solve`` of a float64 SuperLU, so ``refine`` takes it
+    as one.
+    """
+
+    def __init__(self, ops: FeOperators, alpha: float):
+        # the row max-magnitudes that equilibrate state rows [A, M / alpha]
+        # and adjoint rows [-M, A]; scaling by 1 / alpha commutes with the
+        # max, rounding included
+        a_mags, m_mags = (abs(k).max(axis=1).toarray().ravel() for k in (ops.A, ops.M))
+        self._nd = ops.space.nd_order
+        self._mags = np.stack([np.maximum(a_mags, (1.0 / alpha) * m_mags),
+                               np.maximum(m_mags, a_mags)], axis=1)[self._nd]
+        self._root_alpha = np.sqrt(alpha)
+        self._phi, lam_a, lam_m = sine_spectrum(ops.space)
+        self._inv = 1.0 / (lam_a - (1j / self._root_alpha) * lam_m)
+        self.shape = (2 * ops.space.n, 2 * ops.space.n)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """C~^-1 applied to the equilibrated pair-ordered ``b`` of shape
+        (2n,), in float64. An empty (2n, 0) ``b``, which ``refine`` solves
+        to learn the precision, gives an empty float64 array."""
+        if b.size == 0:
+            return np.empty(b.shape)
+        n, k = len(self._nd), len(self._phi)
+        grids = np.empty((2, n))  # f and g, lexicographic in (j, i)
+        grids[:, self._nd] = (b.reshape(n, 2) * self._mags).T  # unequilibrated
+        f, g = self._phi @ grids.reshape(2, k, k) @ self._phi
+        z = (f + (1j / self._root_alpha) * g) * self._inv
+        y, p = self._phi @ np.stack([z.real, z.imag]) @ self._phi
+        x = np.empty((n, 2))
+        x[:, 0] = y.ravel()[self._nd]
+        x[:, 1] = self._root_alpha * p.ravel()[self._nd]
+        return x.ravel()
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

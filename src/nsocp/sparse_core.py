@@ -40,16 +40,14 @@ refinement and its one acceptance rule, for fresh and held LUs alike; the
 continuation step of ``regpath`` uses it too, from an LU held along the eps
 schedule.
 
-A caller may also seed its holder. ``PairLu`` is the LU of the smooth
-optimality system [[A, M / alpha], [-M, A]] in (y_i, p_i) pairs, which is,
-up to two diagonals, the reduced system of a KKT step that fixes every
-chi_i, as the first step from the zero point does: the complex64 LU of the
-n x n matrix A - i M / sqrt(alpha), whose real form that system is
-(Axelsson & Kucherov, Numer. Linear Algebra Appl. 7, 2000). It holds a
-quarter of the entries of the 2n real LU, and ``solve_linear`` refines from
-it as from any held LU; when refinement declines, it gives way to the fresh
-float32 LU and, failing that, the float64 one, as above. So it never gives
-a singular verdict.
+A caller may also seed its holder with any object that has a ``shape`` and
+a ``solve`` taking and returning float64 arrays, as the ``solve`` of a
+float64 SuperLU does: ``kkt_solver`` seeds it with a solve of the reduced
+system of a step that fixes every chi_i, by the sine transform of the grid,
+which factorises nothing. ``solve_linear`` refines from a seed as from any
+held LU; when refinement declines, it gives way to the fresh float32 LU and,
+failing that, the float64 one, as above. So a seed never gives a singular
+verdict.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it. ``entry_positions`` locates given entries of a CSR matrix
@@ -71,7 +69,6 @@ __all__ = [
     "CsrMatrix",
     "solve_linear",
     "refine",
-    "PairLu",
     "entry_positions",
     "assemble_block",
 ]
@@ -261,8 +258,8 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
        ``order`` (a permutation of range(n) listing the unknowns, each with
        its equation, in elimination order; None keeps the given numbering).
        ``held`` is the caller's holder: None, or a list that is empty or
-       ``[rows, cols, LU]`` of an earlier reduced system (or of the system
-       a ``PairLu`` the caller seeded it with solves). If that system had
+       ``[rows, cols, LU]`` of an earlier reduced system, or the caller's
+       ``[rows, cols, seed]`` of the system its seed solves. If that system had
        the same rows and columns, the solution is found by ``refine`` from
        its LU, with its products taken from the working copy, so no copy
        of the reduced system is made. If refinement declines, the holder is
@@ -383,7 +380,7 @@ def _reduced_operator(m_eq, rows: np.ndarray, cols: np.ndarray) -> LinearOperato
 def refine(lu, k, b: np.ndarray):
     """Iterative refinement x <- x + LU^-1 (b - k x) in float64 from x = 0,
     with ``lu`` a float32 or float64 factorisation of k or of a nearby
-    matrix, or a ``PairLu``, and ``k`` the matrix or an operator with
+    matrix, or a caller's seed, and ``k`` the matrix or an operator with
     ``k @ x``; None when it declines.
 
     Each residual is scaled by the power of two nearest above its max norm,
@@ -410,56 +407,6 @@ def refine(lu, k, b: np.ndarray):
             return x if size <= SETTLE_RTOL * x_max else None
         prev = size
     return None
-
-
-class PairLu:
-    """The reduced optimality system K0 = [[A, M / alpha], [-M, A]], with
-    its unknowns numbered node by node as (y_i, p_i) pairs in ``order`` and
-    its rows equilibrated as ``solve_linear`` equilibrates them, solved
-    through the complex64 LU of the n x n matrix C = A - i M / sqrt(alpha).
-
-    With z = y + i p / sqrt(alpha), K0 (y, p) = (f, g) reads C z =
-    f + i g / sqrt(alpha): K0 is the real form of C (Axelsson & Kucherov,
-    Numer. Linear Algebra Appl. 7, 2000), which is regular for every
-    alpha > 0 since Re z* C z = z* A z > 0. C is factorised in ``order``
-    with ``splu`` and ``SPLU_OPTIONS``; its LU holds a quarter of the
-    entries of the 2n real LU. ``solve`` takes and returns float64 arrays of
-    2n rows, like the ``solve`` of a SuperLU, so ``refine`` takes it as one.
-    """
-
-    def __init__(self, a, m, alpha: float, order: np.ndarray):
-        # the row max-magnitudes that equilibrate state rows [A, M / alpha]
-        # and adjoint rows [-M, A]; scaling by 1 / alpha commutes with the
-        # max, rounding included
-        a_mags, m_mags = _row_max_abs(a), _row_max_abs(m)
-        y_mags = np.maximum(a_mags, (1.0 / alpha) * m_mags)
-        p_mags = np.maximum(m_mags, a_mags)
-        self._mags = np.stack([y_mags[order], p_mags[order]], axis=1)[:, :, None]
-        self._root_alpha = np.sqrt(alpha)
-        # C in complex64 from the start, one copy replacing the one before
-        c = m.astype(np.complex64)
-        c.data *= -1j / self._root_alpha
-        c = a.astype(np.complex64) + c
-        c = c[order]
-        c = c[:, order].tocsc()
-        self._lu = splu(c, **SPLU_OPTIONS)
-        self.shape = (2 * len(order), 2 * len(order))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """K0^-1 b in float64 for ``b`` of shape (2n,) or (2n, k)."""
-        b = np.asarray(b)
-        n = self.shape[0] // 2
-        fg = b.reshape(n, 2, b.size // (2 * n)) * self._mags  # unequilibrated
-        z = self._lu.solve((fg[:, 0] + (1j / self._root_alpha) * fg[:, 1]).astype(np.complex64))
-        x = np.empty(fg.shape)
-        x[:, 0] = z.real
-        x[:, 1] = z.imag * self._root_alpha
-        return x.reshape(b.shape)
-
-
-def _row_max_abs(k) -> np.ndarray:
-    """The largest magnitude in each row of the sparse matrix ``k``."""
-    return abs(k).max(axis=1).toarray().ravel()
 
 
 def _solve_dtype(lu) -> np.dtype:

@@ -13,6 +13,7 @@ from nsocp.fe_mesh import (
     export_vtk,
     interpolate,
     linf_nodal_error,
+    sine_spectrum,
 )
 from nsocp.state_solver import m_norm
 
@@ -238,6 +239,40 @@ class TestAssembleOperators:
             dense = mat.toarray()
             assert np.allclose(dense, dense.T)
             assert np.all(np.linalg.eigvalsh(dense) > 0)
+
+
+class TestSineSpectrum:
+    """The sine basis diagonalises A and M~, the stencil M without its one
+    term (h^2/24) K (x) K, K = L - L^T; a change to a stencil fails here."""
+
+    @staticmethod
+    def m_tilde_and_kk(space):
+        """M~ and (h^2/24) K (x) K, dense, from their Kronecker formulas."""
+        k, h2 = space.mesh.m - 1, space.mesh.h ** 2
+        eye, shift = np.eye(k), np.eye(k, k=-1)
+        s, skew = shift + shift.T, shift - shift.T
+        m_tilde = (h2 / 12) * (6 * np.eye(space.n) + np.kron(eye, s) + np.kron(s, eye)
+                               + 0.5 * np.kron(s, s))
+        return m_tilde, (h2 / 24) * np.kron(skew, skew)
+
+    @pytest.mark.parametrize("m", [5, 9, 17, 33])
+    def test_diagonalises_a_and_m_tilde(self, m):
+        space = build_space(build_mesh(m))
+        phi, lam_a, lam_m = sine_spectrum(space)
+        assert np.allclose(phi, phi.T, rtol=0, atol=1e-15)
+        assert np.allclose(phi @ phi, np.eye(m - 1), rtol=0, atol=1e-14)
+        basis = np.kron(phi, phi)
+        m_tilde, _ = self.m_tilde_and_kk(space)
+        for mat, lam in ((assemble_operators(space).A.toarray(), lam_a), (m_tilde, lam_m)):
+            assert lam.shape == (m - 1, m - 1)
+            off = np.abs(basis @ mat @ basis - np.diag(lam.ravel())).max()
+            assert off <= 1e-14 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("m", [5, 9, 17, 33])
+    def test_m_tilde_is_m_without_kk(self, m):
+        space = build_space(build_mesh(m))
+        m_tilde, kk = self.m_tilde_and_kk(space)
+        assert np.array_equal(assemble_operators(space).M.toarray() - m_tilde, kk)
 
 
 class TestInterpolate:

@@ -2,14 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU
 
 from nsocp import kkt_solver, regpath, sparse_core, state_solver
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
+from nsocp.fe_mesh import build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
@@ -398,11 +397,12 @@ class TestMixedPrecision:
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
     def test_example2_step_needs_no_float64_lu(self, alpha, splu_dtypes):
-        # the cold start's complex64 pair LU preconditions every step; a step
-        # it could not serve would take a float32 LU, never a float64 one
+        # the cold start's pair seed preconditions every step, so no LU is
+        # made; a step it could not serve would take a float32 LU, never a
+        # float64 one
         data, _ = build_example2(build_space(build_mesh(33)), alpha, 1e-12)
         kkt_solver.solve_kkt(data)
-        assert splu_dtypes == [np.complex64]
+        assert splu_dtypes == []
         assert np.float64 not in splu_dtypes
 
 
@@ -427,10 +427,11 @@ class TestPivotTestReadsNoFactor:
         assert not counting_splu.served & self.FACTORS
 
     def test_solve_kkt(self, counting_splu):
-        from nsocp.examples import build_example1, build_example2
+        from nsocp.examples import build_example2
         from nsocp.fe_mesh import build_mesh, build_space
         from nsocp.kkt_solver import solve_kkt
-        data, _ = build_example1(build_space(build_mesh(9)))
+        # a converging cell whose steps leave the pair seed for fresh LUs
+        data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
         assert "solve" in counting_splu.served
@@ -446,7 +447,8 @@ class TestSharedLuOptions:
         assert 1 <= sparse_core.SPLU_OPTIONS["panel_size"] <= 4
 
     def test_solve_kkt(self, counting_splu):
-        data, _ = build_example1(build_space(build_mesh(9)))
+        # a converging cell whose steps leave the pair seed for fresh LUs
+        data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = kkt_solver.solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
         assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
@@ -487,7 +489,7 @@ class TestSolveLinearMemory:
         solve_linear call, the traced bytes at its entry, its input's bytes
         and the peak at its exit; for a fresh LU also the peak when
         ``_factorize`` is entered and the bytes of the matrix it gets. The
-        solve refines every step from its pair LU; with ``fresh`` its holder
+        solve refines every step from its pair seed; with ``fresh`` its holder
         starts empty, so that its first step is factorised afresh."""
         solve, factorize = sparse_core.solve_linear, sparse_core._factorize
         calls = []
@@ -530,77 +532,6 @@ class TestSolveLinearMemory:
         assert refined
         for c in refined:
             assert c["exit"] - c["entry"] <= 2.5 * c["input"]
-
-
-def dense_k0(ops, alpha):
-    """The reduced system [[A, M / alpha], [-M, A]] of a cold KKT step, dense,
-    its unknowns in (y_i, p_i) pairs of the nested-dissection order and its
-    rows scaled to max magnitude 1, as solve_linear reduces it."""
-    a, m = ops.A.toarray(), ops.M.toarray()
-    k = np.block([[a, (1.0 / alpha) * m], [-m, a]])
-    nd, n = ops.space.nd_order, ops.space.n
-    pairs = np.stack([nd, n + nd], axis=1).ravel()
-    k = k[pairs][:, pairs]
-    return k / np.max(np.abs(k), axis=1, keepdims=True)
-
-
-class TestPairLu:
-    """The complex64 LU of A - i M / sqrt(alpha), solving the real reduced
-    system K0 of a cold KKT step."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(m=st.sampled_from([5, 9, 17]), log_alpha=st.floats(-6.0, -2.0),
-           seed=st.integers(0, 2**16))
-    def test_solves_equilibrated_k0(self, m, log_alpha, seed):
-        alpha = 10.0 ** log_alpha
-        ops = assemble_operators(build_space(build_mesh(m)))
-        k = dense_k0(ops, alpha)
-        b = np.random.default_rng(seed).standard_normal(len(k))
-        ref = np.linalg.solve(k, b)
-        pair = sparse_core.PairLu(ops.A, ops.M, alpha, ops.space.nd_order)
-        assert pair.shape == k.shape
-        x = pair.solve(b)
-        assert x.dtype == np.float64
-        # single precision: K0's condition number is at most 3e3 on these
-        # meshes and alphas, and the error reads at most 3e-6
-        assert np.max(np.abs(x - ref)) <= 1e-4 * np.max(np.abs(ref))
-        # refinement accepts it, by REFINE_RTOL or SETTLE_RTOL
-        x = sparse_core.refine(pair, k, b)
-        assert x is not None
-        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
-
-    def test_solves_columns_like_superlu(self):
-        ops = assemble_operators(build_space(build_mesh(9)))
-        pair = sparse_core.PairLu(ops.A, ops.M, 1e-4, ops.space.nd_order)
-        b = np.random.default_rng(3).standard_normal((pair.shape[0], 3))
-        x = pair.solve(b)
-        assert x.shape == b.shape
-        for j in range(3):
-            assert np.array_equal(x[:, j], pair.solve(b[:, j]))
-        # refine reads the precision of an LU from a solve with no columns
-        assert sparse_core._solve_dtype(pair) == np.float64
-
-    # C in complex64 from the start, each copy replacing the one before: the
-    # set-up allocates at most 4.5 times the matrix it factorises (about 6
-    # times when C was formed in complex128 and indexed in one expression)
-    @pytest.mark.parametrize("m", [33, 65])
-    def test_peak_before_factorisation(self, m, monkeypatch):
-        ops = assemble_operators(build_space(build_mesh(m)))
-        splu, seen = sparse_core.splu, {}
-
-        def traced_splu(k, **kwargs):
-            seen.update(peak=tracemalloc.get_traced_memory()[1], k=_nbytes(k))
-            return splu(k, **kwargs)
-
-        monkeypatch.setattr(sparse_core, "splu", traced_splu)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            entry = tracemalloc.get_traced_memory()[0]
-            sparse_core.PairLu(ops.A, ops.M, 1e-4, ops.space.nd_order)
-        finally:
-            tracemalloc.stop()
-        assert seen["peak"] - entry <= 4.5 * seen["k"]
 
 
 class TestEntryPositions:
