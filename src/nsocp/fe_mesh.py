@@ -5,7 +5,7 @@ degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
 five-point stencil (diagonal 4, neighbors -1). ``sine_spectrum`` gives the
 2-D sine basis of the interior grid, in which A and all of M but one small
-term are diagonal, with their eigenvalues there.
+term are diagonal, and ``SineSeed`` solves by it with no factorisation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "build_space",
     "assemble_operators",
     "sine_spectrum",
+    "SineSeed",
     "interpolate",
     "linf_nodal_error",
     "export_vtk",
@@ -83,6 +84,14 @@ class FeSpace:
         parts = []
         _dissect(k, 0, k, 0, k, parts)
         return np.concatenate(parts)
+
+    @functools.cached_property
+    def spectrum(self) -> tuple:
+        """``sine_spectrum`` of this space, computed on first use and read-only."""
+        spectrum = sine_spectrum(self)
+        for v in spectrum:
+            v.flags.writeable = False
+        return spectrum
 
     def zero(self) -> "FeFunction":
         return FeFunction(self, np.zeros(self.n))
@@ -193,6 +202,63 @@ def sine_spectrum(space: FeSpace):
     lam_a = t[:, None] + t
     lam_m = (space.mesh.h ** 2 / 12) * (6.0 + 2.0 * c[:, None] + 2.0 * c + 2.0 * np.outer(c, c))
     return phi, lam_a, lam_m
+
+
+class SineSeed:
+    """A solve by the sine transform of the grid (``sine_spectrum``), with no
+    factorisation, of A, or of [[A, M~ / alpha], [-M~, A]] when ``alpha`` is
+    given, M~ being M without its term (h^2/24) K (x) K.
+
+    A is solved on the lexicographic grid B of a right-hand side as
+    phi ((phi B phi) / lam_a) phi. The pair system, its unknowns numbered node
+    by node as (y_i, p_i) pairs in ``nd_order``, reads C~ z = f + i g / sqrt(alpha)
+    for z = y + i p / sqrt(alpha) and C~ = A - i M~ / sqrt(alpha), which is
+    diagonal in the sine basis and regular for every alpha > 0 (Axelsson &
+    Kucherov, Numer. Linear Algebra Appl. 7, 2000); ``row_mags``, (n, 2) in
+    pair order, are the magnitudes the caller divided its rows by, if it did.
+
+    A seed refers to the space's cached ``spectrum`` and holds no factor; a
+    pair seed keeps its n inverse eigenvalues from its first solve on. It
+    solves in float64, as its ``dtype`` says, so ``sparse_core.refine`` takes
+    it as a float64 LU.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, space: FeSpace, alpha: float | None = None, row_mags=None):
+        self._phi, self._lam_a, self._lam_m = space.spectrum
+        self._nd = space.nd_order
+        self._root_alpha = None if alpha is None else np.sqrt(alpha)
+        self._mags = row_mags
+        self.shape = (space.n if alpha is None else 2 * space.n,) * 2
+
+    @functools.cached_property
+    def _inv(self) -> np.ndarray:
+        """1 / (lam_a - i lam_m / sqrt(alpha)), made by the first pair solve."""
+        return 1.0 / (self._lam_a - (1j / self._root_alpha) * self._lam_m)
+
+    def _transform(self, grids: np.ndarray) -> np.ndarray:
+        """phi X phi for each (m-1) x (m-1) grid X of ``grids``."""
+        return self._phi @ grids @ self._phi
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The seed's system solved for ``b`` of shape ``shape[0]``, in float64."""
+        k = len(self._phi)
+        if self._root_alpha is None:
+            return self._transform(self._transform(b.reshape(k, k)) / self._lam_a).ravel()
+        n = k * k
+        pairs = b.reshape(n, 2)
+        if self._mags is not None:
+            pairs = pairs * self._mags  # the caller's rows, unscaled
+        grids = np.empty((2, n))  # f and g, lexicographic in (j, i)
+        grids[:, self._nd] = pairs.T
+        f, g = self._transform(grids.reshape(2, k, k))
+        z = (f + (1j / self._root_alpha) * g) * self._inv
+        y, p = self._transform(np.stack([z.real, z.imag]))
+        x = np.empty((n, 2))
+        x[:, 0] = y.ravel()[self._nd]
+        x[:, 1] = self._root_alpha * p.ravel()[self._nd]
+        return x.ravel()
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

@@ -48,15 +48,12 @@ whose I_gamma and I_crit together cover every node: such a step fixes every
 chi_i. At y = p = chi = 0 every node is critical, so it is the first step's
 system from that start, whatever the example, alpha and gamma. So
 ``solve_kkt`` seeds its holder, from every start, with a ``_PairSeed``, and
-every step of that kind is refined from it. The seed solves, with no
-factorisation, the system that K0 is up to one small term: in the 2-D sine
-basis of the grid (``fe_mesh.sine_spectrum``) A is diagonal and so is M but
-for (h^2/24) K (x) K, and K0 is the real form of A - i M / sqrt(alpha)
-(Axelsson & Kucherov, Numer. Linear Algebra Appl. 7, 2000). Refinement,
-always against the step's own matrix, makes up that term and the two
-diagonals. A step with other reduced rows and columns, or one whose
-refinement declines, drops the seed and takes the fresh float32 and float64
-path above.
+every step of that kind is refined from it. The seed, a ``fe_mesh.SineSeed``,
+solves K0 up to one small term by the sine transform of the grid, with no
+factorisation; refinement, always against the step's own matrix, makes up
+that term and the two diagonals. A step with other reduced rows and
+columns, or one whose refinement declines, drops the seed and takes the
+fresh float32 and float64 path above.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse_core
-from .fe_mesh import FeFunction, FeOperators, sine_spectrum
+from .fe_mesh import FeFunction, FeOperators, SineSeed
 from .nonsmooth import max0, prox, prox_active
 from .sparse_core import assemble_block, entry_positions
 from .state_solver import newton
@@ -298,52 +295,19 @@ def _pair_holder(data: ProblemData, order: np.ndarray) -> list:
     return [pairs, pairs, _PairSeed(data.ops, data.config.alpha)]
 
 
-class _PairSeed:
-    """K0 = [[A, M / alpha], [-M, A]], with its unknowns numbered node by
-    node as (y_i, p_i) pairs in ``nd_order`` and its rows equilibrated as
-    ``solve_linear`` equilibrates them, solved up to one small term by the
-    sine transform of the grid.
-
-    With z = y + i p / sqrt(alpha), K0 (y, p) = (f, g) reads C z =
-    f + i g / sqrt(alpha) for C = A - i M / sqrt(alpha). The seed solves
-    C~ z = f + i g / sqrt(alpha) instead, C~ = A - i M~ / sqrt(alpha) with M~
-    the part of M that ``fe_mesh.sine_spectrum`` diagonalises: a transform,
-    a division by lam_a - i lam_m / sqrt(alpha) and a transform back. C~ is
-    regular for every alpha > 0 (lam_a > 0). It holds the sine matrix and
-    O(n) numbers, no factor. ``solve`` takes and returns float64 arrays of
-    2n rows, like the ``solve`` of a float64 SuperLU, so ``refine`` takes it
-    as one.
-    """
+class _PairSeed(SineSeed):
+    """The pair seed of K0 = [[A, M / alpha], [-M, A]], with its unknowns
+    numbered node by node as (y_i, p_i) pairs in ``nd_order`` and its rows
+    equilibrated as ``solve_linear`` equilibrates them."""
 
     def __init__(self, ops: FeOperators, alpha: float):
         # the row max-magnitudes that equilibrate state rows [A, M / alpha]
         # and adjoint rows [-M, A]; scaling by 1 / alpha commutes with the
         # max, rounding included
         a_mags, m_mags = (abs(k).max(axis=1).toarray().ravel() for k in (ops.A, ops.M))
-        self._nd = ops.space.nd_order
-        self._mags = np.stack([np.maximum(a_mags, (1.0 / alpha) * m_mags),
-                               np.maximum(m_mags, a_mags)], axis=1)[self._nd]
-        self._root_alpha = np.sqrt(alpha)
-        self._phi, lam_a, lam_m = sine_spectrum(ops.space)
-        self._inv = 1.0 / (lam_a - (1j / self._root_alpha) * lam_m)
-        self.shape = (2 * ops.space.n, 2 * ops.space.n)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """C~^-1 applied to the equilibrated pair-ordered ``b`` of shape
-        (2n,), in float64. An empty (2n, 0) ``b``, which ``refine`` solves
-        to learn the precision, gives an empty float64 array."""
-        if b.size == 0:
-            return np.empty(b.shape)
-        n, k = len(self._nd), len(self._phi)
-        grids = np.empty((2, n))  # f and g, lexicographic in (j, i)
-        grids[:, self._nd] = (b.reshape(n, 2) * self._mags).T  # unequilibrated
-        f, g = self._phi @ grids.reshape(2, k, k) @ self._phi
-        z = (f + (1j / self._root_alpha) * g) * self._inv
-        y, p = self._phi @ np.stack([z.real, z.imag]) @ self._phi
-        x = np.empty((n, 2))
-        x[:, 0] = y.ravel()[self._nd]
-        x[:, 1] = self._root_alpha * p.ravel()[self._nd]
-        return x.ravel()
+        mags = np.stack([np.maximum(a_mags, (1.0 / alpha) * m_mags),
+                         np.maximum(m_mags, a_mags)], axis=1)[ops.space.nd_order]
+        super().__init__(ops.space, alpha, mags)
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

@@ -15,12 +15,12 @@ permutation, and passes it to every solve of the path (a solve called on its
 own builds its own); each step refills all three varying diagonals, so
 nothing of an earlier step or solve survives in it.
 
-Consecutive Jacobians differ only in their diagonal blocks D max_eps'(y) and
-D max_eps''(y) o p, so ``run_path`` holds one LU for the whole eps schedule.
-Each Newton step is first solved by ``sparse_core.refine`` from the held LU;
-when refinement declines, the LU is dropped and a fresh float64 one is
-factorised and held in its place. The holder is cleared when the path
-returns or raises.
+Every Jacobian is K0 = [[A, M / alpha], [-M, A]] plus the diagonals
+D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one unscaled
+pair ``fe_mesh.SineSeed`` of K0 for the whole eps schedule. Each Newton step
+is first solved by ``sparse_core.refine`` from what is held; when refinement
+declines, that is dropped and a fresh float64 LU is factorised and held in
+its place. The holder is cleared when the path returns or raises.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
-from .fe_mesh import FeFunction
+from .fe_mesh import FeFunction, SineSeed
 from .nonsmooth import (
     SmoothedMaxParams,
     smoothed_max,
@@ -44,8 +44,8 @@ from .nonsmooth import (
     smoothed_max_second,
 )
 from .sparse_core import SPLU_OPTIONS, SingularMatrixError, entry_positions, refine
-from .state_solver import (NewtonReport, StateProblem, m_norm, newton, reusing_factorisations,
-                           solve_state, solve_state_regularized)
+from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
+                           solve_state_regularized)
 
 __all__ = [
     "RegPathConfig",
@@ -102,12 +102,12 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     ``init`` raises ValueError.
 
     ``held`` is the caller's holder: None, or a list that is empty or holds
-    ``[LU]`` of a Jacobian in (y_i, p_i)-pair order. Each step is first
-    solved by ``sparse_core.refine`` from the held LU; when that declines,
-    the holder is cleared and the step takes the fresh path:
-    factorise this Jacobian (a failed LU raises SingularMatrixError with row
-    -1) and hold its LU. Without a holder the call keeps one of its own and
-    clears it before returning or raising.
+    the unscaled pair ``SineSeed`` or an LU of a Jacobian in (y_i, p_i)-pair
+    order. Each step is first solved by ``sparse_core.refine`` from what is
+    held; when that declines, the holder is cleared and the step takes the
+    fresh path: factorise this Jacobian (a failed LU raises
+    SingularMatrixError with row -1) and hold its LU. Without a holder the
+    call keeps its own, seeded, and clears it before returning or raising.
 
     ``_jacobian`` is ``run_path``'s one ``_pair_jacobian(ops, alpha)`` for the
     whole path; None builds a new one.
@@ -124,7 +124,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     jac, order, yy, pp, py, a_diag, m_diag = _jacobian or _pair_jacobian(ops, alpha)
     own = held is None
     if own:
-        held = []
+        held = [SineSeed(ops.space, alpha)]
 
     def residual(x):
         y, p = x[:n], x[n:]
@@ -184,7 +184,7 @@ class PathAbortedError(RuntimeError):
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
     previous iterate, and all of them share one pair-ordered Jacobian and one
-    held LU (see the module docstring), the LU cleared on return or raise.
+    seeded holder (see the module docstring), cleared on return or raise.
     The first solve that fails ends the path, which then returns the last
     converged iterate, or raises PathAbortedError with the report if that
     was the first solve. Returns the final iterate packaged as a KKT point
@@ -192,7 +192,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     ops = data.ops
     report = PathReport([], [], [])
     init = pt = None
-    held = []  # one LU for the whole schedule
+    held = [SineSeed(ops.space, data.config.alpha)]  # for the whole schedule
     layout = _pair_jacobian(ops, data.config.alpha)
     try:
         for eps in cfg.eps_schedule:
@@ -222,7 +222,6 @@ class RateReport:
     degenerate: bool
 
 
-@reusing_factorisations()
 def verify_lemma_rate(prob: StateProblem, u: FeFunction, eps_list) -> RateReport:
     """Fit the convergence rate of || S_eps(u) - S(u) ||_{L2} in eps; each
     S_eps(u) is solved from S(u).

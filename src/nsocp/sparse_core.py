@@ -37,17 +37,16 @@ that LU (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 ch. 12); when refinement declines, the held LU is dropped and a fresh one
 takes its place. The module itself holds nothing. ``refine`` is that
 refinement and its one acceptance rule, for fresh and held LUs alike; the
-continuation step of ``regpath`` uses it too, from an LU held along the eps
-schedule.
+forward solves of ``state_solver`` and the continuation step of ``regpath``
+use it too.
 
-A caller may also seed its holder with any object that has a ``shape`` and
-a ``solve`` taking and returning float64 arrays, as the ``solve`` of a
-float64 SuperLU does: ``kkt_solver`` seeds it with a solve of the reduced
-system of a step that fixes every chi_i, by the sine transform of the grid,
-which factorises nothing. ``solve_linear`` refines from a seed as from any
-held LU; when refinement declines, it gives way to the fresh float32 LU and,
-failing that, the float64 one, as above. So a seed never gives a singular
-verdict.
+A caller may also seed its holder with any object that has a ``shape``, a
+``dtype`` of float64 and a ``solve`` taking and returning float64 arrays, as
+a float64 SuperLU does: ``kkt_solver`` seeds it with a ``fe_mesh.SineSeed``
+of the reduced system of a step that fixes every chi_i, which factorises
+nothing. ``solve_linear`` refines from a seed as from any held LU; when
+refinement declines, it gives way to the fresh float32 LU and, failing
+that, the float64 one, as above. So a seed never gives a singular verdict.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it. ``entry_positions`` locates given entries of a CSR matrix
@@ -388,9 +387,9 @@ def refine(lu, k, b: np.ndarray):
     float32 LU takes only float32 right-hand sides, and the scaling keeps
     small residuals clear of float32's underflow. The result is accepted by
     REFINE_RTOL, or by SETTLE_RTOL once the corrections stop contracting
-    (see there). ``solve_linear``, for its fresh and its held LUs, and
-    ``regpath.solve_regularized_kkt`` all use it, so that is the one
-    acceptance rule of the package.
+    (see there). ``solve_linear``, for its fresh and its held LUs, the
+    forward solves of ``state_solver`` and ``regpath.solve_regularized_kkt``
+    all use it, so that is the one acceptance rule of the package.
     """
     dtype = _solve_dtype(lu)
     x = np.zeros(len(b))
@@ -410,9 +409,11 @@ def refine(lu, k, b: np.ndarray):
 
 
 def _solve_dtype(lu) -> np.dtype:
-    """The precision ``lu`` solves in. SuperLU does not expose it, but a
-    solve with no right-hand side returns an empty array of that type."""
-    return lu.solve(np.empty((lu.shape[0], 0), np.float32)).dtype
+    """The precision ``lu`` solves in: its ``dtype``, which a seed has.
+    SuperLU does not expose it, but a solve with no right-hand side returns
+    an empty array of that type."""
+    dtype = getattr(lu, "dtype", None)
+    return dtype if dtype is not None else lu.solve(np.empty((lu.shape[0], 0), np.float32)).dtype
 
 
 def entry_positions(k: sp.csr_matrix, rows, cols) -> np.ndarray:

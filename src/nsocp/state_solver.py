@@ -8,35 +8,32 @@ directional derivative of the control-to-state map are one forward solve
 of A y + D phi(y) = M g with different phi. Also provides the linear
 operators G_chi representing generalized-derivative elements.
 
-Every n x n matrix is A + diag(c), factorised with its rows and columns in
-the mesh's nested-dissection order nd, as (A + diag(c))[nd][:, nd]. While a
-multi-solve check runs (it is wrapped in ``reusing_factorisations``), the
-last ``LU_MEMO_SIZE`` factorisations are kept, and a matrix met again
-(the same A object and a bit-identical c) is solved with its kept
-factorisation; the results are the same as from a fresh one. Nothing is kept
-once the outermost check returns.
+Every n x n matrix is A + diag(c) with c in [0, d], which lies within
+[1, 1.06] A, and the sine basis of the grid diagonalises A. So each Newton
+step is solved by ``sparse_core.refine`` from ``fe_mesh.SineSeed(space)``, a
+solve of A by the sine transform, with the products A x + c x taken from A
+and c; A + diag(c) is never formed. When refinement declines, the step is
+solved by sparse LU of (A + diag(c))[nd][:, nd], in the mesh's
+nested-dissection order nd. Nothing outlives a solve.
 
 A forward solve starts from zero or from a given ``init``. The finite
 difference check starts each perturbed state S(u + t h) from S(u): the
 equation is piecewise linear, so while the sign pattern of S(u) holds the
-warm start converges in one step, on the factorisation the base solve left
-in the memo.
+warm start converges in one step.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
-from .fe_mesh import FeFunction, FeOperators
+from .fe_mesh import FeFunction, FeOperators, SineSeed
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, refine
 
 __all__ = [
     "StateProblem",
@@ -55,11 +52,6 @@ __all__ = [
 
 DEFAULT_ZERO_TOL = 1e-12
 MAX_NEWTON_ITER = 50
-# factorisations kept inside a ``reusing_factorisations`` scope, most recent last
-LU_MEMO_SIZE = 4
-
-# (A, c as bytes, LU) entries of the innermost open scope; None outside one
-_lu_memo: ContextVar[Optional[list]] = ContextVar("nsocp_lu_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -114,44 +106,25 @@ def newton(x0: np.ndarray, residual, step, tol: float, max_iter: int):
     return x, NewtonReport(False, max_iter, history, "no convergence within iteration limit")
 
 
-@contextmanager
-def reusing_factorisations():
-    """Keep factorisations of A + diag(c) for reuse until the outermost such
-    scope exits; usable as a decorator. A nested scope shares the outer one."""
-    if _lu_memo.get() is not None:
-        yield
-        return
-    token = _lu_memo.set([])
-    try:
-        yield
-    finally:
-        _lu_memo.reset(token)
-
-
 def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + diag(c)) x = rhs by sparse LU in nested-dissection order,
-    with a factorisation kept by the open ``reusing_factorisations`` scope
-    when there is one."""
-    a, order = ops.A, ops.space.nd_order
-    memo = _lu_memo.get()
-    key = c.tobytes()
-    for k, entry in enumerate(memo or ()):
-        if entry[0] is a and entry[1] == key:
-            memo.append(memo.pop(k))
-            lu = entry[2]
-            break
-    else:
-        try:
-            lu = splu((a + sp.diags(c))[order][:, order].tocsc(), **SPLU_OPTIONS)
-        except RuntimeError as exc:
-            raise SingularMatrixError(-1) from exc
-        if memo is not None:
-            memo.append((a, key, lu))
-            if len(memo) > LU_MEMO_SIZE:
-                del memo[0]
+    """Solve (A + diag(c)) x = rhs by sparse LU in nested-dissection order."""
+    order = ops.space.nd_order
+    try:
+        lu = splu((ops.A + sp.diags(c))[order][:, order].tocsc(), **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise SingularMatrixError(-1) from exc
     x = np.empty(len(rhs))
     x[order] = lu.solve(rhs[order])
     return x
+
+
+def _shifted_solve(ops: FeOperators, seed: SineSeed, c: np.ndarray, rhs: np.ndarray):
+    """Solve (A + diag(c)) x = rhs, c in [0, d], by ``refine`` from the
+    stiffness seed ``seed``, or by ``_lu_solve`` when refinement declines."""
+    a = ops.A
+    op = LinearOperator(a.shape, matvec=lambda x: a @ x + c * x, dtype=float)
+    x = refine(seed, op, rhs)
+    return _lu_solve(ops, c, rhs) if x is None else x
 
 
 def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi,
@@ -171,9 +144,10 @@ def _solve_forward(ops: FeOperators, g: np.ndarray, phi, dphi,
     d = ops.d
     b = ops.M @ g
     tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
+    seed = SineSeed(ops.space)
     y, rep = newton(y0,
                     lambda y: a @ y + d * phi(y) - b,
-                    lambda y, r: _lu_solve(ops, d * dphi(y), -r),
+                    lambda y, r: _shifted_solve(ops, seed, d * dphi(y), -r),
                     tol, MAX_NEWTON_ITER)
     return ops.space.function(y), rep
 
@@ -221,7 +195,6 @@ class FiniteDifferenceReport:
     delta_norm: float
 
 
-@reusing_factorisations()
 def finite_difference_check(prob: StateProblem, u: FeFunction, h: FeFunction,
                             t_list, zero_tol: float = DEFAULT_ZERO_TOL) -> FiniteDifferenceReport:
     """Compare difference quotients of the forward map with the directional
@@ -277,11 +250,10 @@ def apply_Gchi(ops: FeOperators, chi: FeFunction, h: FeFunction) -> FeFunction:
     c = chi.coeffs
     if not np.all((c >= 0) & (c <= 1)):  # also rejects NaN
         raise ValueError("chi must take values in [0, 1]")
-    eta = _lu_solve(ops, ops.d * c, ops.M @ h.coeffs)
+    eta = _shifted_solve(ops, SineSeed(ops.space), ops.d * c, ops.M @ h.coeffs)
     return ops.space.function(eta)
 
 
-@reusing_factorisations()
 def check_symmetric_derivative(prob: StateProblem, u: FeFunction, h: FeFunction,
                                zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
     """Whether S'(u; h) = -S'(u; -h) holds numerically (Gateaux criterion)."""

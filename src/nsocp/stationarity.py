@@ -16,13 +16,7 @@ import numpy as np
 from . import kkt_solver
 from .fe_mesh import FeFunction
 from .kkt_solver import KktPoint, ProblemData, recover_control
-from .state_solver import (
-    DEFAULT_ZERO_TOL,
-    StateProblem,
-    directional_derivative,
-    reusing_factorisations,
-    solve_state,
-)
+from .state_solver import DEFAULT_ZERO_TOL, StateProblem, directional_derivative, solve_state
 
 __all__ = [
     "ChiAdmissibilityReport",
@@ -138,7 +132,6 @@ class PrimalStationarityReport:
         }
 
 
-@reusing_factorisations()
 def check_primal_stationarity(data: ProblemData, pt: KktPoint,
                               directions: Sequence[FeFunction],
                               tol: float = 1e-8,

@@ -268,6 +268,13 @@ class TestSineSpectrum:
             off = np.abs(basis @ mat @ basis - np.diag(lam.ravel())).max()
             assert off <= 1e-14 * np.abs(lam).max()
 
+    def test_cached_on_the_space_and_read_only(self):
+        space = build_space(build_mesh(9))
+        assert "spectrum" not in vars(space)
+        assert space.spectrum is space.spectrum
+        for got, want in zip(space.spectrum, sine_spectrum(space), strict=True):
+            assert np.array_equal(got, want) and not got.flags.writeable
+
     @pytest.mark.parametrize("m", [5, 9, 17, 33])
     def test_m_tilde_is_m_without_kk(self, m):
         space = build_space(build_mesh(m))

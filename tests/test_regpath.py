@@ -1,11 +1,13 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
+from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
 from nsocp import regpath, sparse_core
 from nsocp.kkt_solver import solve_kkt
 from nsocp.nonsmooth import (
@@ -273,6 +275,20 @@ def path_iterates(data, cfg, monkeypatch):
     return seen, report
 
 
+@pytest.fixture
+def path_seeds(monkeypatch):
+    """Weak references to the seed of each holder ``regpath`` makes."""
+    refs = []
+
+    def recording(space, alpha):
+        seed = SineSeed(space, alpha)
+        refs.append(weakref.ref(seed))
+        return seed
+
+    monkeypatch.setattr(regpath, "SineSeed", recording)
+    return refs
+
+
 @pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
 class TestPathFactorisationReuse:
     SCHEDULE = RegPathConfig(tuple(10.0 ** -k for k in range(1, 7)))
@@ -297,14 +313,15 @@ class TestPathFactorisationReuse:
         for x, x0 in zip(held, fresh):
             assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
 
-    def test_nothing_held_after_return(self, ex1_small, counting_splu):
+    def test_nothing_held_after_return(self, ex1_small, counting_splu, path_seeds):
         _, data, _ = ex1_small
         _, report = run_path(data, self.SCHEDULE)
-        assert not report.aborted and counting_splu.calls >= 1
+        # every step was refined from the seed
+        assert not report.aborted and counting_splu.calls == 0 and len(path_seeds) == 1
         gc.collect()
-        assert all(ref() is None for ref in counting_splu.refs)
+        assert path_seeds[0]() is None
 
-    def test_nothing_held_after_raise(self, ex1_small, counting_splu, monkeypatch):
+    def test_nothing_held_after_raise(self, ex1_small, counting_splu, path_seeds, monkeypatch):
         _, data, _ = ex1_small
         calls = []
 
@@ -317,11 +334,46 @@ class TestPathFactorisationReuse:
         monkeypatch.setattr(regpath, "smoothed_max_second", failing_second_step)
         with pytest.raises(RuntimeError, match="interrupted") as excinfo:
             run_path(data, self.SCHEDULE)
-        assert counting_splu.calls == 1
+        # the first step was refined from the seed
+        assert counting_splu.calls == 0 and len(path_seeds) == 1
         gc.collect()
         # the traceback keeps the frames of run_path and of its step alive
         assert excinfo.tb is not None
-        assert counting_splu.refs[0]() is None
+        assert path_seeds[0]() is None
+
+
+class TestPathSeed:
+    """The holder of a path starts with the unscaled pair seed: a solve of
+    [[A, M~ / alpha], [-M~, A]] by the sine transform of the grid."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.sampled_from([9, 17, 33]), log_alpha=st.floats(-5.0, -3.0),
+           eps=st.sampled_from([1e-1, 1e-2, 1e-3]), seed=st.integers(0, 2**16))
+    def test_refines_to_pair_jacobian(self, m, log_alpha, eps, seed):
+        # a smoothed iterate: y inside and outside the smoothing band, and
+        # p = -alpha u for a control u of order 1
+        alpha = 10.0 ** log_alpha
+        ops = assemble_operators(build_space(build_mesh(m)))
+        n, d, nd = ops.space.n, ops.d, ops.space.nd_order
+        params = SmoothedMaxParams(eps)
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-2 * eps, 2 * eps, n)
+        p = alpha * rng.standard_normal(n)
+        jac, _, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, alpha)
+        jac.data[yy] = jac.data[pp] = a_diag + (d * smoothed_max_prime(params, y))[nd]
+        jac.data[py] = (d * smoothed_max_second(params, y) * p)[nd] - m_diag
+        b = rng.standard_normal(2 * n)
+        x = sparse_core.refine(SineSeed(ops.space, alpha), jac, b)
+        ref = np.linalg.solve(jac.toarray(), b)
+        assert x is not None
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_own_holder_starts_with_the_seed(self, ex1_small, path_seeds):
+        _, data, _ = ex1_small
+        (y, p), rep = solve_regularized_kkt(data, 1e-1)
+        assert rep.converged and len(path_seeds) == 1
+        gc.collect()
+        assert path_seeds[0]() is None
 
 
 class TestPathJacobianLayout:

@@ -455,7 +455,9 @@ class TestSharedLuOptions:
 
     @pytest.mark.parametrize("counting_splu", [state_solver], indirect=True,
                              ids=["state_solver"])
-    def test_forward_solve(self, counting_splu):
+    def test_forward_solve(self, counting_splu, monkeypatch):
+        # every refinement from the seed declines, so each step takes the LU
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
         data, _ = build_example1(build_space(build_mesh(9)))
         space = data.ops.space
         _, rep = state_solver.solve_state(state_solver.StateProblem(data.ops, data.f),
@@ -465,8 +467,10 @@ class TestSharedLuOptions:
 
     @pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
     def test_run_path(self, counting_splu):
-        data, _ = build_example1(build_space(build_mesh(9)))
-        _, report = regpath.run_path(data, regpath.RegPathConfig((1e-1, 1e-2)))
+        # a path whose refinement from the seed declines once, on this mesh
+        data, _ = build_example2(build_space(build_mesh(65)))
+        _, report = regpath.run_path(
+            data, regpath.RegPathConfig(tuple(10.0 ** -k for k in range(1, 7))))
         assert not report.aborted and counting_splu.calls >= 1
         assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import spsolve
 
-from nsocp import state_solver
+from nsocp import regpath, sparse_core, state_solver
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
+from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space, interpolate
+from nsocp.regpath import RegPathConfig, verify_lemma_rate
 from nsocp.state_solver import (
     StateProblem,
     apply_Gchi,
@@ -22,7 +24,7 @@ from nsocp.state_solver import (
     solve_state_regularized,
 )
 from nsocp.kkt_solver import solve_kkt
-from nsocp.sparse_core import SingularMatrixError
+from nsocp.sparse_core import SingularMatrixError, refine
 from nsocp.stationarity import check_primal_stationarity, sample_directions
 
 PI = np.pi
@@ -288,13 +290,23 @@ class TestFiniteDifference:
         rng = np.random.default_rng(4)
         h = space.function(rng.standard_normal(space.n))
         t_list = [1e-2, 1e-3, 1e-4, 1e-5]
+        steps = []
+        solve = state_solver.solve_state
+
+        def counting(prob, u, init=None):
+            y, rep = solve(prob, u, init)
+            steps.append(rep.iterations)
+            return y, rep
+
+        monkeypatch.setattr(state_solver, "solve_state", counting)
         warm = finite_difference_check(prob, u, h, t_list)
-        warm_calls = counting_splu.calls
-        cold_solve = state_solver.solve_state
+        warm_steps = sum(steps)
         monkeypatch.setattr(state_solver, "solve_state",
-                            lambda prob, u, init=None: cold_solve(prob, u))
+                            lambda prob, u, init=None: counting(prob, u))
         cold = finite_difference_check(prob, u, h, t_list)
-        assert warm_calls < counting_splu.calls - warm_calls
+        assert warm_steps < sum(steps) - warm_steps
+        # every step of either was refined from the stiffness seed
+        assert counting_splu.calls == 0
         assert (warm.final_ok, warm.monotone) == (cold.final_ok, cold.monotone) == (True, True)
         assert warm.errors[:2] == pytest.approx(cold.errors[:2], rel=1e-6)
 
@@ -391,8 +403,7 @@ class TestOrderedSolve:
 
     @pytest.mark.parametrize("m", [5, 17, 33])
     def test_factorises_the_reference_matrix_exactly(self, m, monkeypatch):
-        # A_nd + diag(c[nd]) is stored as (A + diag(c))[nd][:, nd] is, so
-        # each LU, and each memo hit, is the same as from that matrix
+        # the LU fall-back factorises (A + diag(c))[nd][:, nd] as it is stored
         space = build_space(build_mesh(m))
         ops = assemble_operators(space)
         rng = np.random.default_rng(m)
@@ -416,31 +427,35 @@ class TestOrderedSolve:
 
 
 class _CountingSplu:
-    """Stand-in for ``state_solver.splu`` that counts the factorisations and
-    hands out weakly referenced wrappers, so a test can see whether any is
-    still held; ``fail_first`` calls raise as a singular matrix does."""
+    """Stand-in for a module's ``splu`` that counts the factorisations."""
 
-    def __init__(self, splu, fail_first=0):
+    def __init__(self, splu):
         self.splu = splu
-        self.fail_first = fail_first
         self.calls = 0
-        self.refs = []
 
     def __call__(self, k, **kwargs):
         self.calls += 1
-        if self.calls <= self.fail_first:
-            raise RuntimeError("Factor is exactly singular")
-        factor = _Factor(self.splu(k, **kwargs))
-        self.refs.append(weakref.ref(factor))
-        return factor
+        return self.splu(k, **kwargs)
 
 
-class _Factor:
-    def __init__(self, lu):
-        self.solve = lu.solve
+@pytest.fixture
+def forward_seeds(monkeypatch):
+    """Weak references to the seed of each forward solve."""
+    refs = []
+
+    def recording(space):
+        seed = SineSeed(space)
+        refs.append(weakref.ref(seed))
+        return seed
+
+    monkeypatch.setattr(state_solver, "SineSeed", recording)
+    return refs
 
 
-class TestFactorisationReuse:
+class TestSeededForwardSolves:
+    """Every forward step is refined from the stiffness seed, a solve of A by
+    the sine transform of the grid; a declined refinement falls back to LU."""
+
     @pytest.fixture(scope="class")
     def ex1_17_solution(self):
         space = build_space(build_mesh(17))
@@ -449,70 +464,71 @@ class TestFactorisationReuse:
         assert rep.converged
         return data, pt, sample_directions(space, n_random=20)
 
-    def test_primal_stationarity_factorises_at_most_four_times(self, ex1_17_solution,
-                                                               monkeypatch):
+    def test_primal_stationarity_makes_no_lu(self, ex1_17_solution, forward_seeds,
+                                             monkeypatch):
         data, pt, dirs = ex1_17_solution
         assert len(dirs) == 25
         counting = _CountingSplu(state_solver.splu)
         monkeypatch.setattr(state_solver, "splu", counting)
         rep = check_primal_stationarity(data, pt, dirs)
         assert rep.passed and len(rep.values) == 50
-        assert 1 <= counting.calls <= 4
+        assert counting.calls == 0 and len(forward_seeds) == 50
         # nothing is held once the call has returned
         gc.collect()
-        assert all(ref() is None for ref in counting.refs)
-        assert state_solver._lu_memo.get() is None
+        assert all(ref() is None for ref in forward_seeds)
 
-    def test_values_bit_identical_without_reuse(self, ex1_17_solution, monkeypatch):
-        data, pt, dirs = ex1_17_solution
-        reused = check_primal_stationarity(data, pt, dirs).values
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([3, 5, 9, 17, 33]),
+           kind=st.sampled_from(["zero", "d", "half", "uniform"]),
+           seed=st.integers(0, 2**16))
+    def test_refines_to_shifted_stiffness(self, m, kind, seed):
+        # A + diag(c) for every kind of c a forward solve makes, 0 <= c <= d
+        ops = assemble_operators(build_space(build_mesh(m)))
+        n, d = ops.space.n, ops.d
+        rng = np.random.default_rng(seed)
+        c = {"zero": 0.0 * d, "d": d, "half": d * (rng.uniform(size=n) < 0.5),
+             "uniform": d * rng.uniform(size=n)}[kind]
+        k = (ops.A + sp.diags(c)).tocsc()
+        b = rng.standard_normal(n)
+        x = refine(SineSeed(ops.space), k, b)
+        ref = spsolve(k, b)
+        assert x is not None
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_declined_refinement_falls_back_to_lu(self, monkeypatch):
+        space = build_space(build_mesh(17))
+        data, exact = build_example2(space)
+        prob = StateProblem(data.ops, data.f)
+        u = interpolate(space, exact.u)
+        chi = space.function(np.linspace(0.0, 1.0, space.n))
+        h = space.function(np.random.default_rng(6).standard_normal(space.n))
+        y, rep = solve_state(prob, u)
+        eta = apply_Gchi(data.ops, chi, h)
         counting = _CountingSplu(state_solver.splu)
         monkeypatch.setattr(state_solver, "splu", counting)
-        monkeypatch.setattr(state_solver, "LU_MEMO_SIZE", 0)
-        fresh = check_primal_stationarity(data, pt, dirs).values
-        assert counting.calls >= 50
-        assert np.array_equal(np.array(reused), np.array(fresh))
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)  # every refinement declines
+        y_lu, rep_lu = solve_state(prob, u)
+        eta_lu = apply_Gchi(data.ops, chi, h)
+        assert counting.calls == rep_lu.iterations + 1  # one LU per step, and apply_Gchi's
+        assert (rep.converged, rep.iterations) == (rep_lu.converged, rep_lu.iterations)
+        for got, want in ((y, y_lu), (eta, eta_lu)):
+            assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-12 * np.linalg.norm(want.coeffs)
 
-    def test_memo_bounded_and_most_recent_last(self, space33):
-        ops = assemble_operators(space33)
-        rhs = np.ones(space33.n)
-        diags = [np.full(space33.n, float(k)) for k in range(6)]
-        with state_solver.reusing_factorisations():
-            memo = state_solver._lu_memo.get()
-            for c in diags:
-                state_solver._lu_solve(ops, c, rhs)
-            assert len(memo) == state_solver.LU_MEMO_SIZE == 4
-            state_solver._lu_solve(ops, diags[3], rhs)  # a hit moves to the end
-            assert [e[1] for e in memo] == [diags[k].tobytes() for k in (2, 4, 5, 3)]
-            with state_solver.reusing_factorisations():  # a nested scope shares it
-                assert state_solver._lu_memo.get() is memo
-            assert state_solver._lu_memo.get() is memo
-        assert state_solver._lu_memo.get() is None
-
-    def test_other_operator_is_not_a_hit(self, space33, monkeypatch):
-        ops1, ops2 = assemble_operators(space33), assemble_operators(space33)
-        counting = _CountingSplu(state_solver.splu)
-        monkeypatch.setattr(state_solver, "splu", counting)
-        c, rhs = np.zeros(space33.n), np.ones(space33.n)
-        with state_solver.reusing_factorisations():
-            x1 = state_solver._lu_solve(ops1, c, rhs)
-            x2 = state_solver._lu_solve(ops2, c, rhs)
-            x3 = state_solver._lu_solve(ops1, c.copy(), rhs)
-        assert counting.calls == 2
-        assert np.array_equal(x1, x2) and np.array_equal(x1, x3)
-
-    def test_failed_factorisation_not_memoised(self, space33, monkeypatch):
-        ops = assemble_operators(space33)
-        counting = _CountingSplu(state_solver.splu, fail_first=1)
-        monkeypatch.setattr(state_solver, "splu", counting)
-        c, rhs = np.zeros(space33.n), np.ones(space33.n)
-        with state_solver.reusing_factorisations():
-            with pytest.raises(SingularMatrixError):
-                state_solver._lu_solve(ops, c, rhs)
-            assert state_solver._lu_memo.get() == []
-            state_solver._lu_solve(ops, c, rhs)
-            state_solver._lu_solve(ops, c, rhs)
-        assert counting.calls == 2
+    def test_certify_calls_make_no_forward_lu(self, monkeypatch):
+        space = build_space(build_mesh(33))
+        data, _ = build_example1(space)
+        prob = StateProblem(data.ops, data.f)
+        forward = _CountingSplu(state_solver.splu)
+        path = _CountingSplu(regpath.splu)
+        monkeypatch.setattr(state_solver, "splu", forward)
+        monkeypatch.setattr(regpath, "splu", path)
+        pt, report = regpath.run_path(data, RegPathConfig(tuple(10.0 ** -k for k in range(1, 7))))
+        assert not report.aborted and path.calls == 0
+        h = space.function(np.random.default_rng(7).standard_normal(space.n))
+        assert finite_difference_check(prob, space.zero(), h, [1e-1, 1e-2, 1e-3]).final_ok
+        check_primal_stationarity(data, pt, sample_directions(space, n_random=2))
+        assert not verify_lemma_rate(prob, space.zero(), [1e-1, 1e-2, 1e-3]).degenerate
+        assert forward.calls == 0
 
 
 class TestSymmetricDerivative:
