@@ -5,7 +5,11 @@ degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
 five-point stencil (diagonal 4, neighbors -1). ``sine_spectrum`` gives the
 2-D sine basis of the interior grid, in which A and all of M but one small
-term are diagonal, and ``SineSeed`` solves by it with no factorisation.
+term are diagonal, and ``SineSeed`` solves by it with no factorisation: A,
+or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p] in lexicographic
+block order. ``pair_operator`` applies, in the same order, a pair system
+with M and three diagonals, from A, M and the diagonals alone, so that
+``sparse_core.refine`` can solve it from the seed with no matrix formed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .sparse_core import CsrMatrix
 
@@ -30,6 +35,7 @@ __all__ = [
     "assemble_operators",
     "sine_spectrum",
     "SineSeed",
+    "pair_operator",
     "interpolate",
     "linf_nodal_error",
     "export_vtk",
@@ -210,12 +216,12 @@ class SineSeed:
     given, M~ being M without its term (h^2/24) K (x) K.
 
     A is solved on the lexicographic grid B of a right-hand side as
-    phi ((phi B phi) / lam_a) phi. The pair system, its unknowns numbered node
-    by node as (y_i, p_i) pairs in ``nd_order``, reads C~ z = f + i g / sqrt(alpha)
-    for z = y + i p / sqrt(alpha) and C~ = A - i M~ / sqrt(alpha), which is
-    diagonal in the sine basis and regular for every alpha > 0 (Axelsson &
-    Kucherov, Numer. Linear Algebra Appl. 7, 2000); ``row_mags``, (n, 2) in
-    pair order, are the magnitudes the caller divided its rows by, if it did.
+    phi ((phi B phi) / lam_a) phi. The pair system takes and returns [y; p]
+    in lexicographic block order, each block a grid; it reads
+    C~ z = f + i g / sqrt(alpha) for z = y + i p / sqrt(alpha) and
+    C~ = A - i M~ / sqrt(alpha), which is diagonal in the sine basis and
+    regular for every alpha > 0 (Axelsson & Kucherov, Numer. Linear Algebra
+    Appl. 7, 2000).
 
     A seed refers to the space's cached ``spectrum`` and holds no factor; a
     pair seed keeps its n inverse eigenvalues from its first solve on. It
@@ -225,11 +231,9 @@ class SineSeed:
 
     dtype = np.dtype(np.float64)
 
-    def __init__(self, space: FeSpace, alpha: float | None = None, row_mags=None):
+    def __init__(self, space: FeSpace, alpha: float | None = None):
         self._phi, self._lam_a, self._lam_m = space.spectrum
-        self._nd = space.nd_order
         self._root_alpha = None if alpha is None else np.sqrt(alpha)
-        self._mags = row_mags
         self.shape = (space.n if alpha is None else 2 * space.n,) * 2
 
     @functools.cached_property
@@ -246,19 +250,25 @@ class SineSeed:
         k = len(self._phi)
         if self._root_alpha is None:
             return self._transform(self._transform(b.reshape(k, k)) / self._lam_a).ravel()
-        n = k * k
-        pairs = b.reshape(n, 2)
-        if self._mags is not None:
-            pairs = pairs * self._mags  # the caller's rows, unscaled
-        grids = np.empty((2, n))  # f and g, lexicographic in (j, i)
-        grids[:, self._nd] = pairs.T
-        f, g = self._transform(grids.reshape(2, k, k))
+        f, g = self._transform(b.reshape(2, k, k))
         z = (f + (1j / self._root_alpha) * g) * self._inv
-        y, p = self._transform(np.stack([z.real, z.imag]))
-        x = np.empty((n, 2))
-        x[:, 0] = y.ravel()[self._nd]
-        x[:, 1] = self._root_alpha * p.ravel()[self._nd]
-        return x.ravel()
+        y, p = self._transform(np.stack([z.real, self._root_alpha * z.imag]))
+        return np.concatenate([y.ravel(), p.ravel()])
+
+
+def pair_operator(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> LinearOperator:
+    """z -> K z for K = [[A + diag(d_yy), M / alpha], [-M + diag(d_py), A + diag(d_pp)]]
+    on [y; p] in the block order of a pair ``SineSeed``, taken from A, M and
+    the three diagonals (arrays or scalars), so that no 2n matrix is formed."""
+    a, m, n = ops.A, ops.M, ops.space.n
+
+    def matvec(z):
+        z = np.ravel(z)  # a LinearOperator may pass a column
+        y, p = z[:n], z[n:]
+        return np.concatenate([a @ y + d_yy * y + (1.0 / alpha) * (m @ p),
+                               a @ p + d_pp * p + (d_py * y - m @ y)])
+
+    return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

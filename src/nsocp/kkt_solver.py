@@ -13,47 +13,39 @@ y_i + gamma chi_i in [0, gamma] make the Newton matrix singular; their
 chi components are frozen for the step (active-set fix).
 ``solve_kkt`` runs ``state_solver.newton`` on the stacked vector.
 
-``solve_kkt`` lays out the pattern of the 3n Newton matrix once per call
-(``_newton_layout``, one ``assemble_block``): the blocks A, M / alpha and -M
-and every entry of the five diagonals that change between steps, D 1{y>0},
-D chi, D p, D (1 - 1_gamma) and -gamma D 1_gamma, a zero one stored as an
-explicit zero, with their positions in its data. Each step writes through
-those positions only: it refills the diagonals (``newton_matrix``) and writes
-the unit rows of the critical nodes over their prox rows (``apply_active_set_fix``).
-Since ``solve_linear``'s working copy drops explicit zeros, the matrix it
-factorises equals, entry for entry, one built afresh.
+Every prox row of the Newton matrix has a single nonzero, so a step fixes
+chi_i on I_gamma and on critical nodes and y_i on the other inactive nodes;
+there chi_i follows last from adjoint row n + i, through the pivot d_i p_i.
+What is left is the primal-dual active-set system (Hintermueller, Ito &
+Kunisch, SIAM J. Optim. 13, 2002) in dy on I_gamma and I_crit and dp on
+every node, of size at most 2n.
 
-Each step solves the fixed 3n Newton matrix with ``solve_linear``. Every
-prox row has a single nonzero, so the step fixes chi_i on I_gamma and on
-critical nodes and y_i on the other inactive nodes; there chi_i follows
-last from adjoint row n + i, through the pivot d_i p_i. What is factorised
-is the primal-dual active-set system (Hintermueller, Ito & Kunisch, SIAM J.
-Optim. 13, 2002) in dy on I_gamma and I_crit and dp on every node, of size
-at most 2n, with the unknowns numbered node by node in the nested-dissection
-order ``FeSpace.nd_order``. From one step to the next only its diagonal
-entries D 1{y>0} and D chi change, so while ``solve_kkt`` runs, a step with
-the same union of I_gamma and I_crit as the last factorised step (hence the
-same reduced rows and columns) is solved by float64 iterative refinement
-from that step's LU, and is factorised afresh only when refinement declines.
-That LU is a float32 one whenever its own solve refined to float64 accuracy,
-and a float64 one otherwise. It lives in a holder that ``solve_kkt`` owns and
-passes to ``sparse_core.solve_linear``; it is dropped before ``solve_kkt``
-returns or raises. A singular step is reported by ``solve_linear``: by its
-test of the singleton pivots, such as a deferred d_i p_i that names adjoint
-row n + i, or, on the reduced system, by the float64 LU alone.
+A step whose I_gamma and I_crit cover every node fixes every chi_i, and its
+system is K0 = [[A, M / alpha], [-M, A]] up to the diagonals D 1{y>0} and
+D chi; at y = p = chi = 0 every node is critical, so the first step from
+that start is one. ``_seed_step`` solves such a step with no 3n matrix:
+dchi from the prox rows, D p dchi moved to the right-hand side, and
+[dy; dp] refined by ``sparse_core.refine`` from the pair ``fe_mesh.SineSeed``
+of the call, which solves K0 up to one small term by the sine transform of
+the grid, against the products of ``fe_mesh.pair_operator`` from A, M and
+the two diagonals. Refinement makes up that term and the diagonals.
 
-The smooth optimality system K0 = [[A, M / alpha], [-M, A]] in dy and dp is,
-up to its diagonals D 1{y>0} and D chi, the reduced system of every step
-whose I_gamma and I_crit together cover every node: such a step fixes every
-chi_i. At y = p = chi = 0 every node is critical, so it is the first step's
-system from that start, whatever the example, alpha and gamma. So
-``solve_kkt`` seeds its holder, from every start, with a ``_PairSeed``, and
-every step of that kind is refined from it. The seed, a ``fe_mesh.SineSeed``,
-solves K0 up to one small term by the sine transform of the grid, with no
-factorisation; refinement, always against the step's own matrix, makes up
-that term and the two diagonals. A step with other reduced rows and
-columns, or one whose refinement declines, drops the seed and takes the
-fresh float32 and float64 path above.
+Any other step, and a step whose refinement declines, is solved from the 3n
+Newton matrix by ``sparse_core.solve_linear``, which reduces it to the
+active-set system in the nested-dissection order ``FeSpace.nd_order`` and
+factorises that afresh. The first such step of a call lays out the matrix's
+pattern (``_newton_layout``, one ``assemble_block``): the blocks A, M / alpha
+and -M and every entry of the five diagonals that change between steps,
+D 1{y>0}, D chi, D p, D (1 - 1_gamma) and -gamma D 1_gamma, a zero one stored
+as an explicit zero, with their positions in its data. Each such step writes
+through those positions only: it refills the diagonals (``newton_matrix``)
+and writes the unit rows of the critical nodes over their prox rows
+(``apply_active_set_fix``). Since ``solve_linear``'s working copy drops
+explicit zeros, the matrix it factorises equals, entry for entry, one built
+afresh. A singular step is reported by ``solve_linear``: by its test of the
+singleton pivots, such as a deferred d_i p_i that names adjoint row n + i,
+or, on the reduced system, by the float64 LU alone. A seed step gives no
+verdict: its pivots -gamma d_i and 1 are never small.
 """
 
 from __future__ import annotations
@@ -65,9 +57,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse_core
-from .fe_mesh import FeFunction, FeOperators, SineSeed
+from .fe_mesh import FeFunction, FeOperators, SineSeed, pair_operator
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import assemble_block, entry_positions
+from .sparse_core import assemble_block, entry_positions, refine
 from .state_solver import newton
 
 __all__ = [
@@ -265,49 +257,54 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     nd = ops.space.nd_order
     order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
 
-    layout = _newton_layout(data)  # refilled in place by every step
-    # [rows, cols, LU] of the pair seed, or of the last fresh reduced
-    # factorisation: a step whose reduced system keeps those rows and
-    # columns is solved by refinement
-    held = _pair_holder(data, order)
+    seed = SineSeed(ops.space, cfg.alpha)
+    layout = []  # the 3n layout, made by the first step that needs it and refilled by each
 
     def step(x, r):
         pt = point(x)
         sets = index_sets(pt, cfg)
-        newton_matrix(data, pt, sets, _layout=layout)
-        jac, rhs = apply_active_set_fix(layout, -r, sets)
-        return sparse_core.solve_linear(jac, rhs, order, held)
+        if len(sets.i_gamma) + len(sets.i_crit) == n:
+            dx = _seed_step(data, pt, sets, r, seed)
+            if dx is not None:
+                return dx
+        if not layout:
+            layout.append(_newton_layout(data))
+        newton_matrix(data, pt, sets, _layout=layout[0])
+        jac, rhs = apply_active_set_fix(layout[0], -r, sets)
+        return sparse_core.solve_linear(jac, rhs, order)
 
     try:
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
                            TOL_RESIDUAL, MAX_ITER)
     finally:
-        held.clear()  # no LU outlives the call, even from a traceback's frame
+        # nothing outlives the call, even from a traceback's frame
+        del seed
+        layout.clear()
     return point(x), report
 
 
-def _pair_holder(data: ProblemData, order: np.ndarray) -> list:
-    """[rows, cols, seed] of the reduced system K0 = [[A, M / alpha], [-M, A]]
-    of a Newton step whose I_gamma and I_crit cover every node, which fixes
-    every chi_i: the (y_i, p_i) pairs of ``order`` and the ``_PairSeed`` of
-    K0."""
-    pairs = order[order < 2 * data.ops.space.n]
-    return [pairs, pairs, _PairSeed(data.ops, data.config.alpha)]
+def _seed_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray,
+               seed: SineSeed) -> Optional[np.ndarray]:
+    """The Newton step at ``pt``, whose I_gamma and I_crit cover every node,
+    for the residual ``r``, with no 3n matrix; None when ``refine`` declines.
 
-
-class _PairSeed(SineSeed):
-    """The pair seed of K0 = [[A, M / alpha], [-M, A]], with its unknowns
-    numbered node by node as (y_i, p_i) pairs in ``nd_order`` and its rows
-    equilibrated as ``solve_linear`` equilibrates them."""
-
-    def __init__(self, ops: FeOperators, alpha: float):
-        # the row max-magnitudes that equilibrate state rows [A, M / alpha]
-        # and adjoint rows [-M, A]; scaling by 1 / alpha commutes with the
-        # max, rounding included
-        a_mags, m_mags = (abs(k).max(axis=1).toarray().ravel() for k in (ops.A, ops.M))
-        mags = np.stack([np.maximum(a_mags, (1.0 / alpha) * m_mags),
-                         np.maximum(m_mags, a_mags)], axis=1)[ops.space.nd_order]
-        super().__init__(ops.space, alpha, mags)
+    The prox rows fix every chi_i: dchi_i = r3_i / (gamma d_i) on I_gamma and
+    0 on I_crit. D p dchi then moves to the right-hand side, and [dy; dp]
+    solves the pair system [[A + D 1{y>0}, M / alpha], [-M, A + D chi]],
+    refined from the pair ``seed`` with its products from ``pair_operator``.
+    """
+    d = data.ops.d
+    n = len(d)
+    cfg = data.config
+    g = sets.i_gamma
+    dchi = np.zeros(n)
+    dchi[g] = r[2 * n + g] / (cfg.gamma * d[g])
+    d_plus = np.zeros(n)
+    d_plus[sets.i_plus] = d[sets.i_plus]
+    rhs = -r[:2 * n]
+    rhs[n:] -= (d * pt.p.coeffs) * dchi
+    dyp = refine(seed, pair_operator(data.ops, cfg.alpha, d_plus, d * pt.chi.coeffs), rhs)
+    return None if dyp is None else np.concatenate([dyp, dchi])
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

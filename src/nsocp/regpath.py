@@ -7,20 +7,22 @@ For a fixed smoothing width eps the coupled first-order system reads
 
 Driving eps -> 0 with warm starts recovers a solution of the limit
 system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
-solve runs ``state_solver.newton`` on the stacked vector (y, p); its
-Jacobian is factorised with the unknowns numbered node by node, as
-(y_i, p_i) pairs in the mesh's nested-dissection order. ``run_path`` builds
-that pair-ordered Jacobian once, with ``sp.bmat`` and a pair-order
-permutation, and passes it to every solve of the path (a solve called on its
-own builds its own); each step refills all three varying diagonals, so
-nothing of an earlier step or solve survives in it.
+solve runs ``state_solver.newton`` on the stacked vector (y, p).
 
 Every Jacobian is K0 = [[A, M / alpha], [-M, A]] plus the diagonals
-D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one unscaled
-pair ``fe_mesh.SineSeed`` of K0 for the whole eps schedule. Each Newton step
-is first solved by ``sparse_core.refine`` from what is held; when refinement
-declines, that is dropped and a fresh float64 LU is factorised and held in
-its place. The holder is cleared when the path returns or raises.
+D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one pair
+``fe_mesh.SineSeed`` of K0 for the whole eps schedule. Each Newton step is
+first solved by ``sparse_core.refine`` from what is held, in the seed's
+block order [y; p], with its products from A, M and the step's diagonals
+(``fe_mesh.pair_operator``). When refinement declines, what is held is
+dropped and the step's Jacobian is factorised by a float64 LU, with the
+unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
+nested-dissection order, and held in its place; it solves in block order by
+permuting to and from that order. The pair-ordered Jacobian is built, with
+``sp.bmat`` and the permutation, at the first fresh LU of a path (or of a
+solve called on its own) and kept for the rest of it; each LU refills all
+three varying diagonals, so nothing of an earlier step survives in it. The
+holder is cleared when the path returns or raises.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -36,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
-from .fe_mesh import FeFunction, SineSeed
+from .fe_mesh import FeFunction, SineSeed, pair_operator
 from .nonsmooth import (
     SmoothedMaxParams,
     smoothed_max,
@@ -102,15 +104,17 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     ``init`` raises ValueError.
 
     ``held`` is the caller's holder: None, or a list that is empty or holds
-    the unscaled pair ``SineSeed`` or an LU of a Jacobian in (y_i, p_i)-pair
-    order. Each step is first solved by ``sparse_core.refine`` from what is
-    held; when that declines, the holder is cleared and the step takes the
-    fresh path: factorise this Jacobian (a failed LU raises
-    SingularMatrixError with row -1) and hold its LU. Without a holder the
+    the pair ``SineSeed`` or a ``_BlockOrderLu``. Each step is first solved
+    by ``sparse_core.refine`` from what is held, in block order, with its
+    products from A, M and the step's diagonals (``pair_operator``); when
+    that declines, the holder is cleared and the step takes the fresh path:
+    factorise its Jacobian in (y_i, p_i)-pair order (a failed LU raises
+    SingularMatrixError with row -1) and hold that LU. Without a holder the
     call keeps its own, seeded, and clears it before returning or raising.
 
-    ``_jacobian`` is ``run_path``'s one ``_pair_jacobian(ops, alpha)`` for the
-    whole path; None builds a new one.
+    ``_jacobian`` is ``run_path``'s one list for the whole path, which holds
+    its ``_pair_jacobian(ops, alpha)`` from the first fresh LU on; None makes
+    a list for this call.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -121,7 +125,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
     nd = ops.space.nd_order
-    jac, order, yy, pp, py, a_diag, m_diag = _jacobian or _pair_jacobian(ops, alpha)
+    layout = [] if _jacobian is None else _jacobian
     own = held is None
     if own:
         held = [SineSeed(ops.space, alpha)]
@@ -134,21 +138,23 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
 
     def step(x, r):
         y, p = x[:n], x[n:]
-        jac.data[yy] = jac.data[pp] = a_diag + (d * smoothed_max_prime(params, y))[nd]
-        jac.data[py] = (d * smoothed_max_second(params, y) * p)[nd] - m_diag
-        b = -r[order]
-        sol = refine(held[0], jac, b) if held else None
+        d_yy = d * smoothed_max_prime(params, y)
+        d_py = d * smoothed_max_second(params, y) * p
+        sol = refine(held[0], pair_operator(ops, alpha, d_yy, d_yy, d_py), -r) if held else None
         if sol is None:
             held.clear()  # free the old LU before the new one is built
+            if not layout:
+                layout.append(_pair_jacobian(ops, alpha))
+            jac, order, yy, pp, py, a_diag, m_diag = layout[0]
+            jac.data[yy] = jac.data[pp] = a_diag + d_yy[nd]
+            jac.data[py] = d_py[nd] - m_diag
             try:
                 lu = splu(jac.tocsc(), **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SingularMatrixError(-1) from exc
-            held.append(lu)
-            sol = lu.solve(b)
-        dx = np.empty(2 * n)
-        dx[order] = sol
-        return dx
+            held.append(_BlockOrderLu(lu, order))
+            sol = held[0].solve(-r)
+        return sol
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
     if not np.all(np.isfinite(x0)):
@@ -159,6 +165,22 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         if own:
             held.clear()
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
+
+
+class _BlockOrderLu:
+    """A float64 LU of the Jacobian in (y_i, p_i)-pair order that solves for
+    [y; p] in block order, as the pair ``SineSeed`` does."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, lu, order: np.ndarray):
+        self._lu, self._order = lu, order
+        self.shape = lu.shape
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty(len(b))
+        x[self._order] = self._lu.solve(b[self._order])
+        return x
 
 
 @dataclass
@@ -183,8 +205,9 @@ class PathAbortedError(RuntimeError):
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
-    previous iterate, and all of them share one pair-ordered Jacobian and one
-    seeded holder (see the module docstring), cleared on return or raise.
+    previous iterate, and all of them share one seeded holder and, from the
+    path's first fresh LU on, one pair-ordered Jacobian (see the module
+    docstring); the holder is cleared on return or raise.
     The first solve that fails ends the path, which then returns the last
     converged iterate, or raises PathAbortedError with the report if that
     was the first solve. Returns the final iterate packaged as a KKT point
@@ -193,7 +216,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     report = PathReport([], [], [])
     init = pt = None
     held = [SineSeed(ops.space, data.config.alpha)]  # for the whole schedule
-    layout = _pair_jacobian(ops, data.config.alpha)
+    layout = []  # the pair-ordered Jacobian, from the path's first fresh LU on
     try:
         for eps in cfg.eps_schedule:
             (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held, _jacobian=layout)

@@ -7,9 +7,7 @@ columns, and factorises only the reduced system, in an order the caller
 supplies (for the KKT step, nested dissection of the mesh nodes). Every
 singleton pivot it takes is tested. It keeps one copy of the system alive
 at a time: the equilibrated copy of its input gives way to the reduced rows,
-they to their column slice, and that to the CSC matrix that is factorised;
-refinement from a held LU (below) takes its products from the equilibrated
-copy and makes no other.
+they to their column slice, and that to the CSC matrix that is factorised.
 
 The reduced system is factorised in single precision and its solution is
 refined in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci.
@@ -29,24 +27,15 @@ module's and those of ``state_solver`` and ``regpath``, which call their own
 threshold pivoting they fix a small panel, which bounds the work arrays
 SuperLU holds on top of the finished factors.
 
-A caller that passes a holder (a list; ``kkt_solver.solve_kkt`` keeps one
-per call) gets the last fresh LU of the reduced system, float32 or float64,
-held in it with its rows and columns. A later system that reduces to the
-same rows and columns is solved by iterative refinement preconditioned by
-that LU (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-ch. 12); when refinement declines, the held LU is dropped and a fresh one
-takes its place. The module itself holds nothing. ``refine`` is that
-refinement and its one acceptance rule, for fresh and held LUs alike; the
-forward solves of ``state_solver`` and the continuation step of ``regpath``
-use it too.
-
-A caller may also seed its holder with any object that has a ``shape``, a
-``dtype`` of float64 and a ``solve`` taking and returning float64 arrays, as
-a float64 SuperLU does: ``kkt_solver`` seeds it with a ``fe_mesh.SineSeed``
-of the reduced system of a step that fixes every chi_i, which factorises
-nothing. ``solve_linear`` refines from a seed as from any held LU; when
-refinement declines, it gives way to the fresh float32 LU and, failing
-that, the float64 one, as above. So a seed never gives a singular verdict.
+``refine`` is iterative refinement from an LU or any other solve of a
+nearby system (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., ch. 12), with the one acceptance rule of the package. Beside the
+float32 LU of ``solve_linear`` it refines the forward solves of
+``state_solver``, the KKT steps of ``kkt_solver`` that skip the 3n matrix
+and the continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``,
+which factorises nothing (``regpath`` from its own LU once refinement from
+the seed has declined), and the last two against the products of
+``fe_mesh.pair_operator``. The module holds nothing between calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it. ``entry_positions`` locates given entries of a CSR matrix
@@ -59,7 +48,7 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "SparseError",
@@ -130,8 +119,8 @@ class CsrMatrix(sp.csr_matrix):
         return m
 
 
-def _factorize(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray):
-    """LU of the reduced system ``k`` and the solution of k x = b from it:
+def _factorize(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of k x = b for the reduced system ``k``, from its LU:
     single precision refined to double when that works, else double.
 
     The float32 LU (``_single_lu``) is kept when it factorises, passes the
@@ -141,17 +130,17 @@ def _factorize(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray):
     1 / PIVOT_RTOL, or raises SingularMatrixError naming the row, and one
     correction of its solution. So only the float64 LU ever says singular.
     """
-    found = _single_lu(k, b)
-    if found is not None:
-        return found
+    x = _single_lu(k, b)
+    if x is not None:
+        return x
     lu = _double_lu(k, rows)
     x = lu.solve(b)
     x += lu.solve(b - k @ x)
-    return lu, x
+    return x
 
 
 def _single_lu(k: sp.csc_matrix, b: np.ndarray):
-    """(float32 LU of ``k``, float64 solution of k x = b refined from it), or
+    """The float64 solution of k x = b refined from a float32 LU of ``k``, or
     None when ``splu`` fails, the probe grows by 1 / SINGLE_PIVOT_RTOL or
     more, or ``refine`` declines."""
     try:
@@ -160,8 +149,7 @@ def _single_lu(k: sp.csc_matrix, b: np.ndarray):
         return None
     if not _probe(lu, SINGLE_PIVOT_RTOL)[1]:
         return None
-    x = refine(lu, k, b)
-    return None if x is None else (lu, x)
+    return refine(lu, k, b)
 
 
 def _double_lu(k: sp.csc_matrix, rows: np.ndarray):
@@ -240,7 +228,7 @@ def _check_singletons(rows: np.ndarray, cols: np.ndarray, piv: np.ndarray) -> No
         raise SingularMatrixError(int(rows[bad].min()))
 
 
-def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
+def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
     """Solve m x = b (deterministic); ``m`` is a square scipy sparse matrix.
 
     The solve runs in five stages:
@@ -253,26 +241,17 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     2. Eliminate singletons: a row with a single entry fixes its unknown.
        Among the remaining rows, a column with a single entry is deferred:
        its unknown is back-substituted from that row at the end.
-    3. Solve the reduced system, with its rows and columns numbered as in
-       ``order`` (a permutation of range(n) listing the unknowns, each with
-       its equation, in elimination order; None keeps the given numbering).
-       ``held`` is the caller's holder: None, or a list that is empty or
-       ``[rows, cols, LU]`` of an earlier reduced system, or the caller's
-       ``[rows, cols, seed]`` of the system its seed solves. If that system had
-       the same rows and columns, the solution is found by ``refine`` from
-       its LU, with its products taken from the working copy, so no copy
-       of the reduced system is made. If refinement declines, the holder is
-       cleared and the system takes the fresh path.
-    4. Fresh path: the reduced rows of the working copy replace it, their
+    3. Number the rows and columns of the reduced system as in ``order``
+       (a permutation of range(n) listing the unknowns, each with its
+       equation, in elimination order; None keeps the given numbering).
+    4. Factorise: the reduced rows of the working copy replace it, their
        column slice replaces them and its CSC copy replaces the slice, each
        freed as soon as the next exists. ``_factorize`` factorises a float32
        copy of that matrix by sparse LU with ``SPLU_OPTIONS`` (threshold
        partial pivoting, a small panel) and refines the solution in float64
        with ``refine``. It falls back to a float64 LU, with its probe test
        and one correction, when the float32 ``splu`` fails, its probe solve
-       grows by 1 / SINGLE_PIVOT_RTOL or more, or refinement declines. A
-       holder given in ``held`` then holds the LU that was kept with its
-       rows and columns.
+       grows by 1 / SINGLE_PIVOT_RTOL or more, or refinement declines.
     5. Back-substitute the deferred unknowns.
 
     SingularMatrixError names a deficient row in the numbering of ``m``: an
@@ -280,8 +259,8 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     pivot below PIVOT_RTOL (tested on every call), or, for the float64 LU
     of the reduced system, a probe solve that grows by 1 / PIVOT_RTOL or
     more, named by the largest entry of the transposed solve. A singular
-    reduced system makes refinement decline from a held LU and from a
-    float32 one, so it reaches the float64 LU and its probe test.
+    reduced system makes refinement from a float32 LU decline, so it reaches
+    the float64 LU and its probe test.
     """
     if m.shape[0] != m.shape[1]:
         raise SparseError("solve_linear requires a square matrix")
@@ -343,37 +322,16 @@ def solve_linear(m, b: np.ndarray, order=None, held=None) -> np.ndarray:
     del indptr, indices, data  # they would keep the working copy alive
     if len(rows):
         b_red = b_eq[rows] - (m_eq @ x)[rows]
-        x_red = None
-        if held and np.array_equal(held[0], rows) and np.array_equal(held[1], cols):
-            x_red = refine(held[2], _reduced_operator(m_eq, rows, cols), b_red)
-        if x_red is None:
-            if held:
-                held.clear()  # free the old LU before the new one is built
-            # one copy of the system at a time: each replaces the one before
-            m_eq = m_eq[rows]
-            m_eq = m_eq[:, cols]
-            k = m_eq.tocsc()
-            del m_eq
-            lu, x_red = _factorize(k, rows, b_red)
-            if held is not None:
-                held.extend((rows, cols, lu))
-        x[cols] = x_red
+        # one copy of the system at a time: each replaces the one before
+        m_eq = m_eq[rows]
+        m_eq = m_eq[:, cols]
+        k = m_eq.tocsc()
+        del m_eq
+        x[cols] = _factorize(k, rows, b_red)
     if len(def_rows):
         # each deferred row holds no other deferred unknown, and x is 0 there
         x[def_cols] = (b_eq[def_rows] - m_def @ x) / def_piv
     return x
-
-
-def _reduced_operator(m_eq, rows: np.ndarray, cols: np.ndarray) -> LinearOperator:
-    """z -> k z for the reduced system k = m_eq[rows][:, cols], taken from
-    ``m_eq`` itself, so that refinement needs no copy of k."""
-    full = np.zeros(m_eq.shape[1])
-
-    def matvec(z):
-        full[cols] = z
-        return (m_eq @ full)[rows]
-
-    return LinearOperator((len(rows), len(cols)), matvec=matvec, dtype=float)
 
 
 def refine(lu, k, b: np.ndarray):
@@ -387,9 +345,10 @@ def refine(lu, k, b: np.ndarray):
     float32 LU takes only float32 right-hand sides, and the scaling keeps
     small residuals clear of float32's underflow. The result is accepted by
     REFINE_RTOL, or by SETTLE_RTOL once the corrections stop contracting
-    (see there). ``solve_linear``, for its fresh and its held LUs, the
-    forward solves of ``state_solver`` and ``regpath.solve_regularized_kkt``
-    all use it, so that is the one acceptance rule of the package.
+    (see there). ``solve_linear``'s float32 LU, the forward solves of
+    ``state_solver``, ``kkt_solver``'s seed steps and
+    ``regpath.solve_regularized_kkt`` all use it, so that is the one
+    acceptance rule of the package.
     """
     dtype = _solve_dtype(lu)
     x = np.zeros(len(b))

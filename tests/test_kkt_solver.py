@@ -5,12 +5,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 from hypothesis import assume, given, settings, strategies as st
 
 from nsocp import kkt_solver, sparse_core
 from nsocp.examples import build_example, build_example1, build_example2
-from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
+from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space, interpolate
 from nsocp.kkt_solver import (
     IndexSets,
     KktConfig,
@@ -240,14 +239,14 @@ def node_order(space):
     return np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()
 
 
-def mixed_iterate(space, gamma, rng, kind=None):
+def mixed_iterate(space, gamma, rng, kind=None, y_scale=1.0):
     """A KKT point whose nodes fall, at random or as ``kind`` says, in
     I_gamma (0), in I_crit (1: p_i = 0 inside the prox interval) or among
-    the other inactive nodes (2)."""
+    the other inactive nodes (2); y is ``y_scale`` times standard normal."""
     n = space.n
     if kind is None:
         kind = rng.integers(0, 3, n)
-    y = rng.standard_normal(n)
+    y = y_scale * rng.standard_normal(n)
     inside = rng.uniform(0.02, gamma - 0.02, n)
     outside = np.where(rng.random(n) < 0.5, rng.uniform(-1.0, -0.02, n),
                        rng.uniform(gamma + 0.02, gamma + 1.0, n))
@@ -420,9 +419,10 @@ class TestNewtonLayout:
         assert np.count_nonzero(stored[2 * n:]) == 2 * n  # nothing else in the prox rows
 
     def test_solve_kkt_lays_out_once(self, monkeypatch):
-        # example 2 on this mesh runs to the iteration limit; its first step,
-        # from zero, has every node critical
-        data, _ = build_example2(build_space(build_mesh(17)))
+        # example 2 at gamma = 1e-6 on this mesh runs to the iteration limit;
+        # its first step, from zero, has every node critical and is refined
+        # from the pair seed, and every later step takes the 3n path
+        data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
         calls = {"assemble_block": 0, "bmat": 0, "diags": 0}
         matrices = []
 
@@ -447,7 +447,7 @@ class TestNewtonLayout:
             _, rep = solve_kkt(data)
             assert rep.iterations == kkt_solver.MAX_ITER
             assert calls == {"assemble_block": k, "bmat": k, "diags": 0}
-        steps = rep.iterations
+        steps = rep.iterations - 1  # on the 3n path, per solve
         assert len(matrices) == 2 * steps
         assert all(mat is matrices[-1] for mat in matrices[steps:])
         assert matrices[0] is not matrices[-1]
@@ -707,17 +707,22 @@ def perturbed_point(pt, rng):
 
 @pytest.fixture
 def seed_refs(monkeypatch):
-    """Weak references to the seed of each holder ``solve_kkt`` makes."""
+    """Weak references to the pair seed of each ``solve_kkt`` call."""
     refs = []
-    pair_holder = kkt_solver._pair_holder
 
-    def recording(data, order):
-        held = pair_holder(data, order)
-        refs.append(weakref.ref(held[2]))
-        return held
+    def recording(space, alpha):
+        seed = SineSeed(space, alpha)
+        refs.append(weakref.ref(seed))
+        return seed
 
-    monkeypatch.setattr(kkt_solver, "_pair_holder", recording)
+    monkeypatch.setattr(kkt_solver, "SineSeed", recording)
     return refs
+
+
+def no_seed_step(mp):
+    """Make every Newton step take the 3n path, as if refinement from the
+    pair seed declined."""
+    mp.setattr(kkt_solver, "_seed_step", lambda *args: None)
 
 
 class TestFactorisationReuse:
@@ -726,15 +731,12 @@ class TestFactorisationReuse:
         data, _ = build(build_space(build_mesh(17)))
         reused, rep = kkt_iterates(data, monkeypatch)
         calls = counting_splu.calls
-        # no holder: every step is factorised afresh, and the pair seed that
-        # solve_kkt puts in its holder goes unused
-        solve = sparse_core.solve_linear
-        monkeypatch.setattr(sparse_core, "solve_linear",
-                            lambda m, b, order, held: solve(m, b, order))
+        # every step takes the 3n path, and the pair seed goes unused
+        no_seed_step(monkeypatch)
         fresh, rep_fresh = kkt_iterates(data, monkeypatch)
         # one LU per step
         assert counting_splu.calls - calls == rep_fresh.iterations
-        assert calls < rep.iterations  # so some steps were solved by refinement
+        assert calls < rep.iterations  # so some steps were solved from the seed
         assert (rep.converged, rep.iterations) == (rep_fresh.converged, rep_fresh.iterations)
         assert len(reused) == len(fresh)
         gamma = data.config.gamma
@@ -749,9 +751,8 @@ class TestFactorisationReuse:
     @pytest.mark.parametrize("start", ["cold", "half_chi", "perturbed"])
     @pytest.mark.parametrize("example, gamma", [(1, 1e-4), (2, 1e-12)])
     def test_factorises_once(self, example, gamma, start, counting_splu):
-        # every start puts the pair seed in its holder, and on these cells it
-        # preconditions every step, so no LU is made: at each iterate every
-        # node is in I_gamma or I_crit
+        # at each iterate of these cells every node is in I_gamma or I_crit,
+        # so every step is refined from the pair seed and no LU is made
         data, _ = build_example(example, build_space(build_mesh(33)), 1e-4, gamma)
         space = data.ops.space
         init = None
@@ -780,7 +781,7 @@ class TestFactorisationReuse:
     def test_nothing_held_after_return(self, counting_splu, seed_refs):
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data)
-        assert rep.converged and len(seed_refs) == 1  # the pair seed
+        assert rep.converged and len(seed_refs) == 1
         gc.collect()
         assert seed_refs[0]() is None
         assert all(ref() is None for ref in counting_splu.refs)
@@ -788,7 +789,7 @@ class TestFactorisationReuse:
     def test_nothing_held_after_warm_start_returns(self, counting_splu, seed_refs):
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data, half_chi_point(data.ops.space))
-        assert rep.converged and len(seed_refs) == 1  # the pair seed
+        assert rep.converged and len(seed_refs) == 1
         gc.collect()
         assert seed_refs[0]() is None
         assert all(ref() is None for ref in counting_splu.refs)
@@ -796,9 +797,8 @@ class TestFactorisationReuse:
     @staticmethod
     def interrupted_solve(counting_splu, seed_refs, monkeypatch, failing):
         """solve_kkt of example 1 at m = 17 with ``index_sets`` raising on
-        Newton step ``failing``: the pair seed of the cold start, which is
-        all it holds (no LU is made), must be gone while the traceback is
-        still alive."""
+        Newton step ``failing``: its pair seed, which is all it holds (no LU
+        is made), must be gone while the traceback is still alive."""
         data, _ = build_example1(build_space(build_mesh(17)))
         calls = []
 
@@ -823,7 +823,7 @@ class TestFactorisationReuse:
 
     def test_nothing_held_after_raise_before_first_step(self, counting_splu, seed_refs,
                                                          monkeypatch):
-        # the pair seed is made before the first step, and held unused
+        # the pair seed is made before the first step, and goes unused
         self.interrupted_solve(counting_splu, seed_refs, monkeypatch, failing=1)
 
 
@@ -831,7 +831,7 @@ class TestSinglePrecisionAgainstDouble:
     """Each faster LU path against the one it replaces, iterate by iterate,
     on the m = 33 and 65 cells of both tables and the gamma = 1e-6 cells
     that fail: the float32 LU refined in float64 against the float64 LU
-    path, and the pair seed against the real LU path.
+    path, and the steps refined from the pair seed against the 3n LU path.
 
     Every cell must reach the same decision. On the converged cells every
     iterate's y and p must agree to 1e-10 relative. A failing cell ends where
@@ -874,34 +874,28 @@ class TestSinglePrecisionAgainstDouble:
     @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
     def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        # with no pair seed, so that the first step takes a fresh LU, and then
-        # with every fresh float32 LU declined
-        monkeypatch.setattr(kkt_solver, "_pair_holder", lambda data, order: [])
+        # with every step on the 3n path, so that each takes a fresh LU, and
+        # then with every fresh float32 LU declined
+        no_seed_step(monkeypatch)
         self.compare(data, monkeypatch,
                      lambda mp: mp.setattr(sparse_core, "_single_lu", lambda k, b: None))
 
     @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
     def test_iterates_match_without_pair_lu(self, example, m, alpha, gamma, monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        # the holder starts empty, so the first step is factorised afresh
-        rep = self.compare(data, monkeypatch, lambda mp: mp.setattr(
-            kkt_solver, "_pair_holder", lambda data, order: []))
+        # every step takes the 3n path, the first one included
+        rep = self.compare(data, monkeypatch, no_seed_step)
         if (m, gamma) == (65, 1e-6):
             assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
 
 
 def dense_k0(ops, alpha, mass, da=0.0, db=0.0):
-    """The reduced system [[A + diag(da), mass / alpha], [-mass, A + diag(db)]]
-    of a KKT step that fixes every chi_i, dense, its unknowns in (y_i, p_i)
-    pairs of the nested-dissection order and its rows scaled to max magnitude
-    1, as solve_linear reduces it; ``mass`` is M, or another mass matrix."""
+    """The pair system [[A + diag(da), mass / alpha], [-mass, A + diag(db)]]
+    of a KKT step that fixes every chi_i, dense, in the block order [y; p] of
+    the pair seed; ``mass`` is M, or another mass matrix."""
     a = ops.A.toarray()
-    k = np.block([[a + np.diag(da * np.ones(len(a))), (1.0 / alpha) * mass],
-                  [-mass, a + np.diag(db * np.ones(len(a)))]])
-    nd, n = ops.space.nd_order, ops.space.n
-    pairs = np.stack([nd, n + nd], axis=1).ravel()
-    k = k[pairs][:, pairs]
-    return k / np.max(np.abs(k), axis=1, keepdims=True)
+    return np.block([[a + np.diag(da * np.ones(len(a))), (1.0 / alpha) * mass],
+                     [-mass, a + np.diag(db * np.ones(len(a)))]])
 
 
 def m_tilde(ops):
@@ -913,19 +907,22 @@ def m_tilde(ops):
 
 
 class TestPairSeed:
-    """The seed of a KKT solve's holder: K0 = [[A, M / alpha], [-M, A]]
-    solved, up to one small term, by the sine transform of the grid."""
+    """The seed of a KKT step that fixes every chi_i: K0 = [[A, M / alpha],
+    [-M, A]] solved, up to one small term, by the sine transform of the
+    grid, in the block order [y; p]."""
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.sampled_from([5, 9, 17]), log_alpha=st.floats(-6.0, -2.0),
            seed=st.integers(0, 2**16))
-    def test_refines_to_equilibrated_k0(self, m, log_alpha, seed):
-        # m = 5 with alpha below 1e-5 is the one corner where refinement
-        # may decline (see test_declined_seed_gives_way_to_a_fresh_lu)
-        assume(m > 5 or log_alpha >= -5.0)
+    def test_refines_to_k0(self, m, log_alpha, seed):
+        # coarse meshes at small alpha are the corner where refinement may
+        # decline (see test_declined_seed_gives_way_to_a_fresh_lu): for these
+        # right-hand sides, m = 5 below alpha = 10^-4.3 and m = 9 below
+        # 10^-5.1 declined 0.2-4 % of solves, and m = 17 none of 600
+        assume(log_alpha >= {5: -4.0, 9: -5.0}.get(m, -6.0))
         alpha = 10.0 ** log_alpha
         ops = assemble_operators(build_space(build_mesh(m)))
-        pair = kkt_solver._PairSeed(ops, alpha)
+        pair = SineSeed(ops.space, alpha)
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(2 * ops.space.n)
         # with M~ in place of M, the seed is an exact solve
@@ -933,58 +930,136 @@ class TestPairSeed:
         assert pair.shape == k.shape
         ref = np.linalg.solve(k, b)
         assert np.max(np.abs(pair.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # refinement from it solves K0, and K0 with the diagonals D a and D b
-        # of a later step, a and b in [0, 1]^n
-        da, db = ops.d * rng.uniform(0.0, 1.0, (2, ops.space.n))
+        # refinement from it solves K0, and K0 with the diagonals D 1{y>0}
+        # and D chi of a later step, for y of either sign and chi in [0, 1]
+        d_plus = ops.d * (rng.standard_normal(ops.space.n) > 0)
+        d_chi = ops.d * rng.uniform(0.0, 1.0, ops.space.n)
         for k in (dense_k0(ops, alpha, ops.M.toarray()),
-                  dense_k0(ops, alpha, ops.M.toarray(), da, db)):
+                  dense_k0(ops, alpha, ops.M.toarray(), d_plus, d_chi)):
             ref = np.linalg.solve(k, b)
             x = sparse_core.refine(pair, k, b)
             assert x is not None
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_declined_seed_gives_way_to_a_fresh_lu(self):
+    def test_declined_seed_gives_way_to_a_fresh_lu(self, counting_splu, monkeypatch):
         # at h = 1/5 and alpha = 1e-6 the term left to refinement, M - M~,
         # weighs most against C~: the corrections from the seed shrink by
-        # about 0.2 a step, but unevenly, and for this right-hand side one
-        # fails to halve above SETTLE_RTOL, so refinement declines and
-        # solve_linear factorises the system afresh
-        ops = assemble_operators(build_space(build_mesh(5)))
-        alpha, n, nd = 1e-6, ops.space.n, ops.space.nd_order
-        k = sp.bmat([[ops.A, ops.M / alpha], [-ops.M, ops.A]], format="csr")
-        b = np.random.default_rng(3).standard_normal(2 * n)
-        pairs = np.stack([nd, n + nd], axis=1).ravel()
-        held = [pairs, pairs, kkt_solver._PairSeed(ops, alpha)]
-        x = solve_linear(k, b, pairs, held)
-        assert isinstance(held[2], SuperLU) and sparse_core._solve_dtype(held[2]) == np.float32
-        ref = np.linalg.solve(k.toarray(), b)
+        # about 0.2 a step, but unevenly, and for this first step one fails
+        # to halve above SETTLE_RTOL, so refinement declines and the step
+        # takes the 3n path and its float32 LU
+        space = build_space(build_mesh(5))
+        ops = assemble_operators(space)
+        rng = np.random.default_rng(4)
+        data = ProblemData(ops=ops, f=space.function(rng.standard_normal(space.n)),
+                           y_d=space.function(rng.standard_normal(space.n)),
+                           config=KktConfig(alpha=1e-6, gamma=1e-12))
+        seen = []
+        seed_step = kkt_solver._seed_step
+
+        def recording(*args):
+            seen.append(seed_step(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(kkt_solver, "_seed_step", recording)
+        monkeypatch.setattr(kkt_solver, "MAX_ITER", 1)
+        pt, rep = solve_kkt(data)
+        assert rep.iterations == 1 and len(seen) == 1 and seen[0] is None
+        assert counting_splu.dtypes == [np.float32]
+        zero = zero_point(ops)
+        fixed, rhs = fixed_step(data, zero, index_sets(zero, data.config), -residual(data, zero))
+        ref = np.linalg.solve(fixed.toarray(), rhs)
+        x = np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs])
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_refine_reads_float64(self):
-        ops = assemble_operators(build_space(build_mesh(9)))
-        pair = kkt_solver._PairSeed(ops, 1e-4)
+        pair = SineSeed(build_space(build_mesh(9)), 1e-4)
         # refine reads the precision of an LU from a solve with no columns
         assert sparse_core._solve_dtype(pair) == np.float64
         assert pair.solve(np.ones(pair.shape[0])).dtype == np.float64
 
-    # the sine matrix ((m - 1)^2 = n floats), the inverse eigenvalues (n
-    # complex numbers) and the row magnitudes (2n floats): 5n floats
+    # the space's spectrum, computed here on first use (the sine matrix and
+    # two eigenvalue grids, (m - 1)^2 = n floats each), and the inverse
+    # eigenvalues of the seed's first solve (n complex numbers): 5n floats
     @pytest.mark.parametrize("m", [33, 65])
     def test_holds_o_n_floats_and_no_factor(self, m):
         space = build_space(build_mesh(m))
-        ops = assemble_operators(space)
-        # the space computes and caches its order before tracing starts; the
-        # seed only refers to it
-        assert len(space.nd_order) == space.n
+        b = np.ones(2 * space.n)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            pair = kkt_solver._PairSeed(ops, 1e-4)
+            pair = SineSeed(space, 1e-4)
+            pair.solve(b)
             held = tracemalloc.get_traced_memory()[0] - entry
         finally:
             tracemalloc.stop()
         assert held <= 6 * 8 * space.n
         assert all(isinstance(v, (np.ndarray, float, tuple)) for v in vars(pair).values())
+
+
+class TestSeedStep:
+    """A Newton step whose I_gamma and I_crit cover every node is solved from
+    A, M and its diagonals, with the 3n Newton matrix only as the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([3, 5, 9, 17]))
+    def test_matches_dense_solve_of_fixed_matrix(self, seed, m):
+        space = build_space(build_mesh(m))
+        rng = np.random.default_rng(seed)
+        gamma = 0.5
+        data = mixed_data(space, gamma, rng)
+        # every node in I_gamma or I_crit, and chi = (w - y) / gamma of
+        # order one, as in the steps the pair seed serves
+        pt, kind = mixed_iterate(space, gamma, rng, rng.integers(0, 2, space.n), y_scale=0.2)
+        sets = index_sets(pt, data.config)
+        assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
+        assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
+        r = rng.standard_normal(3 * space.n)
+        dx = kkt_solver._seed_step(data, pt, sets, r, SineSeed(space, data.config.alpha))
+        assert dx is not None
+        fixed, rhs = fixed_step(data, pt, sets, -r)
+        ref = np.linalg.solve(fixed.toarray(), rhs)
+        assert np.linalg.norm(dx - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_converged_solve_makes_no_3n_matrix(self, monkeypatch):
+        data, _ = build_example1(build_space(build_mesh(33)))
+        calls = []
+        for module, name in ((sparse_core, "solve_linear"), (kkt_solver, "_newton_layout")):
+            def recording(*args, name=name, fn=getattr(module, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(module, name, recording)
+        _, rep = solve_kkt(data)
+        assert rep.converged and rep.iterations == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("example, m, gamma", [(1, 17, 1e-4), (2, 33, 1e-12)])
+    def test_declined_refinement_falls_through_to_3n_path(self, example, m, gamma,
+                                                          monkeypatch):
+        # with no correction allowed, refinement from the seed declines on
+        # every step, and so does that from every float32 LU
+        data, _ = build_example(example, build_space(build_mesh(m)), 1e-4, gamma)
+        direct, rep = kkt_iterates(data, monkeypatch)
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        calls = []
+        solve = sparse_core.solve_linear
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(sparse_core, "solve_linear", counting)
+        fallen, rep_fallen = kkt_iterates(data, monkeypatch)
+        assert rep.converged and (rep.iterations, rep.failure_reason) == (
+            rep_fallen.iterations, rep_fallen.failure_reason)
+        assert len(calls) == rep.iterations  # every step on the 3n path
+        assert len(direct) == len(fallen) == rep.iterations + 1
+        for (y, p, chi), (y0, p0, chi0) in zip(direct, fallen):
+            assert np.linalg.norm(y - y0) <= 1e-10 * np.linalg.norm(y0)
+            assert np.linalg.norm(p - p0) <= 1e-10 * np.linalg.norm(p0)
+            # chi is set on I_gamma from the rounding of y + gamma chi, divided
+            # by gamma, so it is compared on the scale |y| / gamma
+            scale = np.linalg.norm(chi0) + np.linalg.norm(y0) / gamma
+            assert np.linalg.norm(chi - chi0) <= 1e-10 * scale
 
 
 class TestRecoverControl:

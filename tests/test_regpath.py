@@ -106,7 +106,7 @@ class TestSolveRegularizedKkt:
             return x0, NewtonReport(False, 0, [])
 
         def recording_refine(lu, k, b):
-            refined.append(k.copy())
+            refined.append(k @ np.eye(k.shape[1]))
             return None  # so the step factorises afresh
 
         def recording_splu(k, **kwargs):
@@ -126,23 +126,26 @@ class TestSolveRegularizedKkt:
         jac = np.block([[j11, mm / data.config.alpha], [j21, j11]])
         want = np.linalg.solve(jac, -r)
         assert np.linalg.norm(dx - want) <= 1e-12 * np.linalg.norm(want)
-        # unknowns numbered node by node, (y_i, p_i) in nested-dissection
-        # order, and stored entry for entry as sp.bmat and the permutation
-        # store them: the refined and the factorised matrix are that one
-        order = np.ravel(np.column_stack([space.nd_order, space.nd_order + n]))
+        # refined in the block order [y; p], from products that apply the
+        # Jacobian entry for entry as sp.bmat stores it
         j11 = ops.A + sp.diags(d * smoothed_max_prime(params, y))
         j21 = sp.diags(d * smoothed_max_second(params, y) * p) - ops.M
         ref = sp.bmat([[j11, ops.M / data.config.alpha], [j21, j11]], format="csr")
-        ref = ref[order][:, order]
-        for got, want in ((refined[0], ref), (factorised[0], ref.tocsc())):
-            assert got.format == want.format and got.shape == want.shape
-            # the layout keeps the planted 0 stored
-            assert got.nnz == want.nnz + plant
-            got = got.copy()
-            got.eliminate_zeros()
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(refined[0], ref.toarray())
+        # factorised with the unknowns numbered node by node, (y_i, p_i) in
+        # nested-dissection order, and stored entry for entry as sp.bmat and
+        # the permutation store them
+        order = np.ravel(np.column_stack([space.nd_order, space.nd_order + n]))
+        ref = ref[order][:, order].tocsc()
+        got = factorised[0]
+        assert got.format == ref.format and got.shape == ref.shape
+        # the layout keeps the planted 0 stored
+        assert got.nnz == ref.nnz + plant
+        got = got.copy()
+        got.eliminate_zeros()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
     @pytest.mark.parametrize("m", [5, 9])
     def test_refill_positions_index_the_pair_diagonals(self, m):
@@ -343,8 +346,9 @@ class TestPathFactorisationReuse:
 
 
 class TestPathSeed:
-    """The holder of a path starts with the unscaled pair seed: a solve of
-    [[A, M~ / alpha], [-M~, A]] by the sine transform of the grid."""
+    """The holder of a path starts with the pair seed: a solve of
+    [[A, M~ / alpha], [-M~, A]] by the sine transform of the grid, in the
+    block order [y; p]."""
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from([9, 17, 33]), log_alpha=st.floats(-5.0, -3.0),
@@ -354,14 +358,15 @@ class TestPathSeed:
         # p = -alpha u for a control u of order 1
         alpha = 10.0 ** log_alpha
         ops = assemble_operators(build_space(build_mesh(m)))
-        n, d, nd = ops.space.n, ops.d, ops.space.nd_order
+        n, d = ops.space.n, ops.d
         params = SmoothedMaxParams(eps)
         rng = np.random.default_rng(seed)
         y = rng.uniform(-2 * eps, 2 * eps, n)
         p = alpha * rng.standard_normal(n)
-        jac, _, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, alpha)
-        jac.data[yy] = jac.data[pp] = a_diag + (d * smoothed_max_prime(params, y))[nd]
-        jac.data[py] = (d * smoothed_max_second(params, y) * p)[nd] - m_diag
+        # the Jacobian in the seed's block order [y; p]
+        j11 = ops.A + sp.diags(d * smoothed_max_prime(params, y))
+        j21 = sp.diags(d * smoothed_max_second(params, y) * p) - ops.M
+        jac = sp.bmat([[j11, ops.M / alpha], [j21, j11]], format="csr")
         b = rng.standard_normal(2 * n)
         x = sparse_core.refine(SineSeed(ops.space, alpha), jac, b)
         ref = np.linalg.solve(jac.toarray(), b)
@@ -381,19 +386,26 @@ class TestPathJacobianLayout:
 
     @pytest.mark.parametrize("build", [build_example1, build_example2])
     def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, monkeypatch):
-        # example 2 on this mesh fails its inner solve at eps = 1e-5, so the
-        # path's layout also serves a solve that does not converge
+        # a path lays out its pair-ordered Jacobian at its first fresh LU and
+        # keeps it: example 1 on this mesh makes no LU, and example 2 makes
+        # one, in its inner solve at eps = 1e-5, which does not converge
         data, _ = build(build_space(build_mesh(17)))
-        layouts = []
-        pair_jacobian = regpath._pair_jacobian
+        layouts, lus = [], []
+        pair_jacobian, splu = regpath._pair_jacobian, regpath.splu
 
         def counting(*args):
             layouts.append(1)
             return pair_jacobian(*args)
 
+        def counting_splu(*args, **kwargs):
+            lus.append(1)
+            return splu(*args, **kwargs)
+
         monkeypatch.setattr(regpath, "_pair_jacobian", counting)
+        monkeypatch.setattr(regpath, "splu", counting_splu)
         shared, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
-        assert len(layouts) == 1
+        assert len(lus) == (build is build_example2)
+        assert len(layouts) == len(lus)
         solve = regpath.solve_regularized_kkt
 
         def own_layout(*args, _jacobian=None, **kwargs):
@@ -401,7 +413,7 @@ class TestPathJacobianLayout:
 
         monkeypatch.setattr(regpath, "solve_regularized_kkt", own_layout)
         own, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
-        assert len(layouts) == 2 + len(rep.inner_reports)
+        assert len(layouts) == len(lus)  # one per solve that factorises
         assert len(shared) == len(own)
         for x, x0 in zip(shared, own):
             assert np.array_equal(x, x0)

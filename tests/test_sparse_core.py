@@ -275,17 +275,8 @@ def splu_calls(monkeypatch):
 
 
 class TestHeldFactorisation:
-    def test_nearby_matrix_solved_from_held_lu(self, splu_calls):
-        rng = np.random.default_rng(5)
-        dense = rng.standard_normal((30, 30)) + 30 * np.eye(30)
-        b = rng.standard_normal(30)
-        nearby = dense + np.diag(1e-3 * rng.random(30))
-        held = []
-        solve_linear(csr(dense), b, held=held)
-        x = solve_linear(csr(nearby), b, held=held)
-        assert len(splu_calls) == 1
-        ref = dense_gauss_solve(nearby, b)
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    """``solve_linear`` holds nothing between calls: each reduced system is
+    factorised afresh."""
 
     def test_nothing_held_without_a_holder(self, splu_calls):
         m = csr(np.eye(3) + 0.1)
@@ -298,16 +289,14 @@ class TestHeldFactorisation:
         fixed = dense.copy()
         fixed[0] = [2.0, 0.0, 0.0, 0.0]  # row 0 now fixes x_0
         b = np.arange(1.0, 5.0)
-        held = []
-        solve_linear(csr(dense), b, held=held)
-        x = solve_linear(csr(fixed), b, held=held)
+        solve_linear(csr(dense), b)
+        x = solve_linear(csr(fixed), b)
         assert len(splu_calls) == 2
         assert np.allclose(fixed @ x, b, rtol=0, atol=1e-14)
 
     def test_dependent_row_after_good_one_names_a_dependent_row(self, splu_calls):
-        # the held LU is that of a regular matrix with the same pattern;
-        # refinement on the singular one cannot contract, so it gets a fresh
-        # float32 LU, which cannot pass either, and then the float64 LU,
+        # after a regular matrix with the same pattern, the singular one gets
+        # a fresh float32 LU, which cannot pass, and then the float64 LU,
         # whose pivot test must name the row
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -317,23 +306,11 @@ class TestHeldFactorisation:
             good[k] = dense[i] + dense[j] + 1e-2 * rng.standard_normal(8)
             dense[k] = dense[i] + dense[j] + 1e-17 * rng.standard_normal(8)
             del splu_calls[:]
-            held = []
-            solve_linear(csr(good), np.ones(8), held=held)
+            solve_linear(csr(good), np.ones(8))
             with pytest.raises(SingularMatrixError) as exc:
-                solve_linear(csr(dense), np.ones(8), held=held)
+                solve_linear(csr(dense), np.ones(8))
             assert len(splu_calls) == 3, seed
             assert exc.value.pivot_row in (i, j, k), seed
-
-    def test_holder_is_rows_cols_lu_after_a_fresh_solve(self, splu_calls):
-        # row 0 fixes x_0, so the reduced system is rows and columns 1..3
-        dense = np.eye(4) + 0.1
-        dense[0] = [2.0, 0.0, 0.0, 0.0]
-        held = []
-        solve_linear(csr(dense), np.ones(4), held=held)
-        assert len(splu_calls) == 1 and len(held) == 3
-        rows, cols, lu = held
-        assert np.array_equal(rows, [1, 2, 3]) and np.array_equal(cols, [1, 2, 3])
-        assert isinstance(lu, SuperLU) and lu.shape == (3, 3)
 
 
 @pytest.fixture
@@ -355,13 +332,18 @@ class TestMixedPrecision:
     float64; a float64 LU replaces it when it fails, and gives every
     singular verdict."""
 
-    def test_holder_keeps_the_float32_superlu(self, splu_dtypes):
+    def test_holder_keeps_the_float32_superlu(self, splu_dtypes, monkeypatch):
+        # nothing is held between calls; the LU a fresh solve refines from
+        # is the float32 SuperLU itself
         rng = np.random.default_rng(2)
         dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        held = []
-        solve_linear(csr(dense), rng.standard_normal(6), held=held)
+        lus = []
+        refine = sparse_core.refine
+        monkeypatch.setattr(sparse_core, "refine",
+                            lambda lu, k, b: lus.append(lu) or refine(lu, k, b))
+        solve_linear(csr(dense), rng.standard_normal(6))
         assert splu_dtypes == [np.float32]
-        lu = held[2]
+        lu, = lus
         assert isinstance(lu, SuperLU)
         assert lu.solve(np.ones(6, dtype=np.float32)).dtype == np.float32
 
@@ -397,9 +379,8 @@ class TestMixedPrecision:
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
     def test_example2_step_needs_no_float64_lu(self, alpha, splu_dtypes):
-        # the cold start's pair seed preconditions every step, so no LU is
-        # made; a step it could not serve would take a float32 LU, never a
-        # float64 one
+        # every step is refined from the pair seed, so no LU is made; a step
+        # it could not serve would take a float32 LU, never a float64 one
         data, _ = build_example2(build_space(build_mesh(33)), alpha, 1e-12)
         kkt_solver.solve_kkt(data)
         assert splu_dtypes == []
@@ -430,7 +411,7 @@ class TestPivotTestReadsNoFactor:
         from nsocp.examples import build_example2
         from nsocp.fe_mesh import build_mesh, build_space
         from nsocp.kkt_solver import solve_kkt
-        # a converging cell whose steps leave the pair seed for fresh LUs
+        # a converging cell whose steps take the 3n path and fresh LUs
         data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
@@ -447,7 +428,7 @@ class TestSharedLuOptions:
         assert 1 <= sparse_core.SPLU_OPTIONS["panel_size"] <= 4
 
     def test_solve_kkt(self, counting_splu):
-        # a converging cell whose steps leave the pair seed for fresh LUs
+        # a converging cell whose steps take the 3n path and fresh LUs
         data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = kkt_solver.solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
@@ -484,36 +465,41 @@ class TestSolveLinearMemory:
     its entry to a fresh LU it allocates at most its equilibrated copy of
     the input and 2.5 times the reduced system (3.6 times when it held the
     copy, the reduced rows, their column slice and the CSC matrix at once).
-    A step refined from the held LU forms no reduced system: it allocates at
-    most 2.5 times its input (4.4 times when it sliced and converted one)."""
+    A KKT step refined from the pair seed never calls it and forms no 3n
+    matrix: it allocates at most 32 n floats (23-26 n measured), less than
+    the 3n Newton matrix stores alone (41 n floats' worth at m = 65)."""
 
     @staticmethod
     def traced_kkt_solve(m, monkeypatch, fresh=False):
         """solve_kkt of example 1 on an m-mesh under tracemalloc: per
-        solve_linear call, the traced bytes at its entry, its input's bytes
-        and the peak at its exit; for a fresh LU also the peak when
-        ``_factorize`` is entered and the bytes of the matrix it gets. The
-        solve refines every step from its pair seed; with ``fresh`` its holder
-        starts empty, so that its first step is factorised afresh."""
+        solve_linear or seed step call, the traced bytes at its entry, its
+        input's bytes and the peak at its exit; for a fresh LU also the peak
+        when ``_factorize`` is entered and the bytes of the matrix it gets.
+        The solve refines every step from its pair seed; with ``fresh``
+        every step takes the 3n path and a fresh LU instead."""
         solve, factorize = sparse_core.solve_linear, sparse_core._factorize
+        seed_step = kkt_solver._seed_step
         calls = []
 
-        def traced_solve(mat, *args):
-            tracemalloc.reset_peak()
-            call = {"entry": tracemalloc.get_traced_memory()[0], "input": _nbytes(mat)}
-            calls.append(call)
-            x = solve(mat, *args)
-            call["exit"] = tracemalloc.get_traced_memory()[1]
-            return x
+        def traced(fn, size):
+            def wrapped(*args):
+                tracemalloc.reset_peak()
+                call = {"entry": tracemalloc.get_traced_memory()[0], "input": size(*args)}
+                calls.append(call)
+                x = fn(*args)
+                call["exit"] = tracemalloc.get_traced_memory()[1]
+                return x
+            return wrapped
 
         def traced_factorize(k, rows, b):
             calls[-1].update(factorize=tracemalloc.get_traced_memory()[1], k=_nbytes(k))
             return factorize(k, rows, b)
 
-        monkeypatch.setattr(sparse_core, "solve_linear", traced_solve)
+        monkeypatch.setattr(sparse_core, "solve_linear",
+                            traced(solve, lambda mat, *args: _nbytes(mat)))
         monkeypatch.setattr(sparse_core, "_factorize", traced_factorize)
-        if fresh:
-            monkeypatch.setattr(kkt_solver, "_pair_holder", lambda data, order: [])
+        monkeypatch.setattr(kkt_solver, "_seed_step", (lambda *args: None) if fresh else
+                            traced(seed_step, lambda data, *args: 8 * data.ops.space.n))
         data, _ = build_example1(build_space(build_mesh(m)))
         tracemalloc.start()
         try:
@@ -532,10 +518,11 @@ class TestSolveLinearMemory:
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_peak_of_refined_step(self, m, monkeypatch):
-        refined = [c for c in self.traced_kkt_solve(m, monkeypatch) if "k" not in c]
+        # "input" is here the bytes of n floats
+        refined = self.traced_kkt_solve(m, monkeypatch)
         assert refined
         for c in refined:
-            assert c["exit"] - c["entry"] <= 2.5 * c["input"]
+            assert c["exit"] - c["entry"] <= 32 * c["input"]
 
 
 class TestEntryPositions:
