@@ -10,6 +10,9 @@ or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p] in lexicographic
 block order. ``pair_operator`` applies, in the same order, a pair system
 with M and three diagonals, from A, M and the diagonals alone, so that
 ``sparse_core.refine`` can solve it from the seed with no matrix formed.
+``pair_jacobian`` lays out that pair system once as a matrix, node by node
+in nested-dissection order, for the KKT and continuation steps that
+factorise it; they refill its three diagonals in place.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .sparse_core import CsrMatrix
+from .sparse_core import CsrMatrix, entry_positions
 
 __all__ = [
     "MeshError",
@@ -36,6 +39,7 @@ __all__ = [
     "sine_spectrum",
     "SineSeed",
     "pair_operator",
+    "pair_jacobian",
     "interpolate",
     "linf_nodal_error",
     "export_vtk",
@@ -269,6 +273,24 @@ def pair_operator(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> Linea
                                a @ p + d_pp * p + (d_py * y - m @ y)])
 
     return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+
+
+def pair_jacobian(ops: FeOperators, alpha: float):
+    """The pair system [[A, M / alpha], [-M, A]], laid out by ``sp.bmat``
+    with the unknowns in (y_i, p_i)-pair order: row and column 2k is y at
+    node nd[k] of ``nd_order``, 2k + 1 is p there. Returns it with that
+    order (pair unknown j is unknown order[j] of the block order [y; p]),
+    the positions in its data of the (2k, 2k), (2k + 1, 2k + 1) and
+    (2k + 1, 2k) entries, node by node (from ``entry_positions``), and the
+    diagonals of A and M in that order, which a step refills the three
+    diagonals from."""
+    a, m = ops.A, ops.M
+    nd = ops.space.nd_order
+    order = np.column_stack([nd, nd + len(nd)]).ravel()
+    jac = sp.bmat([[a, m / alpha], [-m, a]], format="csr")[order][:, order]
+    y = 2 * np.arange(len(nd))  # the row and column of y_i; those of p_i are y + 1
+    yy, pp, py = (entry_positions(jac, r, c) for r, c in ((y, y), (y + 1, y + 1), (y + 1, y)))
+    return jac, order, yy, pp, py, a.diagonal()[nd], m.diagonal()[nd]
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

@@ -9,43 +9,42 @@ Unknowns are the stacked coefficient vectors (y, p, chi):
 The third equation is the prox reformulation of the pointwise inclusion
 chi_i in the convex subdifferential of max at y_i; it is scaled by the
 lumped mass matrix for uniform residual scaling. Nodes where p_i ~ 0 and
-y_i + gamma chi_i in [0, gamma] make the Newton matrix singular; their
-chi components are frozen for the step (active-set fix).
+y_i + gamma chi_i in [0, gamma] (I_crit) make the Newton matrix singular;
+their chi components are frozen for the step (active-set fix).
 ``solve_kkt`` runs ``state_solver.newton`` on the stacked vector.
 
-Every prox row of the Newton matrix has a single nonzero, so a step fixes
-chi_i on I_gamma and on critical nodes and y_i on the other inactive nodes;
-there chi_i follows last from adjoint row n + i, through the pivot d_i p_i.
-What is left is the primal-dual active-set system (Hintermueller, Ito &
-Kunisch, SIAM J. Optim. 13, 2002) in dy on I_gamma and I_crit and dp on
-every node, of size at most 2n.
+Every prox row of the 3n Newton matrix has a single nonzero, so no step
+forms that matrix (``_newton_step``). With S = I_gamma u I_crit and N the
+other nodes, the prox rows fix dchi_i = r3_i / (gamma d_i) on I_gamma,
+dchi_i = 0 on I_crit and dy_i = -r3_i / d_i on N; D p dchi on S moves to
+the right-hand side. What is left is the primal-dual active-set system
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002) in dy on S and dp
+on every node: the n state rows and the adjoint rows on S of the pair
+system [[A + D 1{y>0}, M / alpha], [-M, A + D chi]]. dchi_i on N follows
+last from adjoint row n + i, through the pivot d_i p_i.
 
-A step whose I_gamma and I_crit cover every node fixes every chi_i, and its
-system is K0 = [[A, M / alpha], [-M, A]] up to the diagonals D 1{y>0} and
-D chi; at y = p = chi = 0 every node is critical, so the first step from
-that start is one. ``_seed_step`` solves such a step with no 3n matrix:
-dchi from the prox rows, D p dchi moved to the right-hand side, and
-[dy; dp] refined by ``sparse_core.refine`` from the pair ``fe_mesh.SineSeed``
-of the call, which solves K0 up to one small term by the sine transform of
-the grid, against the products of ``fe_mesh.pair_operator`` from A, M and
-the two diagonals. Refinement makes up that term and the diagonals.
+When N is empty that system is the whole pair system, K0 = [[A, M / alpha],
+[-M, A]] up to the diagonals D 1{y>0} and D chi; at y = p = chi = 0 every
+node is critical, so the first step from that start is one. Its [dy; dp]
+is refined by ``sparse_core.refine`` from the pair ``fe_mesh.SineSeed`` of
+the call, which solves K0 up to one small term by the sine transform of the
+grid, against the products of ``fe_mesh.pair_operator`` from A, M and the
+two diagonals. Refinement makes up that term and the diagonals.
 
-Any other step, and a step whose refinement declines, is solved from the 3n
-Newton matrix by ``sparse_core.solve_linear``, which reduces it to the
-active-set system in the nested-dissection order ``FeSpace.nd_order`` and
-factorises that afresh. The first such step of a call lays out the matrix's
-pattern (``_newton_layout``, one ``assemble_block``): the blocks A, M / alpha
-and -M and every entry of the five diagonals that change between steps,
-D 1{y>0}, D chi, D p, D (1 - 1_gamma) and -gamma D 1_gamma, a zero one stored
-as an explicit zero, with their positions in its data. Each such step writes
-through those positions only: it refills the diagonals (``newton_matrix``)
-and writes the unit rows of the critical nodes over their prox rows
-(``apply_active_set_fix``). Since ``solve_linear``'s working copy drops
-explicit zeros, the matrix it factorises equals, entry for entry, one built
-afresh. A singular step is reported by ``solve_linear``: by its test of the
-singleton pivots, such as a deferred d_i p_i that names adjoint row n + i,
-or, on the reduced system, by the float64 LU alone. A seed step gives no
-verdict: its pivots -gamma d_i and 1 are never small.
+Any other step, and one whose refinement declines, is factorised. The first
+such step of a call lays out the pair system (``fe_mesh.pair_jacobian``,
+the layout ``regpath`` factorises too), node by node in the
+nested-dissection order ``FeSpace.nd_order``; each such step refills its
+two diagonals that vary in place. Each row is scaled by the largest entry
+of its row of the 3n matrix, which for adjoint row n + i is also compared
+with |d_i p_i|. A pivot d_i p_i on N below ``sparse_core.PIVOT_RTOL`` after
+that scaling raises SingularMatrixError naming adjoint row n + i, for the
+smallest such i, before any LU; i is the lexicographic node number, so the
+verdict does not depend on the order. Otherwise the state rows and the
+adjoint rows on S, in the columns dy on S and dp, are handed to
+``sparse_core.solve_linear``, which names a deficient row in the same 3n
+numbering (state row i as i, adjoint row i as n + i). A step refined from
+the seed gives no verdict.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from . import sparse_core
-from .fe_mesh import FeFunction, FeOperators, SineSeed, pair_operator
+from .fe_mesh import FeFunction, FeOperators, SineSeed, pair_jacobian, pair_operator
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import assemble_block, entry_positions, refine
+from .sparse_core import PIVOT_RTOL, SingularMatrixError, refine, solve_linear
 from .state_solver import newton
 
 __all__ = [
@@ -69,8 +67,6 @@ __all__ = [
     "ProblemData",
     "residual",
     "index_sets",
-    "newton_matrix",
-    "apply_active_set_fix",
     "solve_kkt",
     "recover_control",
     "zero_point",
@@ -160,82 +156,6 @@ def index_sets(pt: KktPoint, config: KktConfig) -> IndexSets:
     )
 
 
-def _newton_layout(data: ProblemData):
-    """The stored pattern of every Newton matrix of ``data``, laid out once
-    by ``assemble_block`` as [[A, M / alpha, 0], [-M, A, I], [I, 0, I]]: the
-    identity blocks make it store every entry of the five diagonals that
-    change between steps. Returns the matrix with the positions in its data
-    of the diagonals of its (1,1), (2,2), (2,3), (3,1) and (3,3) blocks, node
-    by node, from ``entry_positions`` (SparseError unless each is stored
-    once), and the diagonal of A, which the first two are refilled from."""
-    ops = data.ops
-    n = ops.space.n
-    a, m = ops.A, ops.M
-    eye = sp.identity(n, format="csr")
-    jac = assemble_block([[a, (1.0 / data.config.alpha) * m, None],
-                          [-1.0 * m, a, eye],
-                          [eye, None, eye]])
-    i = np.arange(n)
-    blocks = ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n))
-    return (jac, *(entry_positions(jac, r + i, c + i) for r, c in blocks), a.diagonal())
-
-
-def newton_matrix(data: ProblemData, pt: KktPoint, sets: IndexSets, *,
-                  _layout=None) -> sp.csr_matrix:
-    """3n x 3n generalized Jacobian of the stacked residual
-
-        [[A + D 1{y>0},  M / alpha,     0               ],
-         [-M,            A + D chi,     D p             ],
-         [D (1 - 1_gam), 0,             -gamma D 1_gam  ]]
-
-    in the pattern of ``_newton_layout``: every entry of the five diagonal
-    blocks that vary is stored, a zero one as an explicit zero (which
-    ``solve_linear``'s working copy drops). ``_layout`` is ``solve_kkt``'s one
-    layout for the whole solve, whose five diagonals are refilled in place
-    and returned; None lays out a new matrix. Either way no entry of an
-    earlier step survives, the critical prox rows of ``apply_active_set_fix``
-    included: a prox row stores only its (3,1) and (3,3) entries.
-    """
-    jac, yy, pp, pc, cy, cc, a_diag = _layout or _newton_layout(data)
-    d = data.ops.d
-    n = len(d)
-    gamma = data.config.gamma
-
-    ind_plus = np.zeros(n)
-    ind_plus[sets.i_plus] = 1.0
-    ind_gam = np.zeros(n)
-    ind_gam[sets.i_gamma] = 1.0
-
-    jac.data[yy] = a_diag + d * ind_plus
-    jac.data[pp] = a_diag + d * pt.chi.coeffs
-    jac.data[pc] = d * pt.p.coeffs
-    jac.data[cy] = d * (1.0 - ind_gam)
-    jac.data[cc] = -gamma * (d * ind_gam)
-    return jac
-
-
-def apply_active_set_fix(layout, rhs: np.ndarray, sets: IndexSets):
-    """Freeze the critical chi components for this Newton step.
-
-    ``layout`` is a ``_newton_layout`` that ``newton_matrix`` has filled for
-    this step. The prox row of each critical node becomes, in place, the
-    unit row on its chi unknown (rhs 0): through the layout's positions its
-    (3,1) entry is written 0 and its (3,3) entry 1, the only two it stores.
-    So the step leaves chi_i unchanged while its column contributions in the
-    first two block rows remain. Every other row is left as it is. Returns
-    the matrix and a copy of ``rhs``, or ``rhs`` itself when no node is
-    critical.
-    """
-    jac, _, _, _, cy, cc, _ = layout
-    if len(sets.i_crit) == 0:
-        return jac, rhs
-    jac.data[cy[sets.i_crit]] = 0.0
-    jac.data[cc[sets.i_crit]] = 1.0
-    rhs = rhs.copy()
-    rhs[2 * len(cy) + sets.i_crit] = 0.0
-    return jac, rhs
-
-
 def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     """Undamped semi-smooth Newton on the stacked system; no globalization.
 
@@ -254,24 +174,12 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
         return KktPoint(ops.space.function(x[:n]), ops.space.function(x[n:2 * n]),
                         ops.space.function(x[2 * n:]))
 
-    nd = ops.space.nd_order
-    order = np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()  # (y_i, p_i, chi_i) by node
-
     seed = SineSeed(ops.space, cfg.alpha)
-    layout = []  # the 3n layout, made by the first step that needs it and refilled by each
+    layout = []  # the pair Jacobian, laid out by the first step that factorises
 
     def step(x, r):
         pt = point(x)
-        sets = index_sets(pt, cfg)
-        if len(sets.i_gamma) + len(sets.i_crit) == n:
-            dx = _seed_step(data, pt, sets, r, seed)
-            if dx is not None:
-                return dx
-        if not layout:
-            layout.append(_newton_layout(data))
-        newton_matrix(data, pt, sets, _layout=layout[0])
-        jac, rhs = apply_active_set_fix(layout[0], -r, sets)
-        return sparse_core.solve_linear(jac, rhs, order)
+        return _newton_step(data, pt, index_sets(pt, cfg), r, seed, layout)
 
     try:
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
@@ -283,28 +191,77 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
     return point(x), report
 
 
-def _seed_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray,
-               seed: SineSeed) -> Optional[np.ndarray]:
-    """The Newton step at ``pt``, whose I_gamma and I_crit cover every node,
-    for the residual ``r``, with no 3n matrix; None when ``refine`` declines.
-
-    The prox rows fix every chi_i: dchi_i = r3_i / (gamma d_i) on I_gamma and
-    0 on I_crit. D p dchi then moves to the right-hand side, and [dy; dp]
-    solves the pair system [[A + D 1{y>0}, M / alpha], [-M, A + D chi]],
-    refined from the pair ``seed`` with its products from ``pair_operator``.
-    """
-    d = data.ops.d
+def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray,
+                 seed: SineSeed, layout: list) -> np.ndarray:
+    """The Newton step [dy; dp; dchi] at ``pt`` for the residual ``r``, as the
+    module docstring sets out, with no 3n matrix. ``layout`` is the call's
+    list that holds its ``pair_jacobian`` from the first step that
+    factorises on. A deficient pivot d_i p_i, or a singular verdict of
+    ``solve_linear``, raises SingularMatrixError."""
+    ops = data.ops
+    d = ops.d
     n = len(d)
     cfg = data.config
-    g = sets.i_gamma
+    free = np.ones(n, dtype=bool)  # N: the inactive nodes outside I_crit
+    free[sets.i_gamma] = free[sets.i_crit] = False
+    g, rest = sets.i_gamma, np.flatnonzero(free)
     dchi = np.zeros(n)
     dchi[g] = r[2 * n + g] / (cfg.gamma * d[g])
     d_plus = np.zeros(n)
     d_plus[sets.i_plus] = d[sets.i_plus]
-    rhs = -r[:2 * n]
-    rhs[n:] -= (d * pt.p.coeffs) * dchi
-    dyp = refine(seed, pair_operator(data.ops, cfg.alpha, d_plus, d * pt.chi.coeffs), rhs)
-    return None if dyp is None else np.concatenate([dyp, dchi])
+    d_chi = d * pt.chi.coeffs
+    d_p = d * pt.p.coeffs
+    if not len(rest):
+        rhs = -r[:2 * n]
+        rhs[n:] -= d_p * dchi
+        dyp = refine(seed, pair_operator(ops, cfg.alpha, d_plus, d_chi), rhs)
+        if dyp is not None:
+            return np.concatenate([dyp, dchi])
+
+    if not layout:
+        layout.append(pair_jacobian(ops, cfg.alpha))
+    jac, order, yy, pp, _, a_diag, _ = layout[0]  # its (p, y) diagonal stays -M_ii
+    nd = ops.space.nd_order
+    jac.data[yy] = a_diag + d_plus[nd]
+    jac.data[pp] = a_diag + d_chi[nd]
+    # each row is scaled by its largest entry in the 3n matrix, where adjoint
+    # row n + i also holds the pivot d_i p_i
+    scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
+    scale[1::2] = np.maximum(scale[1::2], np.abs(d_p[nd]))
+    inv = 1.0 / scale
+    piv = d_p[nd] * inv[1::2]
+    free_k = free[nd]  # N, by position in nd
+    bad = free_k & (np.abs(piv) < PIVOT_RTOL)
+    if bad.any():
+        raise SingularMatrixError(n + int(nd[bad].min()))
+
+    eq = sp.csr_matrix((jac.data * np.repeat(inv, np.diff(jac.indptr)), jac.indices, jac.indptr),
+                       shape=jac.shape)
+    # dy_i on N from its prox row d_i dy_i = -r3_i scaled like every row, by
+    # its largest entry (d_i (1 / d_i) is not 1 at every h); the fixed terms
+    # are moved to the right-hand side in the scaled rows
+    dy = np.zeros(n)
+    dy[rest] = (-r[2 * n + rest] / d[rest]) / (d[rest] * (1.0 / d[rest]))
+    x = np.concatenate([dy, np.zeros(n)])[order]  # [dy; dp] in pair order
+    b = -r[:2 * n][order] / scale
+    moved = eq @ x  # the fixed dy_N and D p dchi_S
+    moved[1::2] += piv * dchi[nd]
+    adj = 2 * np.flatnonzero(free_k) + 1  # the adjoint rows on N
+    back = eq[adj]
+    # every state row and the adjoint rows on S; the columns dy on S and every dp
+    every = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(np.column_stack([every, ~free_k]).ravel())
+    cols = np.flatnonzero(np.column_stack([~free_k, every]).ravel())
+    eq = eq[rows]  # one copy of the system at a time
+    eq = eq[:, cols]
+    k = eq.tocsc()
+    del eq
+    x[cols] = solve_linear(k, order[rows], (b - moved)[rows])
+    dchi[nd[free_k]] = (b[adj] - back @ x) / piv[free_k]
+    out = np.empty(3 * n)
+    out[order] = x
+    out[2 * n:] = dchi
+    return out
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

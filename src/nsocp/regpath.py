@@ -15,14 +15,16 @@ D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one pair
 first solved by ``sparse_core.refine`` from what is held, in the seed's
 block order [y; p], with its products from A, M and the step's diagonals
 (``fe_mesh.pair_operator``). When refinement declines, what is held is
-dropped and the step's Jacobian is factorised by a float64 LU, with the
-unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
-nested-dissection order, and held in its place; it solves in block order by
-permuting to and from that order. The pair-ordered Jacobian is built, with
-``sp.bmat`` and the permutation, at the first fresh LU of a path (or of a
-solve called on its own) and kept for the rest of it; each LU refills all
-three varying diagonals, so nothing of an earlier step survives in it. The
-holder is cleared when the path returns or raises.
+dropped and the step's Jacobian is factorised by a float64 LU and held in
+its place. That Jacobian is ``fe_mesh.pair_jacobian``, the layout the KKT
+step factorises too: the unknowns numbered node by node, as (y_i, p_i)
+pairs in the mesh's nested-dissection order. The LU solves in block order
+by permuting to and from that order. The layout is made at the first fresh
+LU of a path (or of a solve called on its own) and kept for the rest of it;
+each LU refills all three varying diagonals, so nothing of an earlier step
+survives in it. A failed LU names its row through
+``sparse_core.singular_error``. The holder is cleared when the path returns
+or raises.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -33,19 +35,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
-from .fe_mesh import FeFunction, SineSeed, pair_operator
+from .fe_mesh import FeFunction, SineSeed, pair_jacobian, pair_operator
 from .nonsmooth import (
     SmoothedMaxParams,
     smoothed_max,
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, entry_positions, refine
+from .sparse_core import SPLU_OPTIONS, refine, singular_error
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
                            solve_state_regularized)
 
@@ -80,23 +81,6 @@ class RegPathConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
-def _pair_jacobian(ops, alpha: float):
-    """The Jacobian [[A, M/alpha], [-M, A]] of the smoothed system without
-    its smoothing terms, built by ``sp.bmat`` with the unknowns in
-    (y_i, p_i)-pair order: row and column 2i is y at node nd[i], 2i + 1 is p
-    there. Returns it with that pair order, the positions in its data of the
-    (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i) entries, node by node (from
-    ``entry_positions``), and the diagonals of A and M in that order, which a
-    step adds its smoothing terms to."""
-    a, m = ops.A, ops.M
-    nd = ops.space.nd_order
-    order = np.column_stack([nd, nd + len(nd)]).ravel()
-    jac = sp.bmat([[a, m / alpha], [-m, a]], format="csr")[order][:, order]
-    y = 2 * np.arange(len(nd))  # the row and column of y_i; those of p_i are y + 1
-    yy, pp, py = (entry_positions(jac, r, c) for r, c in ((y, y), (y + 1, y + 1), (y + 1, y)))
-    return jac, order, yy, pp, py, a.diagonal()[nd], m.diagonal()[nd]
-
-
 def solve_regularized_kkt(data: ProblemData, eps: float,
                           init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None,
                           *, _jacobian=None):
@@ -109,11 +93,12 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     products from A, M and the step's diagonals (``pair_operator``); when
     that declines, the holder is cleared and the step takes the fresh path:
     factorise its Jacobian in (y_i, p_i)-pair order (a failed LU raises
-    SingularMatrixError with row -1) and hold that LU. Without a holder the
-    call keeps its own, seeded, and clears it before returning or raising.
+    SingularMatrixError naming its row in block order) and hold that LU.
+    Without a holder the call keeps its own, seeded, and clears it before
+    returning or raising.
 
     ``_jacobian`` is ``run_path``'s one list for the whole path, which holds
-    its ``_pair_jacobian(ops, alpha)`` from the first fresh LU on; None makes
+    its ``pair_jacobian(ops, alpha)`` from the first fresh LU on; None makes
     a list for this call.
     """
     params = SmoothedMaxParams(eps)
@@ -144,14 +129,15 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         if sol is None:
             held.clear()  # free the old LU before the new one is built
             if not layout:
-                layout.append(_pair_jacobian(ops, alpha))
+                layout.append(pair_jacobian(ops, alpha))
             jac, order, yy, pp, py, a_diag, m_diag = layout[0]
             jac.data[yy] = jac.data[pp] = a_diag + d_yy[nd]
             jac.data[py] = d_py[nd] - m_diag
+            k = jac.tocsc()
             try:
-                lu = splu(jac.tocsc(), **SPLU_OPTIONS)
+                lu = splu(k, **SPLU_OPTIONS)
             except RuntimeError as exc:
-                raise SingularMatrixError(-1) from exc
+                raise singular_error(k, order) from exc
             held.append(_BlockOrderLu(lu, order))
             sol = held[0].solve(-r)
         return sol

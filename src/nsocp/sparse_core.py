@@ -1,25 +1,23 @@
-"""Block assembly and deterministic direct solves on scipy.sparse matrices.
+"""Deterministic direct solves on scipy.sparse matrices, and refinement.
 
 All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
 module pins down the error behavior the rest of the package relies on.
-``solve_linear`` equilibrates the rows, eliminates singleton rows and
-columns, and factorises only the reduced system, in an order the caller
-supplies (for the KKT step, nested dissection of the mesh nodes). Every
-singleton pivot it takes is tested. It keeps one copy of the system alive
-at a time: the equilibrated copy of its input gives way to the reduced rows,
-they to their column slice, and that to the CSC matrix that is factorised.
+``solve_linear`` solves a system that its caller has equilibrated (each row
+scaled to max magnitude at most 1) and numbered in the order to factorise
+it in: the KKT step's reduced active-set system, which ``kkt_solver``
+assembles from the pair Jacobian of ``fe_mesh.pair_jacobian``.
 
-The reduced system is factorised in single precision and its solution is
-refined in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci.
-Comput. 40, 2018): after row equilibration it is well conditioned, and the
-float32 factors take half the memory and less time. A float32 LU is kept
-when a condition estimate passes (a transposed solve of a fixed probe and a
-solve of its result, which read neither factor) and ``refine`` accepts its
+The system is factorised in single precision and its solution is refined
+in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput.
+40, 2018): after row equilibration it is well conditioned, and the float32
+factors take half the memory and less time. A float32 LU is kept when a
+condition estimate passes (a transposed solve of a fixed probe and a solve
+of its result, which read neither factor) and ``refine`` accepts its
 solution. Otherwise a float64 LU takes its place, with the same estimate at
 a tighter threshold and one correction of its solution. Only that float64
-LU says singular: a deficient row is reported in the caller's numbering, so
-every singular verdict of an LU is the one a float64 factorisation gives. The
-other verdicts come from the test of the singleton pivots.
+LU says singular, naming a deficient row in the caller's numbering.
+``singular_error`` is the one way a failed ``splu`` names its row, here and
+in the float64 LUs of ``state_solver`` and ``regpath``.
 
 ``SPLU_OPTIONS`` are the SuperLU options of every LU in the package: this
 module's and those of ``state_solver`` and ``regpath``, which call their own
@@ -31,11 +29,12 @@ SuperLU holds on top of the finished factors.
 nearby system (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
 ed., ch. 12), with the one acceptance rule of the package. Beside the
 float32 LU of ``solve_linear`` it refines the forward solves of
-``state_solver``, the KKT steps of ``kkt_solver`` that skip the 3n matrix
-and the continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``,
-which factorises nothing (``regpath`` from its own LU once refinement from
-the seed has declined), and the last two against the products of
-``fe_mesh.pair_operator``. The module holds nothing between calls.
+``state_solver``, the KKT steps of ``kkt_solver`` whose I_gamma and I_crit
+cover every node and the continuation steps of ``regpath``, each from a
+``fe_mesh.SineSeed``, which factorises nothing (``regpath`` from its own LU
+once refinement from the seed has declined), and the last two against the
+products of ``fe_mesh.pair_operator``. The module holds nothing between
+calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it. ``entry_positions`` locates given entries of a CSR matrix
@@ -56,9 +55,9 @@ __all__ = [
     "SPLU_OPTIONS",
     "CsrMatrix",
     "solve_linear",
+    "singular_error",
     "refine",
     "entry_positions",
-    "assemble_block",
 ]
 
 # The SuperLU options of every LU in the package (this module's, the forward
@@ -73,10 +72,11 @@ __all__ = [
 SPLU_OPTIONS = MappingProxyType(
     {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 4})
 
-# Singular, after each row is scaled to max magnitude 1: a singleton pivot
-# below PIVOT_RTOL, or a probe solve with the float64 LU of the reduced
-# system k that grows by 1 / PIVOT_RTOL or more (max|z| / max|s| for
-# z = k^-T s, or the same for the solve with k that follows; see _probe).
+# Singular, after each row is scaled to max magnitude 1: a pivot below
+# PIVOT_RTOL (``kkt_solver`` tests the pivots d_i p_i it divides by against
+# it), or a probe solve with the float64 LU of a system k that grows by
+# 1 / PIVOT_RTOL or more (max|z| / max|s| for z = k^-T s, or the same for
+# the solve with k that follows; see _probe).
 PIVOT_RTOL = 1e-14
 # A float32 LU of the reduced system is given up for a float64 one when its
 # probe solve grows by 1 / SINGLE_PIVOT_RTOL or more (about 1 / eps32).
@@ -119,16 +119,19 @@ class CsrMatrix(sp.csr_matrix):
         return m
 
 
-def _factorize(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution of k x = b for the reduced system ``k``, from its LU:
-    single precision refined to double when that works, else double.
+def solve_linear(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of k x = b for a row-equilibrated CSC matrix ``k``, from
+    its LU in the order it is given: single precision refined to double when
+    that works, else double. ``rows[i]`` is the caller's number of row i.
 
     The float32 LU (``_single_lu``) is kept when it factorises, passes the
     probe test below at growth 1 / SINGLE_PIVOT_RTOL and ``refine`` accepts
     its solution. Otherwise it is dropped for the float64 path
     (``_double_lu``): a float64 LU that passes the probe test at growth
-    1 / PIVOT_RTOL, or raises SingularMatrixError naming the row, and one
-    correction of its solution. So only the float64 LU ever says singular.
+    1 / PIVOT_RTOL, or raises SingularMatrixError naming the row as
+    ``rows[i]``, and one correction of its solution. So only the float64 LU
+    ever says singular: a singular system makes refinement from a float32 LU
+    decline, so it reaches the float64 LU and its probe test.
     """
     x = _single_lu(k, b)
     if x is not None:
@@ -153,15 +156,14 @@ def _single_lu(k: sp.csc_matrix, b: np.ndarray):
 
 
 def _double_lu(k: sp.csc_matrix, rows: np.ndarray):
-    """Float64 sparse LU of the reduced system ``k`` in the order it is
-    given (no fill-reducing column ordering), with threshold partial
-    pivoting, and its singularity test: SingularMatrixError names the row
-    as ``rows[i]``, the original number of row i of ``k``."""
+    """Float64 sparse LU of ``k`` in the order it is given (no fill-reducing
+    column ordering), with threshold partial pivoting, and its singularity
+    test: SingularMatrixError names the row as ``rows[i]``, the caller's
+    number of row i of ``k``."""
     try:
         lu = splu(k, **SPLU_OPTIONS)
     except RuntimeError as exc:
-        row = _first_deficient_row(k)
-        raise SingularMatrixError(int(rows[row]) if row >= 0 else -1) from exc
+        raise singular_error(k, rows) from exc
     z, regular = _probe(lu, PIVOT_RTOL)
     if not regular:
         raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
@@ -198,6 +200,14 @@ def _probe(lu, rtol: float):
     return z, bool(z_max * rtol < np.max(np.abs(s)) and y_max * rtol < 1.0)
 
 
+def singular_error(k, rows: np.ndarray) -> SingularMatrixError:
+    """The SingularMatrixError of a matrix ``k`` whose ``splu`` has failed:
+    the deficient row that ``_first_deficient_row`` finds, named as
+    ``rows[i]``, the caller's number of row i of ``k``; -1 when it finds none."""
+    row = _first_deficient_row(k)
+    return SingularMatrixError(int(rows[row]) if row >= 0 else -1)
+
+
 def _first_deficient_row(m_sp) -> int:
     """Best-effort identification of a deficient pivot row (small systems)."""
     n = m_sp.shape[0]
@@ -217,123 +227,6 @@ def _first_deficient_row(m_sp) -> int:
     return -1
 
 
-def _check_singletons(rows: np.ndarray, cols: np.ndarray, piv: np.ndarray) -> None:
-    """Each singleton pivot (row, column, equilibrated value) needs a row and
-    a column of its own and a magnitude of at least PIVOT_RTOL; otherwise the
-    smallest offending row is named."""
-    bad = np.abs(piv) < PIVOT_RTOL
-    for idx in (rows, cols):
-        bad |= np.bincount(idx)[idx] > 1
-    if bad.any():
-        raise SingularMatrixError(int(rows[bad].min()))
-
-
-def solve_linear(m, b: np.ndarray, order=None) -> np.ndarray:
-    """Solve m x = b (deterministic); ``m`` is a square scipy sparse matrix.
-
-    The solve runs in five stages:
-
-    1. Equilibrate: explicit zeros are dropped and each row is scaled to
-       max magnitude 1, so every singularity test below is invariant under
-       row scaling (the prox rows of the KKT system carry entries of order
-       gamma times a mesh factor and are perfectly well conditioned). This
-       is the one working copy of ``m``.
-    2. Eliminate singletons: a row with a single entry fixes its unknown.
-       Among the remaining rows, a column with a single entry is deferred:
-       its unknown is back-substituted from that row at the end.
-    3. Number the rows and columns of the reduced system as in ``order``
-       (a permutation of range(n) listing the unknowns, each with its
-       equation, in elimination order; None keeps the given numbering).
-    4. Factorise: the reduced rows of the working copy replace it, their
-       column slice replaces them and its CSC copy replaces the slice, each
-       freed as soon as the next exists. ``_factorize`` factorises a float32
-       copy of that matrix by sparse LU with ``SPLU_OPTIONS`` (threshold
-       partial pivoting, a small panel) and refines the solution in float64
-       with ``refine``. It falls back to a float64 LU, with its probe test
-       and one correction, when the float32 ``splu`` fails, its probe solve
-       grows by 1 / SINGLE_PIVOT_RTOL or more, or refinement declines.
-    5. Back-substitute the deferred unknowns.
-
-    SingularMatrixError names a deficient row in the numbering of ``m``: an
-    empty row, a second singleton row on a fixed unknown, or a singleton
-    pivot below PIVOT_RTOL (tested on every call), or, for the float64 LU
-    of the reduced system, a probe solve that grows by 1 / PIVOT_RTOL or
-    more, named by the largest entry of the transposed solve. A singular
-    reduced system makes refinement from a float32 LU decline, so it reaches
-    the float64 LU and its probe test.
-    """
-    if m.shape[0] != m.shape[1]:
-        raise SparseError("solve_linear requires a square matrix")
-    b = np.asarray(b, dtype=float)
-    n = m.shape[0]
-    if b.shape != (n,):
-        raise SparseError("right-hand side has wrong length")
-    if order is not None:
-        order = np.asarray(order)
-        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-            raise SparseError("order must be a permutation of range(n)")
-    # the one working copy, equilibrated in place
-    m_eq = sp.csr_matrix(m, copy=True)
-    m_eq.sum_duplicates()
-    m_eq.eliminate_zeros()
-    indptr, indices, data = m_eq.indptr, m_eq.indices, m_eq.data
-    counts = np.diff(indptr)
-    dead = np.flatnonzero(counts == 0)
-    if len(dead):
-        raise SingularMatrixError(int(dead[0]))
-    row_mags = np.maximum.reduceat(np.abs(data), indptr[:-1])
-    data *= np.repeat(1.0 / row_mags, counts)
-    b_eq = b / row_mags
-
-    # row singletons fix their unknowns
-    fix_rows = np.flatnonzero(counts == 1)
-    fix_cols = indices[indptr[fix_rows]]
-    fix_piv = data[indptr[fix_rows]]
-    _check_singletons(fix_rows, fix_cols, fix_piv)
-    x = np.zeros(n)
-    x[fix_cols] = b_eq[fix_rows] / fix_piv
-
-    # among the other rows, column singletons are deferred
-    is_fixed = np.zeros(n, dtype=bool)
-    is_fixed[fix_cols] = True
-    live = np.repeat(counts != 1, counts)
-    live &= ~is_fixed[indices]
-    live &= (np.bincount(indices[live], minlength=n) == 1)[indices]
-    pos = np.flatnonzero(live)
-    del live
-    def_rows = np.searchsorted(indptr, pos, side="right") - 1
-    def_cols = indices[pos]
-    def_piv = data[pos]
-    _check_singletons(def_rows, def_cols, def_piv)
-
-    keep_row = np.ones(n, dtype=bool)
-    keep_row[fix_rows] = False
-    keep_row[def_rows] = False
-    keep_col = ~is_fixed
-    keep_col[def_cols] = False
-    rows, cols = np.flatnonzero(keep_row), np.flatnonzero(keep_col)
-    if order is not None:
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        rows = rows[np.argsort(rank[rows], kind="stable")]
-        cols = cols[np.argsort(rank[cols], kind="stable")]
-
-    m_def = m_eq[def_rows]
-    del indptr, indices, data  # they would keep the working copy alive
-    if len(rows):
-        b_red = b_eq[rows] - (m_eq @ x)[rows]
-        # one copy of the system at a time: each replaces the one before
-        m_eq = m_eq[rows]
-        m_eq = m_eq[:, cols]
-        k = m_eq.tocsc()
-        del m_eq
-        x[cols] = _factorize(k, rows, b_red)
-    if len(def_rows):
-        # each deferred row holds no other deferred unknown, and x is 0 there
-        x[def_cols] = (b_eq[def_rows] - m_def @ x) / def_piv
-    return x
-
-
 def refine(lu, k, b: np.ndarray):
     """Iterative refinement x <- x + LU^-1 (b - k x) in float64 from x = 0,
     with ``lu`` a float32 or float64 factorisation of k or of a nearby
@@ -346,7 +239,7 @@ def refine(lu, k, b: np.ndarray):
     small residuals clear of float32's underflow. The result is accepted by
     REFINE_RTOL, or by SETTLE_RTOL once the corrections stop contracting
     (see there). ``solve_linear``'s float32 LU, the forward solves of
-    ``state_solver``, ``kkt_solver``'s seed steps and
+    ``state_solver``, ``kkt_solver``'s steps refined from the pair seed and
     ``regpath.solve_regularized_kkt`` all use it, so that is the one
     acceptance rule of the package.
     """
@@ -392,12 +285,3 @@ def entry_positions(k: sp.csr_matrix, rows, cols) -> np.ndarray:
     if not np.array_equal(j[hit], np.arange(len(rows))):
         raise SparseError("every entry asked for must be stored exactly once")
     return pos[hit]
-
-
-def assemble_block(blocks) -> sp.csr_matrix:
-    """Concatenate a grid of scipy sparse blocks (None for a zero block) into
-    one CSR matrix."""
-    try:
-        return sp.bmat(blocks, format="csr")
-    except ValueError as exc:
-        raise SparseError(str(exc)) from exc

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 
 from .fe_mesh import FeFunction, FeOperators, SineSeed
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, refine
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, refine, singular_error
 
 __all__ = [
     "StateProblem",
@@ -109,10 +109,11 @@ def newton(x0: np.ndarray, residual, step, tol: float, max_iter: int):
 def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (A + diag(c)) x = rhs by sparse LU in nested-dissection order."""
     order = ops.space.nd_order
+    k = (ops.A + sp.diags(c))[order][:, order].tocsc()
     try:
-        lu = splu((ops.A + sp.diags(c))[order][:, order].tocsc(), **SPLU_OPTIONS)
+        lu = splu(k, **SPLU_OPTIONS)
     except RuntimeError as exc:
-        raise SingularMatrixError(-1) from exc
+        raise singular_error(k, order) from exc
     x = np.empty(len(rhs))
     x[order] = lu.solve(rhs[order])
     return x

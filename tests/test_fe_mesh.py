@@ -13,6 +13,7 @@ from nsocp.fe_mesh import (
     export_vtk,
     interpolate,
     linf_nodal_error,
+    pair_jacobian,
     sine_spectrum,
 )
 from nsocp.state_solver import m_norm
@@ -280,6 +281,24 @@ class TestSineSpectrum:
         space = build_space(build_mesh(m))
         m_tilde, kk = self.m_tilde_and_kk(space)
         assert np.array_equal(assemble_operators(space).M.toarray() - m_tilde, kk)
+
+
+class TestPairJacobian:
+    """The one layout of the pair system that the KKT and continuation steps
+    factorise and refill."""
+
+    @pytest.mark.parametrize("m", [5, 9])
+    def test_is_k0_in_pair_order(self, m):
+        # read back in the block order [y; p], it is [[A, M / alpha], [-M, A]]
+        # with every entry of A and M, and no other entry, stored
+        ops = assemble_operators(build_space(build_mesh(m)))
+        n, alpha = ops.space.n, 1e-3
+        jac, order, *_ = pair_jacobian(ops, alpha)
+        a, mm = ops.A.toarray(), ops.M.toarray()
+        full = np.empty((2 * n, 2 * n))
+        full[np.ix_(order, order)] = jac.toarray()
+        assert np.array_equal(full, np.block([[a, (ops.M / alpha).toarray()], [-mm, a]]))
+        assert jac.nnz == 2 * (ops.A.nnz + ops.M.nnz)
 
 
 class TestInterpolate:

@@ -154,6 +154,13 @@ class TestRunCellAndSweep:
         assert (row.newton_iters, rep.iterations) == (iterations, iterations)
         assert rep.failure_reason == reason
 
+    def test_gate_cell_singular_at_row_16460(self):
+        # the gate's gamma = 1e-6 cell at m = 129 (n = 16384) stops at its
+        # second step, on the pivot d_i p_i of node 76, before any LU
+        row, _, rep = run_cell(2, 129, 1e-4, 1e-6)
+        assert (row.status, row.newton_iters, rep.iterations) == ("no_conv", 1, 1)
+        assert rep.failure_reason == "matrix is singular (deficient pivot in row 16460)"
+
     def test_sweep_deterministic(self, tmp_path):
         cfg1 = RunConfig(m_list=[5, 9], output_dir=str(tmp_path / "a"))
         cfg2 = RunConfig(m_list=[5, 9], output_dir=str(tmp_path / "b"))

@@ -6,25 +6,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.linalg import spsolve
 
 from nsocp import kkt_solver, sparse_core
 from nsocp.examples import build_example, build_example1, build_example2
-from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space, interpolate
+from nsocp.fe_mesh import (SineSeed, assemble_operators, build_mesh, build_space, interpolate,
+                           pair_jacobian)
 from nsocp.kkt_solver import (
     IndexSets,
     KktConfig,
     KktPoint,
     ProblemData,
-    apply_active_set_fix,
     index_sets,
-    newton_matrix,
     recover_control,
     residual,
     solve_kkt,
     zero_point,
 )
 from nsocp.nonsmooth import subdiff_max_contains
-from nsocp.sparse_core import SingularMatrixError, SparseError, solve_linear
+from nsocp.sparse_core import SingularMatrixError, solve_linear
 from nsocp.state_solver import StateProblem
 
 
@@ -50,13 +50,57 @@ def make_point(space, y, p, chi):
                     space.function(np.atleast_1d(np.array(chi, dtype=float))))
 
 
+def bmat_newton_matrix(data, pt, sets):
+    """The 3n x 3n generalized Jacobian of the stacked residual, the oracle
+    of the Newton step, built afresh by sp.bmat from sparse diagonals:
+
+        [[A + D 1{y>0},  M / alpha,     0               ],
+         [-M,            A + D chi,     D p             ],
+         [D (1 - 1_gam), 0,             -gamma D 1_gam  ]]
+    """
+    ops = data.ops
+    n = ops.space.n
+    a, m = ops.A, ops.M
+    d = ops.d
+    alpha, gamma = data.config.alpha, data.config.gamma
+    ind_plus = np.zeros(n)
+    ind_plus[sets.i_plus] = 1.0
+    ind_gam = np.zeros(n)
+    ind_gam[sets.i_gamma] = 1.0
+    return sp.bmat([
+        [a + sp.diags(d * ind_plus), (1.0 / alpha) * m, None],
+        [-1.0 * m, a + sp.diags(d * pt.chi.coeffs), sp.diags(d * pt.p.coeffs, format="csr")],
+        [sp.diags(d * (1.0 - ind_gam), format="csr"), None,
+         -gamma * sp.diags(d * ind_gam, format="csr")],
+    ], format="csr")
+
+
+def bmat_active_set_fix(matrix, rhs, sets):
+    """The active-set fix of the oracle: a new matrix with the critical prox
+    rows replaced by unit rows on their chi unknowns, right-hand side 0."""
+    if len(sets.i_crit) == 0:
+        return matrix, rhs
+    n = matrix.shape[0] // 3
+    rows = 2 * n + sets.i_crit
+    frozen = np.zeros(3 * n)
+    frozen[rows] = 1.0
+    fixed = (sp.diags(1.0 - frozen) @ matrix + sp.diags(frozen)).tocsr()
+    rhs = rhs.copy()
+    rhs[rows] = 0.0
+    return fixed, rhs
+
+
 def fixed_step(data, pt, sets, rhs):
-    """The matrix and rhs of one Newton step as ``solve_kkt`` forms them: a
-    new layout refilled by ``newton_matrix`` and fixed through its
-    positions by ``apply_active_set_fix``."""
-    layout = kkt_solver._newton_layout(data)
-    newton_matrix(data, pt, sets, _layout=layout)
-    return apply_active_set_fix(layout, rhs, sets)
+    """The fixed 3n matrix and right-hand side of the Newton step at ``pt``,
+    which the step must solve: the oracle with its active-set fix."""
+    return bmat_active_set_fix(bmat_newton_matrix(data, pt, sets), rhs, sets)
+
+
+def newton_step(data, pt, sets, r, layout=None):
+    """``solve_kkt``'s Newton step at ``pt`` for the residual ``r``, with a
+    new pair seed and the given layout holder (None: a new one)."""
+    seed = SineSeed(data.ops.space, data.config.alpha)
+    return kkt_solver._newton_step(data, pt, sets, r, seed, [] if layout is None else layout)
 
 
 class TestResidual:
@@ -119,12 +163,15 @@ class TestIndexSets:
 
 
 class TestNewtonMatrix:
+    """The 3n Newton matrix and its active-set fix, which the tests of the
+    step take as their oracle."""
+
     def test_hand_assembly_single_node(self, tiny):
         space, ops = tiny
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 2.0, 2.0, 0.0)
         sets = index_sets(pt, data.config)
-        out = newton_matrix(data, pt, sets).toarray()
+        out = bmat_newton_matrix(data, pt, sets).toarray()
         expect = np.array([
             [4.0 + 0.25, 0.125, 0.0],       # A + D 1_{y>0}, (1/alpha) M, 0
             [-0.125, 4.0, 0.25 * 2.0],      # -M, A + D chi, D p
@@ -160,19 +207,20 @@ class TestNewtonMatrix:
             return make_point(space, x[:n], x[n:2 * n], x[2 * n:])
 
         pt = point(x)
-        jac = newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
+        jac = bmat_newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
         fd = np.column_stack([(residual(data, point(x + h * e)) - residual(data, point(x - h * e)))
                               / (2 * h) for e in np.eye(3 * n)])
         assert np.abs(jac - fd).max() <= 1e-10 * np.abs(jac).max()
 
     def test_adjoint_coupling_block_is_minus_mass(self):
+        # in the pair Jacobian the step factorises, read back in block order
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
-        data = make_data(space, ops)
-        pt = zero_point(ops)
         n = space.n
-        full = newton_matrix(data, pt, index_sets(pt, data.config)).toarray()
-        assert np.allclose(full[n:2 * n, :n], -ops.M.toarray())
+        jac, order, *_ = pair_jacobian(ops, 1.0)
+        full = np.empty((2 * n, 2 * n))
+        full[np.ix_(order, order)] = jac.toarray()
+        assert np.array_equal(full[n:, :n], -ops.M.toarray())
 
     def test_critical_node_singular_without_fix(self, tiny):
         # a critical node zeroes the entire chi column: D p = 0 in the
@@ -181,10 +229,12 @@ class TestNewtonMatrix:
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 0.0, 0.0, 0.5)
         sets = index_sets(pt, data.config)
-        mat = newton_matrix(data, pt, sets)
-        assert np.allclose(mat.toarray()[:, 2], 0.0)
+        mat = bmat_newton_matrix(data, pt, sets).toarray()
+        assert np.allclose(mat[:, 2], 0.0)
+        scale = np.max(np.abs(mat), axis=1)
+        scale[scale == 0] = 1.0
         with pytest.raises(SingularMatrixError):
-            solve_linear(mat, np.ones(3))
+            solve_linear(sp.csc_matrix(mat / scale[:, None]), np.arange(3), np.ones(3))
 
     def test_fix_restores_solvability_and_freezes_chi(self, tiny):
         space, ops = tiny
@@ -196,14 +246,14 @@ class TestNewtonMatrix:
         dense = fixed.toarray()
         assert np.allclose(dense[2], [0.0, 0.0, 1.0])
         assert frhs[2] == 0.0
-        step = solve_linear(fixed, frhs)
+        step = newton_step(data, pt, sets, -rhs)
         assert step[2] == 0.0  # chi component frozen
         # first two rows still solve the original 2x2 system
         assert np.allclose(dense[:2] @ step, rhs[:2])
 
     def test_fix_matches_row_by_row_reference(self):
-        # reference: replace each critical prox row of the refilled matrix by
-        # its unit row, on the dense copy
+        # reference: replace each critical prox row of the matrix by its unit
+        # row, on the dense copy
         space = build_space(build_mesh(7))
         rng = np.random.default_rng(5)
         data = mixed_data(space, 0.5, rng)
@@ -211,32 +261,20 @@ class TestNewtonMatrix:
         sets = index_sets(pt, data.config)
         n, crit = space.n, sets.i_crit
         assert len(crit)
-        layout = kkt_solver._newton_layout(data)
-        dense = newton_matrix(data, pt, sets, _layout=layout).toarray()
-        fixed, _ = apply_active_set_fix(layout, np.ones(3 * n), sets)
-        dense[2 * n + crit] = 0.0
-        dense[2 * n + crit, 2 * n + crit] = 1.0
-        assert np.array_equal(fixed.toarray(), dense)
+        dense, rhs = row_by_row_fix(bmat_newton_matrix(data, pt, sets).toarray(),
+                                    np.ones(3 * n), sets)
+        fixed, frhs = fixed_step(data, pt, sets, np.ones(3 * n))
+        assert np.array_equal(fixed.toarray(), dense) and np.array_equal(frhs, rhs)
 
     def test_fix_noop_without_critical_nodes(self, tiny):
         space, ops = tiny
         data = make_data(space, ops, alpha=1.0, gamma=1.0)
         pt = make_point(space, 2.0, 2.0, 0.0)
         sets = index_sets(pt, data.config)
-        layout = kkt_solver._newton_layout(data)
-        mat = newton_matrix(data, pt, sets, _layout=layout)
-        before = mat.copy()
+        mat = bmat_newton_matrix(data, pt, sets)
         rhs = np.ones(3)
-        fixed, frhs = apply_active_set_fix(layout, rhs, sets)
+        fixed, frhs = bmat_active_set_fix(mat, rhs, sets)
         assert fixed is mat and frhs is rhs
-        assert_same_bits(fixed, before)
-
-
-def node_order(space):
-    """(y_i, p_i, chi_i) triples in the space's nested-dissection node order,
-    the numbering ``solve_kkt`` hands to ``solve_linear``."""
-    nd, n = space.nd_order, space.n
-    return np.stack([nd, n + nd, 2 * n + nd], axis=1).ravel()
 
 
 def mixed_iterate(space, gamma, rng, kind=None, y_scale=1.0):
@@ -255,29 +293,62 @@ def mixed_iterate(space, gamma, rng, kind=None, y_scale=1.0):
     return make_point(space, y, p, (w - y) / gamma), kind
 
 
+def mixed_data(space, gamma, rng):
+    return ProblemData(ops=assemble_operators(space),
+                       f=space.function(rng.standard_normal(space.n)),
+                       y_d=space.function(rng.standard_normal(space.n)),
+                       config=KktConfig(alpha=1e-2, gamma=gamma))
+
+
+def with_nd_order(space, order):
+    """``space`` with its cached nested-dissection order replaced by ``order``."""
+    space.__dict__["nd_order"] = np.asarray(order)
+    return space
+
+
 class TestNewtonStepSolve:
+    """A step with nodes of all three kinds is assembled as the n + |S|
+    active-set system from the pair Jacobian, with the 3n Newton matrix
+    only as the oracle."""
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
     def test_matches_dense_solve_of_fixed_matrix(self, seed, m):
         # reference path: LAPACK on the dense 3n matrix after the active-set fix
         space = build_space(build_mesh(m))
-        ops = assemble_operators(space)
         rng = np.random.default_rng(seed)
         gamma = 0.5
-        data = ProblemData(ops=ops, f=space.function(rng.standard_normal(space.n)),
-                           y_d=space.function(rng.standard_normal(space.n)),
-                           config=KktConfig(alpha=1e-2, gamma=gamma))
-        pt, _ = mixed_iterate(space, gamma, rng)
+        data = mixed_data(space, gamma, rng)
+        pt, kind = mixed_iterate(space, gamma, rng)
         sets = index_sets(pt, data.config)
-        fixed, rhs = fixed_step(data, pt, sets, rng.standard_normal(3 * space.n))
+        assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
+        r = rng.standard_normal(3 * space.n)
+        fixed, rhs = fixed_step(data, pt, sets, -r)
         ref = np.linalg.solve(fixed.toarray(), rhs)
-        for x in (solve_linear(fixed, rhs, node_order(space)), solve_linear(fixed, rhs)):
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        layout = []
+        x = newton_step(data, pt, sets, r, layout)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert len(layout) == (2 in kind)  # factorised when N is not empty
 
-    @pytest.mark.parametrize("use_order", [True, False])
-    def test_tiny_adjoint_on_inactive_node_names_its_adjoint_row(self, use_order):
-        # an inactive node left out of I_crit with |p_i| ~ 1e-20: its chi_i
-        # pivot d_i p_i in adjoint row n + i is numerically zero
+    def test_step_does_not_depend_on_the_order(self):
+        # lexicographic numbering in place of nested dissection moves only
+        # the rounding
+        space = build_space(build_mesh(9))
+        rng = np.random.default_rng(2)
+        data = mixed_data(space, 0.5, rng)
+        pt, kind = mixed_iterate(space, 0.5, rng)
+        sets = index_sets(pt, data.config)
+        r = rng.standard_normal(3 * space.n)
+        x = newton_step(data, pt, sets, r)
+        with_nd_order(space, np.arange(space.n))
+        x0 = newton_step(data, pt, sets, r)
+        assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+    @staticmethod
+    def tiny_adjoint_case(planted):
+        """A mixed step on the m = 7 mesh whose nodes number ``planted`` of
+        the other inactive nodes get |p_i| ~ 1e-20 and stay outside I_crit:
+        their pivots d_i p_i in adjoint rows n + i are numerically zero."""
         space = build_space(build_mesh(7))
         ops = assemble_operators(space)
         n, gamma = space.n, 0.5
@@ -286,145 +357,131 @@ class TestNewtonStepSolve:
                            y_d=space.function(np.zeros(n)),
                            config=KktConfig(alpha=1e-2, gamma=gamma))
         pt, kind = mixed_iterate(space, gamma, rng)
-        i = int(np.flatnonzero(kind == 2)[3])
-        pt.p.coeffs[i] = 1e-20
+        nodes = np.flatnonzero(kind == 2)[list(planted)]
+        pt.p.coeffs[nodes] = 1e-20
         sets = index_sets(pt, data.config)
-        assert i in sets.i_crit  # by the tolerance; the solve must not rely on it
-        sets = IndexSets(sets.i_plus, sets.i_gamma, sets.i_crit[sets.i_crit != i])
-        fixed, rhs = fixed_step(data, pt, sets, np.ones(3 * n))
+        assert set(nodes) <= set(sets.i_crit)  # by the tolerance; the step must not rely on it
+        sets = IndexSets(sets.i_plus, sets.i_gamma, np.setdiff1d(sets.i_crit, nodes))
+        return data, pt, sets, nodes
+
+    @pytest.mark.parametrize("use_order", [True, False])
+    def test_tiny_adjoint_on_inactive_node_names_its_adjoint_row(self, use_order):
+        # with the space's nested-dissection order, or with lexicographic
+        # numbering in its place: the row named is the same
+        data, pt, sets, (i,) = self.tiny_adjoint_case([3])
+        n = data.ops.space.n
+        if not use_order:
+            with_nd_order(data.ops.space, np.arange(n))
         with pytest.raises(SingularMatrixError) as exc:
-            solve_linear(fixed, rhs, node_order(space) if use_order else None)
+            newton_step(data, pt, sets, np.ones(3 * n))
         assert exc.value.pivot_row == n + i
 
-
-def bmat_newton_matrix(data, pt, sets):
-    """Reference Newton matrix, built afresh by sp.bmat from sparse diagonals,
-    which store no zero entry."""
-    ops = data.ops
-    n = ops.space.n
-    a, m = ops.A, ops.M
-    d = ops.d
-    alpha, gamma = data.config.alpha, data.config.gamma
-    ind_plus = np.zeros(n)
-    ind_plus[sets.i_plus] = 1.0
-    ind_gam = np.zeros(n)
-    ind_gam[sets.i_gamma] = 1.0
-    return sp.bmat([
-        [a + sp.diags(d * ind_plus), (1.0 / alpha) * m, None],
-        [-1.0 * m, a + sp.diags(d * pt.chi.coeffs), sp.diags(d * pt.p.coeffs, format="csr")],
-        [sp.diags(d * (1.0 - ind_gam), format="csr"), None,
-         -gamma * sp.diags(d * ind_gam, format="csr")],
-    ], format="csr")
+    def test_two_tiny_adjoints_name_the_smaller_adjoint_row(self, counting_splu):
+        # the node that comes first in the elimination order is the larger
+        # one, and the step is rejected before any LU
+        data, pt, sets, nodes = self.tiny_adjoint_case([2, 3])
+        n = data.ops.space.n
+        rank = np.argsort(data.ops.space.nd_order)
+        assert rank[nodes[1]] < rank[nodes[0]] and nodes[0] < nodes[1]
+        with pytest.raises(SingularMatrixError) as exc:
+            newton_step(data, pt, sets, np.ones(3 * n))
+        assert exc.value.pivot_row == n + nodes[0]
+        assert counting_splu.calls == 0
 
 
-def bmat_active_set_fix(matrix, rhs, sets):
-    """Reference active-set fix: a new matrix with the critical prox rows
-    replaced by unit rows."""
-    if len(sets.i_crit) == 0:
-        return matrix, rhs
-    n = matrix.shape[0] // 3
-    rows = 2 * n + sets.i_crit
-    frozen = np.zeros(3 * n)
-    frozen[rows] = 1.0
-    fixed = (sp.diags(1.0 - frozen) @ matrix + sp.diags(frozen)).tocsr()
-    rhs = rhs.copy()
-    rhs[rows] = 0.0
-    return fixed, rhs
+def capture_solve_linear(mp, systems):
+    """Record each matrix the step hands ``solve_linear`` in ``systems``."""
+    solve = kkt_solver.solve_linear
+
+    def recording(k, rows, b):
+        systems.append((k.copy(), rows.copy()))
+        return solve(k, rows, b)
+
+    mp.setattr(kkt_solver, "solve_linear", recording)
 
 
-def nonzero_csr(matrix):
-    """A canonical copy of ``matrix`` without its explicit zeros, as
-    ``solve_linear``'s working copy holds it."""
-    out = sp.csr_matrix(matrix, copy=True)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
-
-
-def assert_same_bits(a, b):
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
-
-
-def mixed_data(space, gamma, rng):
-    return ProblemData(ops=assemble_operators(space),
-                       f=space.function(rng.standard_normal(space.n)),
-                       y_d=space.function(rng.standard_normal(space.n)),
-                       config=KktConfig(alpha=1e-2, gamma=gamma))
+def reduced_oracle(data, pt, sets):
+    """The reduced system of the step at ``pt`` cut from the fixed 3n oracle:
+    every state row and the adjoint rows on S, in the columns dy on S and
+    dp, each row scaled by its largest entry in the 3n matrix, in the pair
+    order of the space's nodes; with the 3n numbers of its rows."""
+    n = data.ops.space.n
+    fixed, _ = fixed_step(data, pt, sets, np.zeros(3 * n))
+    fixed = fixed.toarray()
+    scaled = fixed / np.max(np.abs(fixed), axis=1)[:, None]
+    in_s = np.zeros(n, dtype=bool)
+    in_s[sets.i_gamma] = in_s[sets.i_crit] = True
+    nd = data.ops.space.nd_order
+    rows = np.column_stack([nd, np.where(in_s[nd], n + nd, -1)]).ravel()
+    cols = np.column_stack([np.where(in_s[nd], nd, -1), n + nd]).ravel()
+    rows, cols = rows[rows >= 0], cols[cols >= 0]
+    return scaled[np.ix_(rows, cols)], rows
 
 
 class TestNewtonLayout:
+    """The pair Jacobian the factorising steps of one ``solve_kkt`` share:
+    laid out once, and refilled in place by each step."""
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
     def test_refill_matches_fresh_matrix(self, seed, m):
         # one layout refilled through iterates whose nodes move between
-        # I_gamma, I_crit and the other inactive nodes
+        # I_gamma, I_crit and the other inactive nodes, against a fresh one
         space = build_space(build_mesh(m))
         rng = np.random.default_rng(seed)
         gamma = 0.5
         data = mixed_data(space, gamma, rng)
-        layout = kkt_solver._newton_layout(data)
+        layout = []
         # each node steps through its kinds by +1, +1 and -1, so that every
         # move between two kinds occurs
         base = rng.permutation(np.arange(space.n) % 3)
-        kinds = [(base + shift) % 3 for shift in (0, 1, 2, 1)]
-        for kind in kinds:
+        for shift in (0, 1, 2, 1):
+            kind = (base + shift) % 3
             pt, _ = mixed_iterate(space, gamma, rng, kind)
             sets = index_sets(pt, data.config)
             assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
             assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
-            rhs = rng.standard_normal(3 * space.n)
-            jac = newton_matrix(data, pt, sets, _layout=layout)
-            assert jac is layout[0]
-            jac, jrhs = apply_active_set_fix(layout, rhs, sets)
-            fresh, frhs = fixed_step(data, pt, sets, rhs)
-            ref, rrhs = bmat_active_set_fix(bmat_newton_matrix(data, pt, sets), rhs, sets)
-            refilled = nonzero_csr(jac)
-            assert_same_bits(refilled, nonzero_csr(fresh))
-            assert_same_bits(refilled, nonzero_csr(ref))
-            assert np.array_equal(jrhs, rrhs) and np.array_equal(frhs, rrhs)
+            r = rng.standard_normal(3 * space.n)
+            fresh = []
+            x = newton_step(data, pt, sets, r, layout)
+            x0 = newton_step(data, pt, sets, r, fresh)
+            assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
+            (jac, *_), (jac0, *_) = layout[0], fresh[0]
+            assert np.array_equal(jac.indptr, jac0.indptr)
+            assert np.array_equal(jac.indices, jac0.indices)
+            assert np.array_equal(jac.data.view(np.uint64), jac0.data.view(np.uint64))
 
-    @pytest.mark.parametrize("m", [5, 9])
-    def test_refill_positions_index_the_five_diagonals(self, m):
-        # yy, pp, pc, cy and cc index the (i, i), (n + i, n + i),
-        # (n + i, 2n + i), (2n + i, i) and (2n + i, 2n + i) entries, each
-        # stored once, node by node
-        space = build_space(build_mesh(m))
-        ops = assemble_operators(space)
-        n = space.n
-        jac, *positions, a_diag = kkt_solver._newton_layout(make_data(space, ops, gamma=0.5))
-        rows = np.repeat(np.arange(3 * n), np.diff(jac.indptr))
-        i = np.arange(n)
-        blocks = ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n))
-        assert len(positions) == len(blocks)
-        for pos, (r0, c0) in zip(positions, blocks):
-            assert np.array_equal(rows[pos], r0 + i)
-            assert np.array_equal(jac.indices[pos], c0 + i)
-            assert np.sum((rows == (r0 + i)[:, None]) & (jac.indices == (c0 + i)[:, None])) == n
-        assert np.array_equal(a_diag, ops.A.diagonal())
-
-    def test_pattern_stores_every_varying_diagonal(self):
-        # at the zero point every varying diagonal but A + D chi is zero
-        space = build_space(build_mesh(5))
-        ops = assemble_operators(space)
-        data = make_data(space, ops, gamma=0.5)
-        n = space.n
-        pt = zero_point(ops)
-        jac = newton_matrix(data, pt, index_sets(pt, data.config))
-        stored = sp.csr_matrix((np.ones_like(jac.data), jac.indices, jac.indptr),
-                               shape=jac.shape).toarray()
-        for r0, c0 in ((0, 0), (n, n), (n, 2 * n), (2 * n, 0), (2 * n, 2 * n)):
-            assert np.all(np.diagonal(stored[r0:r0 + n, c0:c0 + n]) == 1.0)
-        assert np.count_nonzero(stored[2 * n:]) == 2 * n  # nothing else in the prox rows
+    def test_pattern_stores_every_varying_diagonal(self, monkeypatch):
+        # the step factorises the oracle's reduced system entry for entry, in
+        # the pattern of the layout, whose diagonals it refills in place
+        space = build_space(build_mesh(7))
+        rng = np.random.default_rng(8)
+        data = mixed_data(space, 0.5, rng)
+        layout, systems = [], []
+        capture_solve_linear(monkeypatch, systems)
+        for _ in range(2):
+            pt, _ = mixed_iterate(space, 0.5, rng)
+            sets = index_sets(pt, data.config)
+            newton_step(data, pt, sets, rng.standard_normal(3 * space.n), layout)
+            jac, order, yy, pp, py, a_diag, m_diag = layout[0]
+            nd = space.nd_order
+            d = data.ops.d
+            assert np.array_equal(jac.data[yy], a_diag + d[nd] * (pt.y.coeffs[nd] > 0))
+            assert np.array_equal(jac.data[pp], a_diag + d[nd] * pt.chi.coeffs[nd])
+            assert np.array_equal(jac.data[py], -m_diag)
+            k, rows = systems[-1]
+            ref, ref_rows = reduced_oracle(data, pt, sets)
+            assert np.array_equal(rows, ref_rows)
+            assert np.abs(k.toarray() - ref).max() <= 1e-15
 
     def test_solve_kkt_lays_out_once(self, monkeypatch):
         # example 2 at gamma = 1e-6 on this mesh runs to the iteration limit;
         # its first step, from zero, has every node critical and is refined
-        # from the pair seed, and every later step takes the 3n path
+        # from the pair seed, and every later step has nodes outside
+        # I_gamma and I_crit and is factorised
         data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
-        calls = {"assemble_block": 0, "bmat": 0, "diags": 0}
-        matrices = []
+        calls = {"pair_jacobian": 0, "bmat": 0, "diags": 0}
+        layouts = []
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -432,144 +489,92 @@ class TestNewtonLayout:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(kkt_solver, "assemble_block",
-                            counting("assemble_block", kkt_solver.assemble_block))
+        monkeypatch.setattr(kkt_solver, "pair_jacobian",
+                            counting("pair_jacobian", kkt_solver.pair_jacobian))
         monkeypatch.setattr(sp, "bmat", counting("bmat", sp.bmat))
         monkeypatch.setattr(sp, "diags", counting("diags", sp.diags))
-        build = kkt_solver.newton_matrix
+        step = kkt_solver._newton_step
 
-        def recording(*args, **kwargs):
-            matrices.append(build(*args, **kwargs))
-            return matrices[-1]
+        def recording(data, pt, sets, r, seed, layout):
+            x = step(data, pt, sets, r, seed, layout)
+            layouts.append(layout[0][0] if layout else None)
+            return x
 
-        monkeypatch.setattr(kkt_solver, "newton_matrix", recording)
+        monkeypatch.setattr(kkt_solver, "_newton_step", recording)
         for k in (1, 2):
             _, rep = solve_kkt(data)
             assert rep.iterations == kkt_solver.MAX_ITER
-            assert calls == {"assemble_block": k, "bmat": k, "diags": 0}
-        steps = rep.iterations - 1  # on the 3n path, per solve
-        assert len(matrices) == 2 * steps
-        assert all(mat is matrices[-1] for mat in matrices[steps:])
-        assert matrices[0] is not matrices[-1]
+            assert calls == {"pair_jacobian": k, "bmat": k, "diags": 0}
+        steps = rep.iterations - 1  # factorised, per solve
+        assert len(layouts) == 2 * rep.iterations
+        first, second = layouts[1:rep.iterations], layouts[rep.iterations + 1:]
+        assert layouts[0] is layouts[rep.iterations] is None
+        assert len(first) == len(second) == steps
+        assert all(jac is first[0] for jac in first) and all(jac is second[0] for jac in second)
+        assert first[0] is not second[0]
 
 
 class TestActiveSetFixInPlace:
-    def mixed_case(self, seed=3):
+    def test_non_critical_rows_untouched(self):
+        # the step makes no fixed matrix: it freezes chi on the critical
+        # nodes and solves every other row of the 3n Newton matrix as it is
         space = build_space(build_mesh(7))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         data = mixed_data(space, 0.5, rng)
         pt, _ = mixed_iterate(space, 0.5, rng)
         sets = index_sets(pt, data.config)
+        n = space.n
         assert len(sets.i_crit)
-        return space, data, pt, sets, rng.standard_normal(3 * space.n)
-
-    def test_non_critical_rows_untouched(self):
-        space, data, pt, sets, rhs = self.mixed_case()
-        n = space.n
-        layout = kkt_solver._newton_layout(data)
-        mat = newton_matrix(data, pt, sets, _layout=layout)
-        before = mat.copy()
-        rhs_before = rhs.copy()
-        fixed, frhs = apply_active_set_fix(layout, rhs, sets)
-        assert fixed is mat
-        assert np.array_equal(rhs, rhs_before)  # the caller's rhs is not written
-        assert np.array_equal(fixed.indptr, before.indptr)
-        assert np.array_equal(fixed.indices, before.indices)
-        crit_rows = 2 * n + sets.i_crit
-        changed = np.zeros(3 * n, dtype=bool)
-        changed[crit_rows] = True
-        in_crit_row = np.repeat(changed, np.diff(before.indptr))
-        assert np.array_equal(fixed.data[~in_crit_row].view(np.uint64),
-                              before.data[~in_crit_row].view(np.uint64))
-        assert np.array_equal(frhs[~changed], rhs[~changed])
-        dense = fixed.toarray()
-        assert np.array_equal(dense[crit_rows], np.eye(3 * n)[crit_rows])
-        assert np.all(frhs[crit_rows] == 0.0)
-
-    def laid_out_as(self, monkeypatch, data, mat):
-        """``_newton_layout(data)`` with ``assemble_block`` returning ``mat``."""
-        monkeypatch.setattr(kkt_solver, "assemble_block", lambda blocks: mat)
-        return kkt_solver._newton_layout(data)
-
-    def test_missing_prox_diagonal_raises(self, monkeypatch):
-        # sp.bmat of sparse diagonals stores no -gamma D 1_gamma entry on an
-        # inactive node, so a layout of it has no position to write the unit
-        # entry of a critical node into: that is found at layout time
-        space, data, pt, sets, rhs = self.mixed_case()
-        mat = bmat_newton_matrix(data, pt, sets)
-        before = mat.copy()
-        with pytest.raises(SparseError, match="stored exactly once"):
-            self.laid_out_as(monkeypatch, data, mat)
-        assert_same_bits(mat, before)  # nothing written before the check
-
-    def test_duplicate_prox_diagonal_raises(self, monkeypatch):
-        space, data, pt, sets, rhs = self.mixed_case()
-        n = space.n
-        mat = newton_matrix(data, pt, sets)
-        # a second stored (r, r) entry in the first critical prox row r
-        r = 2 * n + int(sets.i_crit[0])
-        k = mat.indptr[r]
-        indptr = mat.indptr.copy()
-        indptr[r + 1:] += 1
-        dup = sp.csr_matrix((np.insert(mat.data, k, 1.0), np.insert(mat.indices, k, r), indptr),
-                            shape=mat.shape)
-        with pytest.raises(SparseError, match="stored exactly once"):
-            self.laid_out_as(monkeypatch, data, dup)
+        r = rng.standard_normal(3 * n)
+        r_before = r.copy()
+        x = newton_step(data, pt, sets, r)
+        assert np.array_equal(r, r_before)  # the caller's residual is not written
+        assert np.all(x[2 * n + sets.i_crit] == 0.0)
+        keep = np.ones(3 * n, dtype=bool)
+        keep[2 * n + sets.i_crit] = False
+        jac = bmat_newton_matrix(data, pt, sets).toarray()
+        gap = (jac @ x + r)[keep]
+        assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(np.abs(jac) @ np.abs(x))
 
 
-def row_scanning_fix(matrix, rhs, sets):
-    """Reference active-set fix, as it was before the layout held positions:
-    scan each critical prox row for its stored entries and its diagonal,
-    write the entries 0 and the diagonal 1, in place."""
-    if len(sets.i_crit) == 0:
-        return matrix, rhs
-    n = matrix.shape[0] // 3
+def row_by_row_fix(dense, rhs, sets):
+    """Reference active-set fix on a dense copy: each critical prox row
+    replaced by its unit row, right-hand side 0."""
+    n = len(dense) // 3
     rows = 2 * n + sets.i_crit
-    starts = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - starts
-    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    row_of = np.repeat(rows, counts)
-    diag = pos[matrix.indices[pos] == row_of]
-    assert np.array_equal(matrix.indices[diag], rows)
-    matrix.data[pos] = 0.0
-    matrix.data[diag] = 1.0
-    rhs = rhs.copy()
+    dense, rhs = dense.copy(), rhs.copy()
+    dense[rows] = 0.0
+    dense[rows, rows] = 1.0
     rhs[rows] = 0.0
-    return matrix, rhs
+    return dense, rhs
 
 
 class TestFixThroughLayout:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
     def test_matches_row_scanning_fix(self, seed, m):
-        # one layout refilled and fixed through iterates whose nodes move in
-        # and out of I_crit, against a fresh matrix fixed by scanning its rows
+        # one layout refilled through iterates whose nodes move in and out of
+        # I_crit: each step solves the oracle fixed row by row
         space = build_space(build_mesh(m))
         rng = np.random.default_rng(seed)
         gamma = 0.5
         data = mixed_data(space, gamma, rng)
         n = space.n
-        layout = kkt_solver._newton_layout(data)
+        layout = []
         base = rng.permutation(np.arange(n) % 3)
         for shift in (0, 1, 2, 1):
             pt, _ = mixed_iterate(space, gamma, rng, (base + shift) % 3)
             sets = index_sets(pt, data.config)
             assert len(sets.i_crit)
-            rhs = rng.standard_normal(3 * n)
-            rhs_before = rhs.copy()
-            before = newton_matrix(data, pt, sets, _layout=layout).copy()
-            jac, jrhs = apply_active_set_fix(layout, rhs, sets)
-            ref, rrhs = row_scanning_fix(newton_matrix(data, pt, sets), rhs, sets)
-            assert_same_bits(nonzero_csr(jac), nonzero_csr(ref))
-            assert np.array_equal(jrhs.view(np.uint64), rrhs.view(np.uint64))
-            assert np.array_equal(rhs.view(np.uint64), rhs_before.view(np.uint64))
-            # rows of nodes that are not critical keep every stored entry
-            keep = np.ones(3 * n, dtype=bool)
-            keep[2 * n + sets.i_crit] = False
-            in_kept_row = np.repeat(keep, np.diff(before.indptr))
-            assert np.array_equal(jac.data[in_kept_row].view(np.uint64),
-                                  before.data[in_kept_row].view(np.uint64))
-            assert np.array_equal(jrhs[keep], rhs[keep])
+            r = rng.standard_normal(3 * n)
+            ref, rrhs = row_by_row_fix(bmat_newton_matrix(data, pt, sets).toarray(), -r, sets)
+            fixed, frhs = fixed_step(data, pt, sets, -r)
+            assert np.array_equal(ref, fixed.toarray())
+            assert np.array_equal(rrhs, frhs)
+            want = np.linalg.solve(ref, rrhs)
+            x = newton_step(data, pt, sets, r, layout)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.all(x[2 * n + sets.i_crit] == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -661,8 +666,9 @@ def kkt_iterates(data, monkeypatch):
 
 
 class TestIterateIdentity:
-    # the oracle lays out and fixes a new matrix at every step, with sp.bmat
-    # and a copying fix; refilling one layout in place must not move a bit
+    # every step of a solve against the oracle of its own iterate: [dy; dp]
+    # against spsolve of the fixed 3n matrix, dchi against the prox rows on
+    # S and adjoint row n + i on N
     @pytest.mark.parametrize("example, m, alpha, gamma, reason", [
         (1, 17, 1e-4, 1e-4, None),
         (2, 9, 1e-6, 1e-12, "no convergence within iteration limit"),
@@ -671,24 +677,34 @@ class TestIterateIdentity:
     def test_matches_matrix_built_per_step(self, example, m, alpha, gamma, reason,
                                            monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        refilled, rep = kkt_iterates(data, monkeypatch)
-        matrices = []
+        n, d = data.ops.space.n, data.ops.d
+        steps, systems = [], []
+        step = kkt_solver._newton_step
 
-        def built_per_step(data, pt, sets, _layout=None):
-            matrices.append(bmat_newton_matrix(data, pt, sets))
-            return matrices[-1]
+        def recording(data, pt, sets, r, seed, layout):
+            done = len(systems)
+            x = step(data, pt, sets, r, seed, layout)
+            steps.append((pt, sets, r, x, len(systems) > done))
+            return x
 
-        with monkeypatch.context() as mp:
-            mp.setattr(kkt_solver, "newton_matrix", built_per_step)
-            mp.setattr(kkt_solver, "apply_active_set_fix",
-                       lambda layout, rhs, sets: bmat_active_set_fix(matrices[-1], rhs, sets))
-            built, rep_built = kkt_iterates(data, monkeypatch)
-        assert rep.failure_reason == rep_built.failure_reason == reason
-        assert rep == rep_built  # converged, iterations and residual history too
-        assert len(refilled) == len(built) == rep.iterations + 1
-        for x, x0 in zip(refilled, built):
-            for v, v0 in zip(x, x0):
-                assert np.array_equal(v.view(np.uint64), v0.view(np.uint64))
+        monkeypatch.setattr(kkt_solver, "_newton_step", recording)
+        capture_solve_linear(monkeypatch, systems)
+        _, rep = solve_kkt(data)
+        assert rep.failure_reason == reason
+        # the first step is refined from the pair seed; the m = 65 cell
+        # factorises the two steps before its singular one
+        assert [lu for *_, lu in steps] == [False] + [m == 65] * (len(steps) - 1)
+        for pt, sets, r, x, _ in steps:
+            fixed, rhs = fixed_step(data, pt, sets, -r)
+            ref = spsolve(fixed.tocsc(), rhs)
+            assert np.linalg.norm(x[:2 * n] - ref[:2 * n]) <= 1e-10 * np.linalg.norm(ref[:2 * n])
+            dchi, g = x[2 * n:], sets.i_gamma
+            assert np.array_equal(dchi[g], r[2 * n + g] / (data.config.gamma * d[g]))
+            assert np.all(dchi[sets.i_crit] == 0.0)
+            free = np.setdiff1d(np.arange(n), np.union1d(g, sets.i_crit))
+            rows = fixed[n + free]
+            gap = rows @ x - rhs[n + free]
+            assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(abs(rows) @ np.abs(x))
 
 
 def half_chi_point(space):
@@ -720,9 +736,9 @@ def seed_refs(monkeypatch):
 
 
 def no_seed_step(mp):
-    """Make every Newton step take the 3n path, as if refinement from the
-    pair seed declined."""
-    mp.setattr(kkt_solver, "_seed_step", lambda *args: None)
+    """Make every Newton step factorise, as if refinement from the pair seed
+    declined."""
+    mp.setattr(kkt_solver, "refine", lambda lu, k, b: None)
 
 
 class TestFactorisationReuse:
@@ -731,7 +747,7 @@ class TestFactorisationReuse:
         data, _ = build(build_space(build_mesh(17)))
         reused, rep = kkt_iterates(data, monkeypatch)
         calls = counting_splu.calls
-        # every step takes the 3n path, and the pair seed goes unused
+        # every step is factorised, and the pair seed goes unused
         no_seed_step(monkeypatch)
         fresh, rep_fresh = kkt_iterates(data, monkeypatch)
         # one LU per step
@@ -770,9 +786,10 @@ class TestFactorisationReuse:
         assert counting_splu.dtypes[made:] == []
 
     def test_singular_verdict_is_a_singleton_pivot(self, counting_splu):
-        # the verdict is solve_linear's test of the deferred singleton
-        # d_i p_i, which names adjoint row n + i (n = 4096); no float64 LU
-        # of the reduced system is made
+        # the verdict is the step's test of the pivot d_i p_i through which
+        # dchi_i on a node outside I_gamma and I_crit is back-substituted,
+        # made before that step's LU; it names adjoint row n + i (n = 4096).
+        # The two earlier LUs are float32, and no float64 LU is made
         data, _ = build_example(2, build_space(build_mesh(65)), 1e-4, 1e-6)
         _, rep = solve_kkt(data)
         assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
@@ -831,7 +848,7 @@ class TestSinglePrecisionAgainstDouble:
     """Each faster LU path against the one it replaces, iterate by iterate,
     on the m = 33 and 65 cells of both tables and the gamma = 1e-6 cells
     that fail: the float32 LU refined in float64 against the float64 LU
-    path, and the steps refined from the pair seed against the 3n LU path.
+    path, and the steps refined from the pair seed against factorised ones.
 
     Every cell must reach the same decision. On the converged cells every
     iterate's y and p must agree to 1e-10 relative. A failing cell ends where
@@ -874,7 +891,7 @@ class TestSinglePrecisionAgainstDouble:
     @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
     def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        # with every step on the 3n path, so that each takes a fresh LU, and
+        # with every step factorised, so that each takes a fresh LU, and
         # then with every fresh float32 LU declined
         no_seed_step(monkeypatch)
         self.compare(data, monkeypatch,
@@ -883,7 +900,7 @@ class TestSinglePrecisionAgainstDouble:
     @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
     def test_iterates_match_without_pair_lu(self, example, m, alpha, gamma, monkeypatch):
         data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        # every step takes the 3n path, the first one included
+        # every step is factorised, the first one included
         rep = self.compare(data, monkeypatch, no_seed_step)
         if (m, gamma) == (65, 1e-6):
             assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
@@ -946,7 +963,7 @@ class TestPairSeed:
         # weighs most against C~: the corrections from the seed shrink by
         # about 0.2 a step, but unevenly, and for this first step one fails
         # to halve above SETTLE_RTOL, so refinement declines and the step
-        # takes the 3n path and its float32 LU
+        # is factorised, by a float32 LU
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         rng = np.random.default_rng(4)
@@ -954,13 +971,13 @@ class TestPairSeed:
                            y_d=space.function(rng.standard_normal(space.n)),
                            config=KktConfig(alpha=1e-6, gamma=1e-12))
         seen = []
-        seed_step = kkt_solver._seed_step
+        refine = kkt_solver.refine
 
         def recording(*args):
-            seen.append(seed_step(*args))
+            seen.append(refine(*args))
             return seen[-1]
 
-        monkeypatch.setattr(kkt_solver, "_seed_step", recording)
+        monkeypatch.setattr(kkt_solver, "refine", recording)
         monkeypatch.setattr(kkt_solver, "MAX_ITER", 1)
         pt, rep = solve_kkt(data)
         assert rep.iterations == 1 and len(seen) == 1 and seen[0] is None
@@ -997,8 +1014,9 @@ class TestPairSeed:
 
 
 class TestSeedStep:
-    """A Newton step whose I_gamma and I_crit cover every node is solved from
-    A, M and its diagonals, with the 3n Newton matrix only as the oracle."""
+    """A Newton step whose I_gamma and I_crit cover every node is refined from
+    the pair seed with products from A, M and its diagonals, with the 3n
+    Newton matrix only as the oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([3, 5, 9, 17]))
@@ -1014,20 +1032,38 @@ class TestSeedStep:
         assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
         assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
         r = rng.standard_normal(3 * space.n)
-        dx = kkt_solver._seed_step(data, pt, sets, r, SineSeed(space, data.config.alpha))
-        assert dx is not None
+        layout = []
+        dx = newton_step(data, pt, sets, r, layout)
+        assert layout == []  # refined, not factorised
         fixed, rhs = fixed_step(data, pt, sets, -r)
         ref = np.linalg.solve(fixed.toarray(), rhs)
         assert np.linalg.norm(dx - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def test_declined_step_is_factorised_to_the_same_step(self, monkeypatch):
+        # with no correction allowed, refinement from the seed declines, and
+        # so does that from the float32 LU: the step takes the float64 LU
+        space = build_space(build_mesh(9))
+        rng = np.random.default_rng(6)
+        data = mixed_data(space, 0.5, rng)
+        pt, _ = mixed_iterate(space, 0.5, rng, rng.integers(0, 2, space.n), y_scale=0.2)
+        sets = index_sets(pt, data.config)
+        r = rng.standard_normal(3 * space.n)
+        refined = newton_step(data, pt, sets, r)
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        layout = []
+        factorised = newton_step(data, pt, sets, r, layout)
+        assert len(layout) == 1
+        assert np.linalg.norm(factorised - refined) <= 1e-10 * np.linalg.norm(refined)
+
     def test_converged_solve_makes_no_3n_matrix(self, monkeypatch):
+        # nor any other matrix: no step is factorised
         data, _ = build_example1(build_space(build_mesh(33)))
         calls = []
-        for module, name in ((sparse_core, "solve_linear"), (kkt_solver, "_newton_layout")):
-            def recording(*args, name=name, fn=getattr(module, name)):
+        for name in ("solve_linear", "pair_jacobian"):
+            def recording(*args, name=name, fn=getattr(kkt_solver, name)):
                 calls.append(name)
                 return fn(*args)
-            monkeypatch.setattr(module, name, recording)
+            monkeypatch.setattr(kkt_solver, name, recording)
         _, rep = solve_kkt(data)
         assert rep.converged and rep.iterations == 3
         assert calls == []
@@ -1036,22 +1072,23 @@ class TestSeedStep:
     def test_declined_refinement_falls_through_to_3n_path(self, example, m, gamma,
                                                           monkeypatch):
         # with no correction allowed, refinement from the seed declines on
-        # every step, and so does that from every float32 LU
+        # every step, and so does that from every float32 LU: every step is
+        # factorised in float64
         data, _ = build_example(example, build_space(build_mesh(m)), 1e-4, gamma)
         direct, rep = kkt_iterates(data, monkeypatch)
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
         calls = []
-        solve = sparse_core.solve_linear
+        solve = kkt_solver.solve_linear
 
         def counting(*args):
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(sparse_core, "solve_linear", counting)
+        monkeypatch.setattr(kkt_solver, "solve_linear", counting)
         fallen, rep_fallen = kkt_iterates(data, monkeypatch)
         assert rep.converged and (rep.iterations, rep.failure_reason) == (
             rep_fallen.iterations, rep_fallen.failure_reason)
-        assert len(calls) == rep.iterations  # every step on the 3n path
+        assert len(calls) == rep.iterations  # every step factorised
         assert len(direct) == len(fallen) == rep.iterations + 1
         for (y, p, chi), (y0, p0, chi0) in zip(direct, fallen):
             assert np.linalg.norm(y - y0) <= 1e-10 * np.linalg.norm(y0)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
+from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space, pair_jacobian
 from nsocp import regpath, sparse_core
 from nsocp.kkt_solver import solve_kkt
 from nsocp.nonsmooth import (
@@ -152,7 +152,7 @@ class TestSolveRegularizedKkt:
         # yy, pp and py index the (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i)
         # entries, each once, node by node
         ops = assemble_operators(build_space(build_mesh(m)))
-        jac, order, yy, pp, py, a_diag, m_diag = regpath._pair_jacobian(ops, 1e-3)
+        jac, order, yy, pp, py, a_diag, m_diag = pair_jacobian(ops, 1e-3)
         rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
         i = np.arange(ops.space.n)
         for pos, row, col in ((yy, 2 * i, 2 * i), (pp, 2 * i + 1, 2 * i + 1),
@@ -391,7 +391,7 @@ class TestPathJacobianLayout:
         # one, in its inner solve at eps = 1e-5, which does not converge
         data, _ = build(build_space(build_mesh(17)))
         layouts, lus = [], []
-        pair_jacobian, splu = regpath._pair_jacobian, regpath.splu
+        pair_jacobian, splu = regpath.pair_jacobian, regpath.splu
 
         def counting(*args):
             layouts.append(1)
@@ -401,7 +401,7 @@ class TestPathJacobianLayout:
             lus.append(1)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(regpath, "_pair_jacobian", counting)
+        monkeypatch.setattr(regpath, "pair_jacobian", counting)
         monkeypatch.setattr(regpath, "splu", counting_splu)
         shared, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
         assert len(lus) == (build is build_example2)
