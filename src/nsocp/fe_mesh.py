@@ -5,14 +5,15 @@ degrees of freedom. The stiffness A, consistent mass M and lumped mass d are
 built as the grid stencils of the P1 operators on this mesh; A is the
 five-point stencil (diagonal 4, neighbors -1). ``sine_spectrum`` gives the
 2-D sine basis of the interior grid, in which A and all of M but one small
-term are diagonal, and ``SineSeed`` solves by it with no factorisation: A,
-or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p] in lexicographic
-block order. ``pair_operator`` applies, in the same order, a pair system
-with M and three diagonals, from A, M and the diagonals alone, so that
-``sparse_core.refine`` can solve it from the seed with no matrix formed.
-``pair_jacobian`` lays out that pair system once as a matrix, node by node
-in nested-dissection order, for the KKT and continuation steps that
-factorise it; they refill its three diagonals in place.
+term are diagonal, and ``SineSeed`` solves by it in float32 with no
+factorisation: A, or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p]
+in lexicographic block order. ``pair_operator`` applies, in the same
+order, a pair system with M and three diagonals, from A, M and the
+diagonals alone, so that ``sparse_core.refine`` can solve it in float64
+from the seed with no matrix formed. ``pair_jacobian`` lays out that pair
+system once as a matrix, node by node in nested-dissection order, for the
+KKT and continuation steps that factorise it; they refill its three
+diagonals in place.
 """
 
 from __future__ import annotations
@@ -227,35 +228,41 @@ class SineSeed:
     regular for every alpha > 0 (Axelsson & Kucherov, Numer. Linear Algebra
     Appl. 7, 2000).
 
-    A seed refers to the space's cached ``spectrum`` and holds no factor; a
-    pair seed keeps its n inverse eigenvalues from its first solve on. It
-    solves in float64, as its ``dtype`` says, so ``sparse_core.refine`` takes
-    it as a float64 LU.
+    The seed solves in float32, as its ``dtype`` says, and
+    ``sparse_core.refine`` refines from it in float64 as from a float32 LU
+    (Langou et al., SC 2006). It is an approximate inverse in any precision:
+    refinement makes up (h^2/24) K (x) K and a step's diagonals, and float32
+    rounding adds only about eps32 cond(A) to the factor by which it
+    contracts. The seed holds float32 copies of phi and lam_a, made from the
+    space's cached float64 ``spectrum``, and no factor; a pair seed also
+    holds its n inverse eigenvalues, computed in float64 and kept in
+    complex64.
     """
 
-    dtype = np.dtype(np.float64)
+    dtype = np.dtype(np.float32)
 
     def __init__(self, space: FeSpace, alpha: float | None = None):
-        self._phi, self._lam_a, self._lam_m = space.spectrum
-        self._root_alpha = None if alpha is None else np.sqrt(alpha)
+        phi, lam_a, lam_m = space.spectrum
+        self._phi, self._lam_a = phi.astype(np.float32), lam_a.astype(np.float32)
+        self._root_alpha = None if alpha is None else float(np.sqrt(alpha))
+        # 1 / (lam_a - i lam_m / sqrt(alpha)), computed in float64
+        self._inv = None if alpha is None else (
+            1.0 / (lam_a - (1j / self._root_alpha) * lam_m)).astype(np.complex64)
         self.shape = (space.n if alpha is None else 2 * space.n,) * 2
-
-    @functools.cached_property
-    def _inv(self) -> np.ndarray:
-        """1 / (lam_a - i lam_m / sqrt(alpha)), made by the first pair solve."""
-        return 1.0 / (self._lam_a - (1j / self._root_alpha) * self._lam_m)
 
     def _transform(self, grids: np.ndarray) -> np.ndarray:
         """phi X phi for each (m-1) x (m-1) grid X of ``grids``."""
         return self._phi @ grids @ self._phi
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The seed's system solved for ``b`` of shape ``shape[0]``, in float64."""
+        """The seed's system solved for ``b`` of shape ``shape[0]``, in float32."""
         k = len(self._phi)
+        b = b.astype(np.float32, copy=False)
         if self._root_alpha is None:
             return self._transform(self._transform(b.reshape(k, k)) / self._lam_a).ravel()
+        # Python scalars, so that every product stays in float32 and complex64
         f, g = self._transform(b.reshape(2, k, k))
-        z = (f + (1j / self._root_alpha) * g) * self._inv
+        z = (f + 1j * (g / self._root_alpha)) * self._inv
         y, p = self._transform(np.stack([z.real, self._root_alpha * z.imag]))
         return np.concatenate([y.ravel(), p.ravel()])
 
@@ -276,19 +283,42 @@ def pair_operator(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> Linea
 
 
 def pair_jacobian(ops: FeOperators, alpha: float):
-    """The pair system [[A, M / alpha], [-M, A]], laid out by ``sp.bmat``
+    """The pair system [[A, M / alpha], [-M, A]] as a canonical CSR matrix
     with the unknowns in (y_i, p_i)-pair order: row and column 2k is y at
-    node nd[k] of ``nd_order``, 2k + 1 is p there. Returns it with that
-    order (pair unknown j is unknown order[j] of the block order [y; p]),
-    the positions in its data of the (2k, 2k), (2k + 1, 2k + 1) and
-    (2k + 1, 2k) entries, node by node (from ``entry_positions``), and the
-    diagonals of A and M in that order, which a step refills the three
-    diagonals from."""
+    node nd[k] of ``nd_order``, 2k + 1 is p there. It is written directly
+    in that order from A and M, with no block matrix and no permuted copy,
+    and stores every entry of A and M. Returns it with that order (pair
+    unknown j is unknown order[j] of the block order [y; p]), the positions
+    in its data of the (2k, 2k), (2k + 1, 2k + 1) and (2k + 1, 2k) entries,
+    node by node (from ``entry_positions``), and the diagonals of A and M in
+    that order, which a step refills the three diagonals from."""
     a, m = ops.A, ops.M
     nd = ops.space.nd_order
-    order = np.column_stack([nd, nd + len(nd)]).ravel()
-    jac = sp.bmat([[a, m / alpha], [-m, a]], format="csr")[order][:, order]
-    y = 2 * np.arange(len(nd))  # the row and column of y_i; those of p_i are y + 1
+    n = len(nd)
+    order = np.column_stack([nd, nd + n]).ravel()
+    rank = np.empty(n, dtype=np.int64)  # the position of each node in nd
+    rank[nd] = np.arange(n)
+    # pair row 2 rank[i] is row i of [A, M / alpha], pair row 2 rank[i] + 1
+    # row i of [-M, A]; each holds the entries of its first block, then those
+    # of its second
+    a_len, m_len = np.diff(a.indptr), np.diff(m.indptr)
+    nnz = 2 * (a.nnz + m.nnz)
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(2 * n + 1, dtype=index)
+    np.cumsum(np.repeat((a_len + m_len)[nd], 2), out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    state = indptr[:-1][0::2][rank]  # where the pair row of state row i starts
+    adjoint = state + a_len + m_len
+    for blk, scale, first, parity in ((a, 1.0, state, 0), (m, 1.0 / alpha, state + a_len, 1),
+                                      (m, -1.0, adjoint, 0), (a, 1.0, adjoint + m_len, 1)):
+        pos = np.repeat(first - blk.indptr[:-1], np.diff(blk.indptr)) + np.arange(blk.nnz)
+        data[pos] = blk.data * scale  # as scipy scales M / alpha
+        indices[pos] = 2 * rank[blk.indices] + parity
+        del pos  # before the next block's is made
+    jac = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+    jac.sort_indices()  # row by row, in place
+    y = 2 * np.arange(n)  # the row and column of y_i; those of p_i are y + 1
     yy, pp, py = (entry_positions(jac, r, c) for r, c in ((y, y), (y + 1, y + 1), (y + 1, y)))
     return jac, order, yy, pp, py, a.diagonal()[nd], m.diagonal()[nd]
 

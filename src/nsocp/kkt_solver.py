@@ -28,8 +28,9 @@ When N is empty that system is the whole pair system, K0 = [[A, M / alpha],
 node is critical, so the first step from that start is one. Its [dy; dp]
 is refined by ``sparse_core.refine`` from the pair ``fe_mesh.SineSeed`` of
 the call, which solves K0 up to one small term by the sine transform of the
-grid, against the products of ``fe_mesh.pair_operator`` from A, M and the
-two diagonals. Refinement makes up that term and the diagonals.
+grid in float32, against the products of ``fe_mesh.pair_operator`` from A,
+M and the two diagonals in float64. Refinement makes up that term, the
+diagonals and the float32 rounding.
 
 Any other step, and one whose refinement declines, is factorised. The first
 such step of a call lays out the pair system (``fe_mesh.pair_jacobian``,

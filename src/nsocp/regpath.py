@@ -11,15 +11,16 @@ solve runs ``state_solver.newton`` on the stacked vector (y, p).
 
 Every Jacobian is K0 = [[A, M / alpha], [-M, A]] plus the diagonals
 D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one pair
-``fe_mesh.SineSeed`` of K0 for the whole eps schedule. Each Newton step is
-first solved by ``sparse_core.refine`` from what is held, in the seed's
-block order [y; p], with its products from A, M and the step's diagonals
-(``fe_mesh.pair_operator``). When refinement declines, what is held is
-dropped and the step's Jacobian is factorised by a float64 LU and held in
-its place. That Jacobian is ``fe_mesh.pair_jacobian``, the layout the KKT
-step factorises too: the unknowns numbered node by node, as (y_i, p_i)
-pairs in the mesh's nested-dissection order. The LU solves in block order
-by permuting to and from that order. The layout is made at the first fresh
+``fe_mesh.SineSeed`` of K0, a float32 solve, for the whole eps schedule.
+Each Newton step is first solved by ``sparse_core.refine`` in float64 from
+what is held, in the seed's block order [y; p], with its products from A,
+M and the step's diagonals (``fe_mesh.pair_operator``). When refinement
+declines, what is held is dropped and the step's Jacobian is factorised by
+a float64 LU and held in its place. That Jacobian is
+``fe_mesh.pair_jacobian``, the layout the KKT step factorises too: the
+unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
+nested-dissection order. The LU solves in block order by permuting to and
+from that order. The layout is made at the first fresh
 LU of a path (or of a solve called on its own) and kept for the rest of it;
 each LU refills all three varying diagonals, so nothing of an earlier step
 survives in it. A failed LU names its row through

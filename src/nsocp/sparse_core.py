@@ -25,15 +25,16 @@ module's and those of ``state_solver`` and ``regpath``, which call their own
 threshold pivoting they fix a small panel, which bounds the work arrays
 SuperLU holds on top of the finished factors.
 
-``refine`` is iterative refinement from an LU or any other solve of a
-nearby system (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-ed., ch. 12), with the one acceptance rule of the package. Beside the
-float32 LU of ``solve_linear`` it refines the forward solves of
-``state_solver``, the KKT steps of ``kkt_solver`` whose I_gamma and I_crit
-cover every node and the continuation steps of ``regpath``, each from a
-``fe_mesh.SineSeed``, which factorises nothing (``regpath`` from its own LU
-once refinement from the seed has declined), and the last two against the
-products of ``fe_mesh.pair_operator``. The module holds nothing between
+``refine`` is iterative refinement in float64 from an LU or any other
+solve of a nearby system, in float32 or float64 (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 12), with the one
+acceptance rule of the package. Beside the float32 LU of ``solve_linear``
+it refines the forward solves of ``state_solver``, the KKT steps of
+``kkt_solver`` whose I_gamma and I_crit cover every node and the
+continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``, which
+solves in float32 and factorises nothing (``regpath`` from its own float64
+LU once refinement from the seed has declined), and the last two against
+the products of ``fe_mesh.pair_operator``. The module holds nothing between
 calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
@@ -230,8 +231,10 @@ def _first_deficient_row(m_sp) -> int:
 def refine(lu, k, b: np.ndarray):
     """Iterative refinement x <- x + LU^-1 (b - k x) in float64 from x = 0,
     with ``lu`` a float32 or float64 factorisation of k or of a nearby
-    matrix, or a caller's seed, and ``k`` the matrix or an operator with
-    ``k @ x``; None when it declines.
+    matrix, or a caller's seed (a ``fe_mesh.SineSeed`` solves in float32),
+    and ``k`` the matrix or an operator with ``k @ x``; None when it
+    declines. The first residual is b itself, so a refinement makes one
+    product fewer than it makes corrections.
 
     Each residual is scaled by the power of two nearest above its max norm,
     which is exact, and cast to the precision of ``lu`` for the solve: a
@@ -246,8 +249,8 @@ def refine(lu, k, b: np.ndarray):
     dtype = _solve_dtype(lu)
     x = np.zeros(len(b))
     prev = np.inf
-    for _ in range(MAX_CORRECTIONS):
-        r = b - k @ x
+    for i in range(MAX_CORRECTIONS):
+        r = b - k @ x if i else b  # x = 0 on the first pass, so no product
         scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
         dx = scale * lu.solve((r / scale).astype(dtype, copy=False))  # float64
         x += dx

@@ -11,10 +11,11 @@ operators G_chi representing generalized-derivative elements.
 Every n x n matrix is A + diag(c) with c in [0, d], which lies within
 [1, 1.06] A, and the sine basis of the grid diagonalises A. So each Newton
 step is solved by ``sparse_core.refine`` from ``fe_mesh.SineSeed(space)``, a
-solve of A by the sine transform, with the products A x + c x taken from A
-and c; A + diag(c) is never formed. When refinement declines, the step is
-solved by sparse LU of (A + diag(c))[nd][:, nd], in the mesh's
-nested-dissection order nd. Nothing outlives a solve.
+float32 solve of A by the sine transform, refined in float64 with the
+products A x + c x taken from A and c; A + diag(c) is never formed. When
+refinement declines, the step is solved by sparse LU of
+(A + diag(c))[nd][:, nd], in the mesh's nested-dissection order nd.
+Nothing outlives a solve.
 
 A forward solve starts from zero or from a given ``init``. The finite
 difference check starts each perturbed state S(u + t h) from S(u): the

@@ -8,12 +8,13 @@ from scipy.sparse.linalg import SuperLU
 
 from nsocp import kkt_solver, regpath, sparse_core, state_solver
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
+from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
     SparseError,
     entry_positions,
+    refine,
     solve_linear,
 )
 
@@ -572,6 +573,57 @@ class TestSolveLinearMemory:
         assert refined and all("k" not in c for c in refined)
         for c in refined:
             assert c["exit"] - c["entry"] <= 32 * c["input"]
+
+
+class _Counting:
+    """``k`` or a seed, counting its products or its solves."""
+
+    def __init__(self, k):
+        self.k, self.calls = k, 0
+        self.dtype, self.shape = getattr(k, "dtype", None), k.shape
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.k @ x
+
+    def solve(self, b):
+        self.calls += 1
+        return self.k.solve(b)
+
+
+class TestRefine:
+    """Refinement starts from x = 0, whose residual is b itself, so it takes
+    one product fewer than it makes corrections."""
+
+    @staticmethod
+    def shifted_stiffness(m):
+        ops = assemble_operators(build_space(build_mesh(m)))
+        c = ops.d * np.random.default_rng(m).uniform(size=ops.space.n)
+        return ops, (ops.A + sp.diags(c)).tocsr()
+
+    @pytest.mark.parametrize("m", [9, 33])
+    def test_products_are_corrections_less_one(self, m):
+        ops, k = self.shifted_stiffness(m)
+        b = np.random.default_rng(0).standard_normal(ops.space.n)
+        seed, prod = _Counting(SineSeed(ops.space)), _Counting(k)
+        x = refine(seed, prod, b)
+        assert x is not None and seed.calls >= 2
+        assert prod.calls == seed.calls - 1
+        # the result of the same corrections, each from the residual b - k x
+        # with its product, bit for bit
+        ref = np.zeros(len(b))
+        for _ in range(seed.calls):
+            r = b - k @ ref
+            scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
+            ref += scale * seed.k.solve((r / scale).astype(np.float32))
+        assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+
+    def test_declined_refinement_counts_the_same(self, monkeypatch):
+        ops, k = self.shifted_stiffness(33)
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 2)
+        seed, prod = _Counting(SineSeed(ops.space)), _Counting(k)
+        assert refine(seed, prod, np.ones(ops.space.n)) is None
+        assert (seed.calls, prod.calls) == (2, 1)
 
 
 class TestEntryPositions:

@@ -495,6 +495,22 @@ class TestSeededForwardSolves:
         assert x is not None
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("m", [9, 33, 65])
+    def test_refines_to_a(self, m):
+        # the seed solves A exactly up to float32 rounding, which A amplifies
+        # by at most its condition number cot^2(pi / 2m) (0.003-0.09 eps32
+        # cond(A) measured), and refinement from it solves A to float64
+        # accuracy
+        ops = assemble_operators(build_space(build_mesh(m)))
+        b = np.random.default_rng(m).standard_normal(ops.space.n)
+        ref = spsolve(ops.A.tocsc(), b)
+        seed = SineSeed(ops.space)
+        bound = 8 * np.finfo(np.float32).eps / np.tan(np.pi / (2 * m)) ** 2
+        assert np.max(np.abs(seed.solve(b) - ref)) <= bound * np.max(np.abs(ref))
+        x = refine(seed, ops.A, b)
+        assert x is not None
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_declined_refinement_falls_back_to_lu(self, monkeypatch):
         space = build_space(build_mesh(17))
         data, exact = build_example2(space)
