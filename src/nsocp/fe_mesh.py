@@ -10,10 +10,10 @@ factorisation: A, or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p]
 in lexicographic block order. ``pair_operator`` applies, in the same
 order, a pair system with M and three diagonals, from A, M and the
 diagonals alone, so that ``sparse_core.refine`` can solve it in float64
-from the seed with no matrix formed. ``pair_jacobian`` lays out that pair
+from the seed with no matrix formed. ``PairJacobian`` lays out that pair
 system once as a matrix, node by node in nested-dissection order, for the
-KKT and continuation steps that factorise it; they refill its three
-diagonals in place.
+KKT and continuation steps that factorise it, and writes its three
+diagonals in place for each of them; no other module writes into it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .sparse_core import CsrMatrix, entry_positions
+from .sparse_core import CsrMatrix
 
 __all__ = [
     "MeshError",
@@ -40,7 +40,7 @@ __all__ = [
     "sine_spectrum",
     "SineSeed",
     "pair_operator",
-    "pair_jacobian",
+    "PairJacobian",
     "interpolate",
     "linf_nodal_error",
     "export_vtk",
@@ -282,45 +282,71 @@ def pair_operator(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> Linea
     return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
 
 
-def pair_jacobian(ops: FeOperators, alpha: float):
-    """The pair system [[A, M / alpha], [-M, A]] as a canonical CSR matrix
-    with the unknowns in (y_i, p_i)-pair order: row and column 2k is y at
-    node nd[k] of ``nd_order``, 2k + 1 is p there. It is written directly
-    in that order from A and M, with no block matrix and no permuted copy,
-    and stores every entry of A and M. Returns it with that order (pair
-    unknown j is unknown order[j] of the block order [y; p]), the positions
-    in its data of the (2k, 2k), (2k + 1, 2k + 1) and (2k + 1, 2k) entries,
-    node by node (from ``entry_positions``), and the diagonals of A and M in
-    that order, which a step refills the three diagonals from."""
-    a, m = ops.A, ops.M
-    nd = ops.space.nd_order
-    n = len(nd)
-    order = np.column_stack([nd, nd + n]).ravel()
-    rank = np.empty(n, dtype=np.int64)  # the position of each node in nd
-    rank[nd] = np.arange(n)
-    # pair row 2 rank[i] is row i of [A, M / alpha], pair row 2 rank[i] + 1
-    # row i of [-M, A]; each holds the entries of its first block, then those
-    # of its second
-    a_len, m_len = np.diff(a.indptr), np.diff(m.indptr)
-    nnz = 2 * (a.nnz + m.nnz)
-    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(2 * n + 1, dtype=index)
-    np.cumsum(np.repeat((a_len + m_len)[nd], 2), out=indptr[1:])
-    indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz)
-    state = indptr[:-1][0::2][rank]  # where the pair row of state row i starts
-    adjoint = state + a_len + m_len
-    for blk, scale, first, parity in ((a, 1.0, state, 0), (m, 1.0 / alpha, state + a_len, 1),
-                                      (m, -1.0, adjoint, 0), (a, 1.0, adjoint + m_len, 1)):
-        pos = np.repeat(first - blk.indptr[:-1], np.diff(blk.indptr)) + np.arange(blk.nnz)
-        data[pos] = blk.data * scale  # as scipy scales M / alpha
-        indices[pos] = 2 * rank[blk.indices] + parity
-        del pos  # before the next block's is made
-    jac = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
-    jac.sort_indices()  # row by row, in place
-    y = 2 * np.arange(n)  # the row and column of y_i; those of p_i are y + 1
-    yy, pp, py = (entry_positions(jac, r, c) for r, c in ((y, y), (y + 1, y + 1), (y + 1, y)))
-    return jac, order, yy, pp, py, a.diagonal()[nd], m.diagonal()[nd]
+class PairJacobian:
+    """The pair system [[A + diag(d_yy), M / alpha], [-M + diag(d_py), A + diag(d_pp)]]
+    of ``pair_operator`` as one canonical CSR matrix in (y_i, p_i)-pair
+    order, for the KKT and continuation steps that factorise it: row and
+    column 2k is y at node nd[k] of ``nd_order``, 2k + 1 is p there, and pair
+    unknown j is unknown ``order[j]`` of the block order [y; p]. The first
+    ``at`` lays it out, written directly in that order from A and M with no
+    block matrix and no permuted copy, every entry of A and M stored, and
+    each row sorted; ``matrix`` and ``order`` are None until then.
+
+    In the sorted pair rows of node i, the b(i) entries of its neighbours in
+    A and in M that come before it in nd come before its y column, and the
+    others after its p column. So (y_i, y_i), (p_i, y_i) and (p_i, p_i) sit
+    at b(i) in its state row, at b(i) in its adjoint row and right after
+    that, and each ``at`` writes them there with no search.
+    """
+
+    matrix = order = None
+
+    def __init__(self, ops: FeOperators, alpha: float):
+        self.ops, self.alpha = ops, alpha
+
+    def at(self, d_yy, d_pp, d_py=0.0) -> sp.csr_matrix:
+        """``matrix`` with the three diagonals (arrays or scalars, by node)
+        written in place, laid out first if it is not yet."""
+        if self.matrix is None:
+            self._lay_out()
+        a_diag, m_diag = self.ops.A.diagonal(), self.ops.M.diagonal()
+        data = self.matrix.data
+        data[self._yy] = a_diag + d_yy
+        data[self._py + 1] = a_diag + d_pp
+        data[self._py] = d_py - m_diag
+        return self.matrix
+
+    def _lay_out(self) -> None:
+        a, m, alpha = self.ops.A, self.ops.M, self.alpha
+        nd = self.ops.space.nd_order
+        n = len(nd)
+        rank = np.empty(n, dtype=np.int64)  # the position of each node in nd
+        rank[nd] = np.arange(n)
+        # b(i), made before the matrix so that its work does not add to the peak
+        before = sum(np.add.reduceat(rank[blk.indices] < np.repeat(rank, np.diff(blk.indptr)),
+                                     blk.indptr[:-1], dtype=np.int64) for blk in (a, m))
+        # pair row 2 rank[i] is row i of [A, M / alpha], pair row 2 rank[i] + 1
+        # row i of [-M, A]; each holds the entries of its first block, then those
+        # of its second
+        a_len, m_len = np.diff(a.indptr), np.diff(m.indptr)
+        nnz = 2 * (a.nnz + m.nnz)
+        index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(2 * n + 1, dtype=index)
+        np.cumsum(np.repeat((a_len + m_len)[nd], 2), out=indptr[1:])
+        indices = np.empty(nnz, dtype=index)
+        data = np.empty(nnz)
+        state = indptr[:-1][0::2][rank]  # where the pair row of state row i starts
+        adjoint = state + a_len + m_len
+        for blk, scale, first, parity in ((a, 1.0, state, 0), (m, 1.0 / alpha, state + a_len, 1),
+                                          (m, -1.0, adjoint, 0), (a, 1.0, adjoint + m_len, 1)):
+            pos = np.repeat(first - blk.indptr[:-1], np.diff(blk.indptr)) + np.arange(blk.nnz)
+            data[pos] = blk.data * scale  # as scipy scales M / alpha
+            indices[pos] = 2 * rank[blk.indices] + parity
+            del pos  # before the next block's is made
+        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+        self.matrix.sort_indices()  # row by row, in place
+        self.order = np.column_stack([nd, nd + n]).ravel()
+        self._yy, self._py = state + before, adjoint + before  # by node, lexicographic
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

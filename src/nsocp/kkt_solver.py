@@ -32,11 +32,11 @@ grid in float32, against the products of ``fe_mesh.pair_operator`` from A,
 M and the two diagonals in float64. Refinement makes up that term, the
 diagonals and the float32 rounding.
 
-Any other step, and one whose refinement declines, is factorised. The first
-such step of a call lays out the pair system (``fe_mesh.pair_jacobian``,
-the layout ``regpath`` factorises too), node by node in the
-nested-dissection order ``FeSpace.nd_order``; each such step refills its
-two diagonals that vary in place. Each row is scaled by the largest entry
+Any other step, and one whose refinement declines, is factorised. It takes
+the pair system from the call's ``fe_mesh.PairJacobian`` (the layout
+``regpath`` factorises too), node by node in the nested-dissection order
+``FeSpace.nd_order``, laid out by the first such step and refilled in place
+with D 1{y>0}, D chi and 0 by each. Each row is scaled by the largest entry
 of its row of the 3n matrix, which for adjoint row n + i is also compared
 with |d_i p_i|. A pivot d_i p_i on N below ``sparse_core.PIVOT_RTOL`` after
 that scaling raises SingularMatrixError naming adjoint row n + i, for the
@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fe_mesh import FeFunction, FeOperators, SineSeed, pair_jacobian, pair_operator
+from .fe_mesh import FeFunction, FeOperators, PairJacobian, SineSeed, pair_operator
 from .nonsmooth import max0, prox, prox_active
 from .sparse_core import PIVOT_RTOL, SingularMatrixError, refine, solve_linear
 from .state_solver import newton
@@ -176,29 +176,28 @@ def solve_kkt(data: ProblemData, init: Optional[KktPoint] = None):
                         ops.space.function(x[2 * n:]))
 
     seed = SineSeed(ops.space, cfg.alpha)
-    layout = []  # the pair Jacobian, laid out by the first step that factorises
+    jacobian = PairJacobian(ops, cfg.alpha)  # laid out by the first step that factorises
 
     def step(x, r):
         pt = point(x)
-        return _newton_step(data, pt, index_sets(pt, cfg), r, seed, layout)
+        return _newton_step(data, pt, index_sets(pt, cfg), r, seed, jacobian)
 
     try:
         x, report = newton(x0, lambda x: residual(data, point(x)), step,
                            TOL_RESIDUAL, MAX_ITER)
     finally:
         # nothing outlives the call, even from a traceback's frame
-        del seed
-        layout.clear()
+        del seed, jacobian
     return point(x), report
 
 
 def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray,
-                 seed: SineSeed, layout: list) -> np.ndarray:
+                 seed: SineSeed, jacobian: PairJacobian) -> np.ndarray:
     """The Newton step [dy; dp; dchi] at ``pt`` for the residual ``r``, as the
-    module docstring sets out, with no 3n matrix. ``layout`` is the call's
-    list that holds its ``pair_jacobian`` from the first step that
-    factorises on. A deficient pivot d_i p_i, or a singular verdict of
-    ``solve_linear``, raises SingularMatrixError."""
+    module docstring sets out, with no 3n matrix. ``jacobian`` is the call's
+    ``PairJacobian``, which a step that factorises refills. A deficient
+    pivot d_i p_i, or a singular verdict of ``solve_linear``, raises
+    SingularMatrixError."""
     ops = data.ops
     d = ops.d
     n = len(d)
@@ -219,12 +218,8 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
         if dyp is not None:
             return np.concatenate([dyp, dchi])
 
-    if not layout:
-        layout.append(pair_jacobian(ops, cfg.alpha))
-    jac, order, yy, pp, _, a_diag, _ = layout[0]  # its (p, y) diagonal stays -M_ii
-    nd = ops.space.nd_order
-    jac.data[yy] = a_diag + d_plus[nd]
-    jac.data[pp] = a_diag + d_chi[nd]
+    jac = jacobian.at(d_plus, d_chi)  # its (p, y) diagonal is -M_ii
+    order, nd = jacobian.order, ops.space.nd_order
     # each row is scaled by its largest entry in the 3n matrix, where adjoint
     # row n + i also holds the pivot d_i p_i
     scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])

@@ -16,16 +16,15 @@ Each Newton step is first solved by ``sparse_core.refine`` in float64 from
 what is held, in the seed's block order [y; p], with its products from A,
 M and the step's diagonals (``fe_mesh.pair_operator``). When refinement
 declines, what is held is dropped and the step's Jacobian is factorised by
-a float64 LU and held in its place. That Jacobian is
-``fe_mesh.pair_jacobian``, the layout the KKT step factorises too: the
+a float64 LU and held in its place. That Jacobian comes from the solve's
+``fe_mesh.PairJacobian``, the layout the KKT step factorises too: the
 unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
-nested-dissection order. The LU solves in block order by permuting to and
-from that order. The layout is made at the first fresh
-LU of a path (or of a solve called on its own) and kept for the rest of it;
-each LU refills all three varying diagonals, so nothing of an earlier step
-survives in it. A failed LU names its row through
-``sparse_core.singular_error``. The holder is cleared when the path returns
-or raises.
+nested-dissection order, which is computed only then. The LU solves in
+block order by permuting to and from that order. The layout is made at the
+first fresh LU of each fixed-eps solve and kept for the rest of it; each LU
+refills all three varying diagonals, so nothing of an earlier step survives
+in it. A failed LU names its row through ``sparse_core.singular_error``.
+The holder is cleared when the path returns or raises.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -40,7 +39,7 @@ from scipy.sparse.linalg import splu
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
-from .fe_mesh import FeFunction, SineSeed, pair_jacobian, pair_operator
+from .fe_mesh import FeFunction, PairJacobian, SineSeed, pair_operator
 from .nonsmooth import (
     SmoothedMaxParams,
     smoothed_max,
@@ -83,8 +82,7 @@ class RegPathConfig:
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
-                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None,
-                          *, _jacobian=None):
+                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
     ``init`` raises ValueError.
 
@@ -96,11 +94,8 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     factorise its Jacobian in (y_i, p_i)-pair order (a failed LU raises
     SingularMatrixError naming its row in block order) and hold that LU.
     Without a holder the call keeps its own, seeded, and clears it before
-    returning or raising.
-
-    ``_jacobian`` is ``run_path``'s one list for the whole path, which holds
-    its ``pair_jacobian(ops, alpha)`` from the first fresh LU on; None makes
-    a list for this call.
+    returning or raising. The call's one ``PairJacobian`` is laid out by its
+    first fresh LU and refilled by each later one.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -110,8 +105,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     alpha = data.config.alpha
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
-    nd = ops.space.nd_order
-    layout = [] if _jacobian is None else _jacobian
+    jacobian = PairJacobian(ops, alpha)
     own = held is None
     if own:
         held = [SineSeed(ops.space, alpha)]
@@ -129,17 +123,12 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         sol = refine(held[0], pair_operator(ops, alpha, d_yy, d_yy, d_py), -r) if held else None
         if sol is None:
             held.clear()  # free the old LU before the new one is built
-            if not layout:
-                layout.append(pair_jacobian(ops, alpha))
-            jac, order, yy, pp, py, a_diag, m_diag = layout[0]
-            jac.data[yy] = jac.data[pp] = a_diag + d_yy[nd]
-            jac.data[py] = d_py[nd] - m_diag
-            k = jac.tocsc()
+            k = jacobian.at(d_yy, d_yy, d_py).tocsc()
             try:
                 lu = splu(k, **SPLU_OPTIONS)
             except RuntimeError as exc:
-                raise singular_error(k, order) from exc
-            held.append(_BlockOrderLu(lu, order))
+                raise singular_error(k, jacobian.order) from exc
+            held.append(_BlockOrderLu(lu, jacobian.order))
             sol = held[0].solve(-r)
         return sol
 
@@ -149,6 +138,7 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     try:
         x, report = newton(x0, residual, step, TOL_RESIDUAL, MAX_ITER)
     finally:
+        del jacobian  # nothing outlives the call, even from a traceback's frame
         if own:
             held.clear()
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
@@ -192,9 +182,8 @@ class PathAbortedError(RuntimeError):
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
-    previous iterate, and all of them share one seeded holder and, from the
-    path's first fresh LU on, one pair-ordered Jacobian (see the module
-    docstring); the holder is cleared on return or raise.
+    previous iterate, and all of them share one seeded holder (see the
+    module docstring), which is cleared on return or raise.
     The first solve that fails ends the path, which then returns the last
     converged iterate, or raises PathAbortedError with the report if that
     was the first solve. Returns the final iterate packaged as a KKT point
@@ -203,10 +192,9 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     report = PathReport([], [], [])
     init = pt = None
     held = [SineSeed(ops.space, data.config.alpha)]  # for the whole schedule
-    layout = []  # the pair-ordered Jacobian, from the path's first fresh LU on
     try:
         for eps in cfg.eps_schedule:
-            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held, _jacobian=layout)
+            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held)
             report.eps_values.append(eps)
             report.inner_reports.append(rep)
             if not rep.converged:

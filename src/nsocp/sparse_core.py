@@ -5,7 +5,7 @@ module pins down the error behavior the rest of the package relies on.
 ``solve_linear`` solves a system that its caller has equilibrated (each row
 scaled to max magnitude at most 1) and numbered in the order to factorise
 it in: the KKT step's reduced active-set system, which ``kkt_solver``
-assembles from the pair Jacobian of ``fe_mesh.pair_jacobian``.
+assembles from the matrix of ``fe_mesh.PairJacobian``.
 
 The system is factorised in single precision and its solution is refined
 in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput.
@@ -38,8 +38,7 @@ the products of ``fe_mesh.pair_operator``. The module holds nothing between
 calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
-M are built with it. ``entry_positions`` locates given entries of a CSR matrix
-in its data, once, so that a solver can refill them in place with no search.
+M are built with it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "solve_linear",
     "singular_error",
     "refine",
-    "entry_positions",
 ]
 
 # The SuperLU options of every LU in the package (this module's, the forward
@@ -269,22 +267,3 @@ def _solve_dtype(lu) -> np.dtype:
     an empty array of that type."""
     dtype = getattr(lu, "dtype", None)
     return dtype if dtype is not None else lu.solve(np.empty((lu.shape[0], 0), np.float32)).dtype
-
-
-def entry_positions(k: sp.csr_matrix, rows, cols) -> np.ndarray:
-    """Index in ``k.data`` of each entry (rows[j], cols[j]) of the CSR matrix
-    ``k``, reading only those rows. ``rows`` must be strictly increasing; a
-    row may store its columns in any order, but the entry exactly once."""
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    # increasing from -1 to the row count: distinct rows of k, in order
-    if rows.shape != cols.shape or np.any(np.diff(rows, prepend=-1, append=k.shape[0]) <= 0):
-        raise SparseError("rows must be strictly increasing rows of k, one per column")
-    starts = k.indptr[rows]
-    counts = k.indptr[rows + 1] - starts
-    # every stored entry of those rows, row by row, and the entry j it may be
-    pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    j = np.repeat(np.arange(len(rows)), counts)
-    hit = np.flatnonzero(k.indices[pos] == cols[j])
-    if not np.array_equal(j[hit], np.arange(len(rows))):
-        raise SparseError("every entry asked for must be stored exactly once")
-    return pos[hit]

@@ -2,7 +2,7 @@ import weakref
 
 import pytest
 
-from nsocp import sparse_core
+from nsocp import fe_mesh, sparse_core
 
 
 class _CountingSplu:
@@ -49,3 +49,19 @@ def counting_splu(request, monkeypatch):
     counting = _CountingSplu(module.splu)
     monkeypatch.setattr(module, "splu", counting)
     return counting
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Weak references to the matrix of each ``fe_mesh.PairJacobian`` as it
+    is laid out, in order, so a test can count the layouts and see whether
+    any is still held."""
+    refs = []
+    lay_out = fe_mesh.PairJacobian._lay_out
+
+    def recording(self):
+        lay_out(self)
+        refs.append(weakref.ref(self.matrix))
+
+    monkeypatch.setattr(fe_mesh.PairJacobian, "_lay_out", recording)
+    return refs

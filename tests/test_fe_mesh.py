@@ -8,13 +8,13 @@ from scipy.sparse.linalg import splu
 
 from nsocp.fe_mesh import (
     MeshError,
+    PairJacobian,
     assemble_operators,
     build_mesh,
     build_space,
     export_vtk,
     interpolate,
     linf_nodal_error,
-    pair_jacobian,
     sine_spectrum,
 )
 from nsocp.state_solver import m_norm
@@ -294,10 +294,12 @@ class TestPairJacobian:
         # with every entry of A and M, and no other entry, stored
         ops = assemble_operators(build_space(build_mesh(m)))
         n, alpha = ops.space.n, 1e-3
-        jac, order, *_ = pair_jacobian(ops, alpha)
+        jacobian = PairJacobian(ops, alpha)
+        assert jacobian.matrix is None and jacobian.order is None  # not laid out yet
+        jac = jacobian.at(0.0, 0.0)
         a, mm = ops.A.toarray(), ops.M.toarray()
         full = np.empty((2 * n, 2 * n))
-        full[np.ix_(order, order)] = jac.toarray()
+        full[np.ix_(jacobian.order, jacobian.order)] = jac.toarray()
         assert np.array_equal(full, np.block([[a, (ops.M / alpha).toarray()], [-mm, a]]))
         assert jac.nnz == 2 * (ops.A.nnz + ops.M.nnz)
 
@@ -307,7 +309,11 @@ class TestPairJacobian:
         # the same matrix as sp.bmat's block matrix with its rows and then
         # its columns permuted to pair order, bit for bit, but canonical
         ops = assemble_operators(build_space(build_mesh(m)))
-        jac, order, *_ = pair_jacobian(ops, alpha)
+        jacobian = PairJacobian(ops, alpha)
+        jac = jacobian.at(0.0, 0.0)
+        order = jacobian.order
+        nd = ops.space.nd_order
+        assert np.array_equal(order, np.column_stack([nd, nd + ops.space.n]).ravel())
         ref = sp.bmat([[ops.A, ops.M / alpha], [-ops.M, ops.A]], format="csr")[order][:, order]
         assert jac.has_canonical_format
         ref.sort_indices()
@@ -315,39 +321,46 @@ class TestPairJacobian:
                           (jac.data.view(np.uint64), ref.data.view(np.uint64))):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("m", [5, 9])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
     def test_positions_of_the_refilled_diagonals(self, m):
-        # yy, pp and py point at the (2k, 2k), (2k + 1, 2k + 1) and
-        # (2k + 1, 2k) entries, which hold A_ii, A_ii and -M_ii of node nd[k]
+        # on even and odd meshes, and n = 1: refilled twice in place with
+        # random diagonals, and read back in block order, it is
+        # [[A + diag(d_yy), M / alpha], [-M + diag(d_py), A + diag(d_pp)]] bit
+        # for bit, so each diagonal lands on its own entries and no other
         ops = assemble_operators(build_space(build_mesh(m)))
-        jac, _, yy, pp, py, a_diag, m_diag = pair_jacobian(ops, 1e-3)
-        nd = ops.space.nd_order
-        assert np.array_equal(a_diag, ops.A.diagonal()[nd])
-        assert np.array_equal(m_diag, ops.M.diagonal()[nd])
-        y = 2 * np.arange(ops.space.n)
-        for pos, rows, cols, want in ((yy, y, y, a_diag), (pp, y + 1, y + 1, a_diag),
-                                      (py, y + 1, y, -m_diag)):
-            assert np.array_equal(np.searchsorted(jac.indptr, pos, side="right") - 1, rows)
-            assert np.array_equal(jac.indices[pos], cols)
-            assert np.array_equal(jac.data[pos], want)
+        n, alpha = ops.space.n, 1e-3
+        a = ops.A.toarray()
+        m_alpha = (ops.M / alpha).toarray()  # scipy multiplies by 1 / alpha
+        jacobian = PairJacobian(ops, alpha)
+        rng = np.random.default_rng(m)
+        for _ in range(2):
+            d_yy, d_pp, d_py = rng.standard_normal((3, n))
+            jac = jacobian.at(d_yy, d_pp, d_py)
+            assert jac is jacobian.matrix and jac.nnz == 2 * (ops.A.nnz + ops.M.nnz)
+            full = np.empty((2 * n, 2 * n))
+            full[np.ix_(jacobian.order, jacobian.order)] = jac.toarray()
+            want = np.block([[a + np.diag(d_yy), m_alpha],
+                             [-ops.M.toarray() + np.diag(d_py), a + np.diag(d_pp)]])
+            assert np.array_equal(full.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_layout_peak(self, m):
-        # written in place and sorted row by row, it peaks at 2.6-2.9 times
-        # its own bytes, set by the lookups of the three diagonals (the
-        # writing alone peaks at 1.6-1.8 times, sp.bmat and two permuted
-        # copies at 2.65-2.72); a KKT step that lays it out peaks at 4.0
-        # times, its later work on top of the layout it keeps
+        # written in place and sorted row by row, with the refill positions
+        # counted before the matrix is made, it peaks at 1.7-1.8 times its
+        # own bytes (the writing itself; 2.6-2.9 times with the positions
+        # looked up after the sort, sp.bmat and two permuted copies at
+        # 2.65-2.72); a KKT step that lays it out peaks at 4.0 times, its
+        # later work on top of the layout it keeps
         ops = assemble_operators(build_space(build_mesh(m)))
         ops.space.nd_order  # computed before the trace
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            jac, *_ = pair_jacobian(ops, 1e-4)
+            jac = PairJacobian(ops, 1e-4).at(0.0, 0.0)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= 3.2 * (jac.data.nbytes + jac.indices.nbytes + jac.indptr.nbytes)
+        assert peak <= 2.0 * (jac.data.nbytes + jac.indices.nbytes + jac.indptr.nbytes)
 
 
 class TestInterpolate:

@@ -10,8 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 from nsocp import kkt_solver, sparse_core
 from nsocp.examples import build_example, build_example1, build_example2
-from nsocp.fe_mesh import (SineSeed, assemble_operators, build_mesh, build_space, interpolate,
-                           pair_jacobian)
+from nsocp.fe_mesh import PairJacobian, SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.kkt_solver import (
     IndexSets,
     KktConfig,
@@ -96,11 +95,13 @@ def fixed_step(data, pt, sets, rhs):
     return bmat_active_set_fix(bmat_newton_matrix(data, pt, sets), rhs, sets)
 
 
-def newton_step(data, pt, sets, r, layout=None):
+def newton_step(data, pt, sets, r, jacobian=None):
     """``solve_kkt``'s Newton step at ``pt`` for the residual ``r``, with a
-    new pair seed and the given layout holder (None: a new one)."""
+    new pair seed and the given ``PairJacobian`` (None: a new one)."""
     seed = SineSeed(data.ops.space, data.config.alpha)
-    return kkt_solver._newton_step(data, pt, sets, r, seed, [] if layout is None else layout)
+    if jacobian is None:
+        jacobian = PairJacobian(data.ops, data.config.alpha)
+    return kkt_solver._newton_step(data, pt, sets, r, seed, jacobian)
 
 
 class TestResidual:
@@ -217,9 +218,10 @@ class TestNewtonMatrix:
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         n = space.n
-        jac, order, *_ = pair_jacobian(ops, 1.0)
+        jacobian = PairJacobian(ops, 1.0)
+        jac = jacobian.at(0.0, 0.0)
         full = np.empty((2 * n, 2 * n))
-        full[np.ix_(order, order)] = jac.toarray()
+        full[np.ix_(jacobian.order, jacobian.order)] = jac.toarray()
         assert np.array_equal(full[n:, :n], -ops.M.toarray())
 
     def test_critical_node_singular_without_fix(self, tiny):
@@ -325,10 +327,11 @@ class TestNewtonStepSolve:
         r = rng.standard_normal(3 * space.n)
         fixed, rhs = fixed_step(data, pt, sets, -r)
         ref = np.linalg.solve(fixed.toarray(), rhs)
-        layout = []
-        x = newton_step(data, pt, sets, r, layout)
+        jacobian = PairJacobian(data.ops, data.config.alpha)
+        x = newton_step(data, pt, sets, r, jacobian)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert len(layout) == (2 in kind)  # factorised when N is not empty
+        # factorised when N is not empty
+        assert (jacobian.matrix is not None) == (2 in kind)
 
     def test_step_does_not_depend_on_the_order(self):
         # lexicographic numbering in place of nested dissection moves only
@@ -431,7 +434,7 @@ class TestNewtonLayout:
         rng = np.random.default_rng(seed)
         gamma = 0.5
         data = mixed_data(space, gamma, rng)
-        layout = []
+        jacobian = PairJacobian(data.ops, data.config.alpha)
         # each node steps through its kinds by +1, +1 and -1, so that every
         # move between two kinds occurs
         base = rng.permutation(np.arange(space.n) % 3)
@@ -442,11 +445,11 @@ class TestNewtonLayout:
             assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
             assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
             r = rng.standard_normal(3 * space.n)
-            fresh = []
-            x = newton_step(data, pt, sets, r, layout)
+            fresh = PairJacobian(data.ops, data.config.alpha)
+            x = newton_step(data, pt, sets, r, jacobian)
             x0 = newton_step(data, pt, sets, r, fresh)
             assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
-            (jac, *_), (jac0, *_) = layout[0], fresh[0]
+            jac, jac0 = jacobian.matrix, fresh.matrix
             assert np.array_equal(jac.indptr, jac0.indptr)
             assert np.array_equal(jac.indices, jac0.indices)
             assert np.array_equal(jac.data.view(np.uint64), jac0.data.view(np.uint64))
@@ -457,57 +460,54 @@ class TestNewtonLayout:
         space = build_space(build_mesh(7))
         rng = np.random.default_rng(8)
         data = mixed_data(space, 0.5, rng)
-        layout, systems = [], []
+        jacobian, systems = PairJacobian(data.ops, data.config.alpha), []
         capture_solve_linear(monkeypatch, systems)
+        n, d = space.n, data.ops.d
+        a_diag, m_diag = data.ops.A.diagonal(), data.ops.M.diagonal()
         for _ in range(2):
             pt, _ = mixed_iterate(space, 0.5, rng)
             sets = index_sets(pt, data.config)
-            newton_step(data, pt, sets, rng.standard_normal(3 * space.n), layout)
-            jac, order, yy, pp, py, a_diag, m_diag = layout[0]
-            nd = space.nd_order
-            d = data.ops.d
-            assert np.array_equal(jac.data[yy], a_diag + d[nd] * (pt.y.coeffs[nd] > 0))
-            assert np.array_equal(jac.data[pp], a_diag + d[nd] * pt.chi.coeffs[nd])
-            assert np.array_equal(jac.data[py], -m_diag)
+            newton_step(data, pt, sets, rng.standard_normal(3 * n), jacobian)
+            full = np.empty((2 * n, 2 * n))
+            full[np.ix_(jacobian.order, jacobian.order)] = jacobian.matrix.toarray()
+            assert np.array_equal(np.diag(full[:n, :n]), a_diag + d * (pt.y.coeffs > 0))
+            assert np.array_equal(np.diag(full[n:, n:]), a_diag + d * pt.chi.coeffs)
+            assert np.array_equal(np.diag(full[n:, :n]), -m_diag)
             k, rows = systems[-1]
             ref, ref_rows = reduced_oracle(data, pt, sets)
             assert np.array_equal(rows, ref_rows)
             assert np.abs(k.toarray() - ref).max() <= 1e-15
 
-    def test_solve_kkt_lays_out_once(self, monkeypatch):
+    def test_solve_kkt_lays_out_once(self, layouts, monkeypatch):
         # example 2 at gamma = 1e-6 on this mesh runs to the iteration limit;
         # its first step, from zero, has every node critical and is refined
         # from the pair seed, and every later step has nodes outside
         # I_gamma and I_crit and is factorised
         data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
-        calls = {"pair_jacobian": 0, "diags": 0}
-        layouts = []
+        diags, matrices = [], []
+        sp_diags = sp.diags
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting_diags(*args, **kwargs):
+            diags.append(1)
+            return sp_diags(*args, **kwargs)
 
-        monkeypatch.setattr(kkt_solver, "pair_jacobian",
-                            counting("pair_jacobian", kkt_solver.pair_jacobian))
-        monkeypatch.setattr(sp, "diags", counting("diags", sp.diags))
+        monkeypatch.setattr(sp, "diags", counting_diags)
         step = kkt_solver._newton_step
 
-        def recording(data, pt, sets, r, seed, layout):
-            x = step(data, pt, sets, r, seed, layout)
-            layouts.append(layout[0][0] if layout else None)
+        def recording(data, pt, sets, r, seed, jacobian):
+            x = step(data, pt, sets, r, seed, jacobian)
+            matrices.append(jacobian.matrix)
             return x
 
         monkeypatch.setattr(kkt_solver, "_newton_step", recording)
         for k in (1, 2):
             _, rep = solve_kkt(data)
             assert rep.iterations == kkt_solver.MAX_ITER
-            assert calls == {"pair_jacobian": k, "diags": 0}
+            assert (len(layouts), diags) == (k, [])
         steps = rep.iterations - 1  # factorised, per solve
-        assert len(layouts) == 2 * rep.iterations
-        first, second = layouts[1:rep.iterations], layouts[rep.iterations + 1:]
-        assert layouts[0] is layouts[rep.iterations] is None
+        assert len(matrices) == 2 * rep.iterations
+        first, second = matrices[1:rep.iterations], matrices[rep.iterations + 1:]
+        assert matrices[0] is matrices[rep.iterations] is None
         assert len(first) == len(second) == steps
         assert all(jac is first[0] for jac in first) and all(jac is second[0] for jac in second)
         assert first[0] is not second[0]
@@ -559,7 +559,7 @@ class TestFixThroughLayout:
         gamma = 0.5
         data = mixed_data(space, gamma, rng)
         n = space.n
-        layout = []
+        jacobian = PairJacobian(data.ops, data.config.alpha)
         base = rng.permutation(np.arange(n) % 3)
         for shift in (0, 1, 2, 1):
             pt, _ = mixed_iterate(space, gamma, rng, (base + shift) % 3)
@@ -571,7 +571,7 @@ class TestFixThroughLayout:
             assert np.array_equal(ref, fixed.toarray())
             assert np.array_equal(rrhs, frhs)
             want = np.linalg.solve(ref, rrhs)
-            x = newton_step(data, pt, sets, r, layout)
+            x = newton_step(data, pt, sets, r, jacobian)
             assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
             assert np.all(x[2 * n + sets.i_crit] == 0.0)
 
@@ -680,9 +680,9 @@ class TestIterateIdentity:
         steps, systems = [], []
         step = kkt_solver._newton_step
 
-        def recording(data, pt, sets, r, seed, layout):
+        def recording(data, pt, sets, r, seed, jacobian):
             done = len(systems)
-            x = step(data, pt, sets, r, seed, layout)
+            x = step(data, pt, sets, r, seed, jacobian)
             steps.append((pt, sets, r, x, len(systems) > done))
             return x
 
@@ -794,13 +794,22 @@ class TestFactorisationReuse:
         assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
         assert counting_splu.dtypes == [np.float32, np.float32]
 
-    def test_nothing_held_after_return(self, counting_splu, seed_refs):
+    def test_nothing_held_after_return(self, counting_splu, seed_refs, layouts):
+        # example 1 makes no LU; example 2 at gamma = 1e-6 on this mesh runs
+        # to the iteration limit, and every step after its first lays out or
+        # refills the pair Jacobian and factorises
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data)
         assert rep.converged and len(seed_refs) == 1
+        assert counting_splu.calls == 0 and layouts == []
+        data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
+        _, rep = solve_kkt(data)
+        assert rep.iterations == kkt_solver.MAX_ITER and len(seed_refs) == 2
+        assert counting_splu.calls == 24 and len(layouts) == 1
         gc.collect()
-        assert seed_refs[0]() is None
+        assert all(ref() is None for ref in seed_refs)
         assert all(ref() is None for ref in counting_splu.refs)
+        assert layouts[0]() is None
 
     def test_nothing_held_after_warm_start_returns(self, counting_splu, seed_refs):
         data, _ = build_example1(build_space(build_mesh(17)))
@@ -811,11 +820,11 @@ class TestFactorisationReuse:
         assert all(ref() is None for ref in counting_splu.refs)
 
     @staticmethod
-    def interrupted_solve(counting_splu, seed_refs, monkeypatch, failing):
-        """solve_kkt of example 1 at m = 17 with ``index_sets`` raising on
-        Newton step ``failing``: its pair seed, which is all it holds (no LU
-        is made), must be gone while the traceback is still alive."""
-        data, _ = build_example1(build_space(build_mesh(17)))
+    def interrupted_solve(data, refs, monkeypatch, failing):
+        """solve_kkt of ``data`` with ``index_sets`` raising on Newton step
+        ``failing``: what ``refs`` (lists of weak references) name, its pair
+        seed, its laid-out pair Jacobian and its LUs, must be gone while the
+        traceback is still alive."""
         calls = []
 
         def failing_step(pt, config):
@@ -824,23 +833,33 @@ class TestFactorisationReuse:
                 raise RuntimeError("interrupted")
             return index_sets(pt, config)
 
-        monkeypatch.setattr(kkt_solver, "index_sets", failing_step)
-        with pytest.raises(RuntimeError, match="interrupted") as excinfo:
-            solve_kkt(data)
-        assert counting_splu.dtypes == [] and len(seed_refs) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(kkt_solver, "index_sets", failing_step)
+            with pytest.raises(RuntimeError, match="interrupted") as excinfo:
+                solve_kkt(data)
         gc.collect()
         # the traceback keeps the frames of solve_kkt and of its step alive
         assert excinfo.tb is not None
-        assert seed_refs[0]() is None
+        assert all(ref() is None for group in refs for ref in group)
 
-    def test_nothing_held_after_raise(self, counting_splu, seed_refs, monkeypatch):
-        # the first step was refined from the pair seed
-        self.interrupted_solve(counting_splu, seed_refs, monkeypatch, failing=2)
+    def test_nothing_held_after_raise(self, counting_splu, seed_refs, layouts, monkeypatch):
+        # in example 1 the first step was refined from the pair seed, and no
+        # LU is made; in example 2 at gamma = 1e-6 on the m = 33 mesh the
+        # second step laid out the pair Jacobian and factorised
+        refs = (seed_refs, layouts, counting_splu.refs)
+        data, _ = build_example1(build_space(build_mesh(17)))
+        self.interrupted_solve(data, refs, monkeypatch, failing=2)
+        assert counting_splu.dtypes == [] and layouts == [] and len(seed_refs) == 1
+        data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
+        self.interrupted_solve(data, refs, monkeypatch, failing=3)
+        assert counting_splu.calls == 1 and len(layouts) == 1 and len(seed_refs) == 2
 
     def test_nothing_held_after_raise_before_first_step(self, counting_splu, seed_refs,
                                                          monkeypatch):
         # the pair seed is made before the first step, and goes unused
-        self.interrupted_solve(counting_splu, seed_refs, monkeypatch, failing=1)
+        data, _ = build_example1(build_space(build_mesh(17)))
+        self.interrupted_solve(data, (seed_refs,), monkeypatch, failing=1)
+        assert counting_splu.dtypes == [] and len(seed_refs) == 1
 
 
 class TestSinglePrecisionAgainstDouble:
@@ -1040,9 +1059,9 @@ class TestSeedStep:
         assert np.array_equal(sets.i_gamma, np.flatnonzero(kind == 0))
         assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
         r = rng.standard_normal(3 * space.n)
-        layout = []
-        dx = newton_step(data, pt, sets, r, layout)
-        assert layout == []  # refined, not factorised
+        jacobian = PairJacobian(data.ops, data.config.alpha)
+        dx = newton_step(data, pt, sets, r, jacobian)
+        assert jacobian.matrix is None  # refined, not factorised
         fixed, rhs = fixed_step(data, pt, sets, -r)
         ref = np.linalg.solve(fixed.toarray(), rhs)
         assert np.linalg.norm(dx - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -1058,23 +1077,28 @@ class TestSeedStep:
         r = rng.standard_normal(3 * space.n)
         refined = newton_step(data, pt, sets, r)
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
-        layout = []
-        factorised = newton_step(data, pt, sets, r, layout)
-        assert len(layout) == 1
+        jacobian = PairJacobian(data.ops, data.config.alpha)
+        factorised = newton_step(data, pt, sets, r, jacobian)
+        assert jacobian.matrix is not None
         assert np.linalg.norm(factorised - refined) <= 1e-10 * np.linalg.norm(refined)
 
-    def test_converged_solve_makes_no_3n_matrix(self, monkeypatch):
-        # nor any other matrix: no step is factorised
-        data, _ = build_example1(build_space(build_mesh(33)))
+    def test_converged_solve_makes_no_3n_matrix(self, layouts, monkeypatch):
+        # nor any other matrix: no step is factorised, and the nested-
+        # dissection order, which only a layout needs, is never computed
+        space = build_space(build_mesh(33))
+        data, _ = build_example1(space)
         calls = []
-        for name in ("solve_linear", "pair_jacobian"):
-            def recording(*args, name=name, fn=getattr(kkt_solver, name)):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(kkt_solver, name, recording)
+        solve = kkt_solver.solve_linear
+
+        def recording(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(kkt_solver, "solve_linear", recording)
         _, rep = solve_kkt(data)
         assert rep.converged and rep.iterations == 3
-        assert calls == []
+        assert calls == [] and layouts == []
+        assert "nd_order" not in vars(space)
 
     @pytest.mark.parametrize("example, m, gamma", [(1, 17, 1e-4), (2, 33, 1e-12)])
     def test_declined_refinement_falls_through_to_3n_path(self, example, m, gamma,

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nsocp.examples import build_example1, build_example2
-from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space, pair_jacobian
+from nsocp.fe_mesh import PairJacobian, SineSeed, assemble_operators, build_mesh, build_space
 from nsocp import regpath, sparse_core
 from nsocp.kkt_solver import solve_kkt
 from nsocp.nonsmooth import (
@@ -149,23 +149,26 @@ class TestSolveRegularizedKkt:
 
     @pytest.mark.parametrize("m", [5, 9])
     def test_refill_positions_index_the_pair_diagonals(self, m):
-        # yy, pp and py index the (2i, 2i), (2i + 1, 2i + 1) and (2i + 1, 2i)
-        # entries, each once, node by node
+        # the refill positions of node i index the (y_i, y_i), (p_i, p_i)
+        # and (p_i, y_i) entries of the pair Jacobian, each once
         ops = assemble_operators(build_space(build_mesh(m)))
-        jac, order, yy, pp, py, a_diag, m_diag = pair_jacobian(ops, 1e-3)
+        jacobian = PairJacobian(ops, 1e-3)
+        jac = jacobian.at(0.0, 0.0)
+        yy, py = jacobian._yy, jacobian._py
+        pp = py + 1
         rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
-        i = np.arange(ops.space.n)
-        for pos, row, col in ((yy, 2 * i, 2 * i), (pp, 2 * i + 1, 2 * i + 1),
-                              (py, 2 * i + 1, 2 * i)):
+        nd = ops.space.nd_order
+        rank = np.empty(ops.space.n, dtype=np.int64)
+        rank[nd] = np.arange(ops.space.n)
+        for pos, row, col in ((yy, 2 * rank, 2 * rank), (pp, 2 * rank + 1, 2 * rank + 1),
+                              (py, 2 * rank + 1, 2 * rank)):
             assert np.array_equal(rows[pos], row)
             assert np.array_equal(jac.indices[pos], col)
             assert np.sum((rows == row[:, None]) & (jac.indices == col[:, None])) == ops.space.n
-        nd = ops.space.nd_order
-        assert np.array_equal(order, np.column_stack([nd, nd + ops.space.n]).ravel())
-        assert np.array_equal(jac.data[yy], a_diag) and np.array_equal(jac.data[pp], a_diag)
-        assert np.array_equal(jac.data[py], -m_diag)
-        assert np.array_equal(a_diag, ops.A.diagonal()[nd])
-        assert np.array_equal(m_diag, ops.M.diagonal()[nd])
+        assert np.array_equal(jacobian.order, np.column_stack([nd, nd + ops.space.n]).ravel())
+        assert np.array_equal(jac.data[yy], ops.A.diagonal())
+        assert np.array_equal(jac.data[pp], ops.A.diagonal())
+        assert np.array_equal(jac.data[py], -ops.M.diagonal())
 
 
 class TestRunPath:
@@ -324,25 +327,32 @@ class TestPathFactorisationReuse:
         gc.collect()
         assert path_seeds[0]() is None
 
-    def test_nothing_held_after_raise(self, ex1_small, counting_splu, path_seeds, monkeypatch):
+    def test_nothing_held_after_raise(self, ex1_small, counting_splu, path_seeds, layouts,
+                                      monkeypatch):
+        # the first step is refined from the seed, or, once every refinement
+        # declines, lays out the pair Jacobian and factorises
         _, data, _ = ex1_small
-        calls = []
+        for factorised in (False, True):
+            calls = []
 
-        def failing_second_step(params, y):
-            calls.append(y)
-            if len(calls) == 2:
-                raise RuntimeError("interrupted")
-            return smoothed_max_second(params, y)
+            def failing_second_step(params, y):
+                calls.append(y)
+                if len(calls) == 2:
+                    raise RuntimeError("interrupted")
+                return smoothed_max_second(params, y)
 
-        monkeypatch.setattr(regpath, "smoothed_max_second", failing_second_step)
-        with pytest.raises(RuntimeError, match="interrupted") as excinfo:
-            run_path(data, self.SCHEDULE)
-        # the first step was refined from the seed
-        assert counting_splu.calls == 0 and len(path_seeds) == 1
-        gc.collect()
-        # the traceback keeps the frames of run_path and of its step alive
-        assert excinfo.tb is not None
-        assert path_seeds[0]() is None
+            with monkeypatch.context() as mp:
+                mp.setattr(regpath, "smoothed_max_second", failing_second_step)
+                if factorised:
+                    mp.setattr(regpath, "refine", lambda lu, k, b: None)
+                with pytest.raises(RuntimeError, match="interrupted") as excinfo:
+                    run_path(data, self.SCHEDULE)
+            assert counting_splu.calls == len(layouts) == factorised
+            assert len(path_seeds) == 1 + factorised
+            gc.collect()
+            # the traceback keeps the frames of run_path and of its step alive
+            assert excinfo.tb is not None
+            assert all(ref() is None for ref in path_seeds + layouts + counting_splu.refs)
 
 
 class TestPathSeed:
@@ -385,38 +395,57 @@ class TestPathJacobianLayout:
     SCHEDULE = RegPathConfig(tuple(10.0 ** -k for k in range(1, 7)))
 
     @pytest.mark.parametrize("build", [build_example1, build_example2])
-    def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, monkeypatch):
-        # a path lays out its pair-ordered Jacobian at its first fresh LU and
-        # keeps it: example 1 on this mesh makes no LU, and example 2 makes
-        # one, in its inner solve at eps = 1e-5, which does not converge
+    def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, layouts,
+                                                              monkeypatch):
+        # each inner solve lays out its own pair-ordered Jacobian at its
+        # first fresh LU: example 1 on this mesh makes no LU, and example 2
+        # makes one, in its inner solve at eps = 1e-5, which does not
+        # converge. A path that lays out one Jacobian for all its solves
+        # walks through the same iterates
         data, _ = build(build_space(build_mesh(17)))
-        layouts, lus = [], []
-        pair_jacobian, splu = regpath.pair_jacobian, regpath.splu
-
-        def counting(*args):
-            layouts.append(1)
-            return pair_jacobian(*args)
+        lus = []
+        splu = regpath.splu
 
         def counting_splu(*args, **kwargs):
             lus.append(1)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(regpath, "pair_jacobian", counting)
         monkeypatch.setattr(regpath, "splu", counting_splu)
-        shared, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
+        own, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
         assert len(lus) == (build is build_example2)
-        assert len(layouts) == len(lus)
-        solve = regpath.solve_regularized_kkt
-
-        def own_layout(*args, _jacobian=None, **kwargs):
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(regpath, "solve_regularized_kkt", own_layout)
-        own, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
         assert len(layouts) == len(lus)  # one per solve that factorises
-        assert len(shared) == len(own)
-        for x, x0 in zip(shared, own):
+        shared = []
+
+        def one_per_path(ops, alpha):
+            if not shared:
+                shared.append(PairJacobian(ops, alpha))
+            return shared[0]
+
+        monkeypatch.setattr(regpath, "PairJacobian", one_per_path)
+        made = len(lus)
+        once, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
+        assert len(lus) == 2 * made
+        assert len(layouts) == made + min(made, 1)  # at most one for the whole path
+        assert len(once) == len(own)
+        for x, x0 in zip(once, own):
             assert np.array_equal(x, x0)
+
+    def test_nd_order_not_computed_without_an_lu(self, layouts, monkeypatch):
+        # example 1 refines every step from the pair seed, so nothing asks
+        # for the nested-dissection order, which only a layout needs
+        space = build_space(build_mesh(17))
+        data, _ = build_example1(space)
+        lus = []
+        splu = regpath.splu
+
+        def counting_splu(*args, **kwargs):
+            lus.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(regpath, "splu", counting_splu)
+        _, report = run_path(data, self.SCHEDULE)
+        assert not report.aborted and lus == [] and layouts == []
+        assert "nd_order" not in vars(space)
 
 
 class TestVerifyLemmaRate:

@@ -12,8 +12,6 @@ from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
-    SparseError,
-    entry_positions,
     refine,
     solve_linear,
 )
@@ -37,10 +35,6 @@ def dense_gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
     return x
-
-
-def csr(dense) -> sp.csr_matrix:
-    return sp.csr_matrix(np.asarray(dense, dtype=float))
 
 
 def reduced(dense, rows, cols) -> sp.csc_matrix:
@@ -531,15 +525,15 @@ class TestSolveLinearMemory:
         step, solve = kkt_solver._newton_step, kkt_solver.solve_linear
         calls = []
 
-        def traced_step(data, pt, sets, r, seed, layout):
+        def traced_step(data, pt, sets, r, seed, jacobian):
             tracemalloc.reset_peak()
-            call = {"entry": tracemalloc.get_traced_memory()[0], "held": bool(layout),
-                    "input": 8 * data.ops.space.n}
+            call = {"entry": tracemalloc.get_traced_memory()[0],
+                    "held": jacobian.matrix is not None, "input": 8 * data.ops.space.n}
             calls.append(call)
-            x = step(data, pt, sets, r, seed, layout)
+            x = step(data, pt, sets, r, seed, jacobian)
             call["exit"] = tracemalloc.get_traced_memory()[1]
-            if layout:
-                call["jacobian"] = _nbytes(layout[0][0])
+            if jacobian.matrix is not None:
+                call["jacobian"] = _nbytes(jacobian.matrix)
             return x
 
         def traced_solve(k, rows, b):
@@ -624,47 +618,3 @@ class TestRefine:
         seed, prod = _Counting(SineSeed(ops.space)), _Counting(k)
         assert refine(seed, prod, np.ones(ops.space.n)) is None
         assert (seed.calls, prod.calls) == (2, 1)
-
-
-class TestEntryPositions:
-    def test_positions_in_unsorted_rows(self):
-        # row 0 stores its diagonal last, row 1 first
-        k = sp.csr_matrix((np.array([5.0, 1.0, 2.0, 6.0]), np.array([1, 0, 1, 0]),
-                           np.array([0, 2, 4])), shape=(2, 2))
-        i = np.arange(2)
-        pos = entry_positions(k, i, i)
-        assert pos.tolist() == [1, 2]
-        assert k.data[pos].tolist() == [1.0, 2.0]
-
-    def test_off_diagonal_entries_of_some_rows(self):
-        # rows 0 and 2 of an unsorted 3 x 3 matrix, asked for (0, 2) and (2, 1)
-        k = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-                           np.array([2, 0, 1, 1, 2, 0]), np.array([0, 2, 3, 6])),
-                          shape=(3, 3))
-        pos = entry_positions(k, [0, 2], [2, 1])
-        assert pos.tolist() == [0, 3]
-        assert k.data[pos].tolist() == [1.0, 4.0]
-        assert entry_positions(k, [], []).tolist() == []
-
-    @pytest.mark.parametrize("dense", [[[1.0, 2.0], [3.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
-    def test_missing_diagonal_entry_rejected(self, dense):
-        i = np.arange(2)
-        with pytest.raises(SparseError, match="stored exactly once"):
-            entry_positions(csr(dense), i, i)
-
-    def test_duplicated_entry_rejected(self):
-        # row 1 stores (1, 0) twice; summing the duplicates would hide it
-        k = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
-                           np.array([0, 1, 4])), shape=(2, 2))
-        with pytest.raises(SparseError, match="stored exactly once"):
-            entry_positions(k, [1], [0])
-        assert entry_positions(k, [1], [1]).tolist() == [3]
-
-    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1, 0], [0, 2]])
-    def test_rows_must_increase_strictly_within_the_matrix(self, rows):
-        with pytest.raises(SparseError, match="strictly increasing"):
-            entry_positions(csr(np.eye(2)), rows, [0, 1])
-
-    def test_rows_and_columns_must_pair_up(self):
-        with pytest.raises(SparseError, match="one per column"):
-            entry_positions(csr(np.eye(2)), [0, 1], [0])
