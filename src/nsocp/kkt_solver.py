@@ -32,20 +32,27 @@ grid in float32, against the products of ``fe_mesh.pair_operator`` from A,
 M and the two diagonals in float64. Refinement makes up that term, the
 diagonals and the float32 rounding.
 
-Any other step, and one whose refinement declines, is factorised. It takes
-the pair system from the call's ``fe_mesh.PairJacobian`` (the layout
-``regpath`` factorises too), node by node in the nested-dissection order
+A step with nodes in N first gets the pivot test on d_i p_i: adjoint row
+n + i is scaled by its largest entry in the 3n matrix, the pivot among
+them, taken from A, M and the diagonals with no layout. A pivot d_i p_i on
+N below ``sparse_core.PIVOT_RTOL`` after that scaling raises
+SingularMatrixError naming adjoint row n + i, for the smallest such i,
+before any solve. Such a step, and a step whose refinement declines, is
+then solved by ``sparse_core.fgmres`` from the same pair seed, on the 2n
+pair system in which adjoint row n + i, for each i in N, is replaced by
+A_ii e_i with right-hand side A_ii dy_i: the prox row, scaled like the rows
+around it. dchi on N follows from the adjoint rows, in block order.
+
+Only a step that FGMRES declines is factorised. It takes the pair system
+from the call's ``fe_mesh.PairJacobian`` (the layout ``regpath``
+factorises too), node by node in the nested-dissection order
 ``FeSpace.nd_order``, laid out by the first such step and refilled in place
-with D 1{y>0}, D chi and 0 by each. Each row is scaled by the largest entry
-of its row of the 3n matrix, which for adjoint row n + i is also compared
-with |d_i p_i|. A pivot d_i p_i on N below ``sparse_core.PIVOT_RTOL`` after
-that scaling raises SingularMatrixError naming adjoint row n + i, for the
-smallest such i, before any LU; i is the lexicographic node number, so the
-verdict does not depend on the order. Otherwise the state rows and the
-adjoint rows on S, in the columns dy on S and dp, are handed to
+with D 1{y>0}, D chi and 0 by each. Each row is scaled by its largest entry
+in the 3n matrix, as in the pivot test. The state rows and the adjoint rows
+on S, in the columns dy on S and dp, are handed to
 ``sparse_core.solve_linear``, which names a deficient row in the same 3n
 numbering (state row i as i, adjoint row i as n + i). A step refined from
-the seed gives no verdict.
+the seed or solved by FGMRES gives no verdict.
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .fe_mesh import FeFunction, FeOperators, PairJacobian, SineSeed, pair_operator
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import PIVOT_RTOL, SingularMatrixError, refine, solve_linear
+from .sparse_core import PIVOT_RTOL, SingularMatrixError, fgmres, refine, solve_linear
 from .state_solver import newton
 
 __all__ = [
@@ -195,9 +203,9 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
                  seed: SineSeed, jacobian: PairJacobian) -> np.ndarray:
     """The Newton step [dy; dp; dchi] at ``pt`` for the residual ``r``, as the
     module docstring sets out, with no 3n matrix. ``jacobian`` is the call's
-    ``PairJacobian``, which a step that factorises refills. A deficient
-    pivot d_i p_i, or a singular verdict of ``solve_linear``, raises
-    SingularMatrixError."""
+    ``PairJacobian``, which only a step that FGMRES leaves unsolved lays out
+    or refills. A deficient pivot d_i p_i, or a singular verdict of
+    ``solve_linear``, raises SingularMatrixError."""
     ops = data.ops
     d = ops.d
     n = len(d)
@@ -211,25 +219,43 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
     d_plus[sets.i_plus] = d[sets.i_plus]
     d_chi = d * pt.chi.coeffs
     d_p = d * pt.p.coeffs
-    if not len(rest):
-        rhs = -r[:2 * n]
-        rhs[n:] -= d_p * dchi
-        dyp = refine(seed, pair_operator(ops, cfg.alpha, d_plus, d_chi), rhs)
+    if len(rest):
+        # adjoint row n + i scaled by its largest entry in the 3n matrix, which
+        # also holds the pivot d_i p_i
+        piv = d_p * (1.0 / _adjoint_row_scale(ops, d_chi, d_p))
+        bad = free & (np.abs(piv) < PIVOT_RTOL)
+        if bad.any():
+            raise SingularMatrixError(n + int(np.flatnonzero(bad)[0]))
+    rhs = -r[:2 * n]
+    rhs[n:] -= d_p * dchi
+    pair = pair_operator(ops, cfg.alpha, d_plus, d_chi)
+    dyp = None if len(rest) else refine(seed, pair, rhs)
+    if dyp is None:
+        # adjoint row n + i on N becomes A_ii dy_i = A_ii (-r3_i / d_i), the
+        # prox row scaled like the rows around it
+        a_rest = ops.A.diagonal()[rest]
+        rhs[n + rest] = a_rest * (-r[2 * n + rest] / d[rest])
+
+        def fixed(z):
+            kz = pair @ z
+            kz[n + rest] = a_rest * z[rest]
+            return kz
+
+        dyp = fgmres(seed, LinearOperator(pair.shape, matvec=fixed, dtype=float), rhs)
         if dyp is not None:
-            return np.concatenate([dyp, dchi])
+            dchi[rest] = (-r[n + rest] - (pair @ dyp)[n + rest]) / d_p[rest]
+    if dyp is not None:
+        return np.concatenate([dyp, dchi])
 
     jac = jacobian.at(d_plus, d_chi)  # its (p, y) diagonal is -M_ii
     order, nd = jacobian.order, ops.space.nd_order
     # each row is scaled by its largest entry in the 3n matrix, where adjoint
-    # row n + i also holds the pivot d_i p_i
+    # row n + i also holds the pivot d_i p_i, which has passed its test above
     scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
     scale[1::2] = np.maximum(scale[1::2], np.abs(d_p[nd]))
     inv = 1.0 / scale
     piv = d_p[nd] * inv[1::2]
     free_k = free[nd]  # N, by position in nd
-    bad = free_k & (np.abs(piv) < PIVOT_RTOL)
-    if bad.any():
-        raise SingularMatrixError(n + int(nd[bad].min()))
 
     eq = sp.csr_matrix((jac.data * np.repeat(inv, np.diff(jac.indptr)), jac.indices, jac.indptr),
                        shape=jac.shape)
@@ -258,6 +284,20 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
     out[order] = x
     out[2 * n:] = dchi
     return out
+
+
+def _adjoint_row_scale(ops: FeOperators, d_chi: np.ndarray, d_p: np.ndarray) -> np.ndarray:
+    """The largest magnitude in adjoint row n + i of the 3n Newton matrix, by
+    node, from A, M and the diagonals: that of the off-diagonal A_ij, of
+    A_ii + d_i chi_i, of M_ij and of the pivot d_i p_i. A maximum is exact,
+    so it is the scale the laid-out pair Jacobian gives that row."""
+    a, m = ops.A, ops.M
+    n = len(d_p)
+    off = np.abs(a.data)
+    off[a.indices == np.repeat(np.arange(n), np.diff(a.indptr))] = 0.0
+    scale = np.maximum(np.maximum.reduceat(off, a.indptr[:-1]), np.abs(a.diagonal() + d_chi))
+    scale = np.maximum(scale, np.maximum.reduceat(np.abs(m.data), m.indptr[:-1]))
+    return np.maximum(scale, np.abs(d_p))
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

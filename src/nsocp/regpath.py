@@ -13,10 +13,12 @@ Every Jacobian is K0 = [[A, M / alpha], [-M, A]] plus the diagonals
 D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one pair
 ``fe_mesh.SineSeed`` of K0, a float32 solve, for the whole eps schedule.
 Each Newton step is first solved by ``sparse_core.refine`` in float64 from
-what is held, in the seed's block order [y; p], with its products from A,
-M and the step's diagonals (``fe_mesh.pair_operator``). When refinement
-declines, what is held is dropped and the step's Jacobian is factorised by
-a float64 LU and held in its place. That Jacobian comes from the solve's
+the last thing held, in the seed's block order [y; p], with its products
+from A, M and the step's diagonals (``fe_mesh.pair_operator``). When
+refinement declines, a held LU is dropped and ``sparse_core.fgmres``
+solves the step from the seed, never from an LU. Only when FGMRES declines
+too is the step's Jacobian factorised by a float64 LU, which is held
+behind the seed. That Jacobian comes from the solve's
 ``fe_mesh.PairJacobian``, the layout the KKT step factorises too: the
 unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
 nested-dissection order, which is computed only then. The LU solves in
@@ -46,7 +48,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SPLU_OPTIONS, refine, singular_error
+from .sparse_core import SPLU_OPTIONS, fgmres, refine, singular_error
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
                            solve_state_regularized)
 
@@ -86,16 +88,18 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
     ``init`` raises ValueError.
 
-    ``held`` is the caller's holder: None, or a list that is empty or holds
-    the pair ``SineSeed`` or a ``_BlockOrderLu``. Each step is first solved
-    by ``sparse_core.refine`` from what is held, in block order, with its
-    products from A, M and the step's diagonals (``pair_operator``); when
-    that declines, the holder is cleared and the step takes the fresh path:
-    factorise its Jacobian in (y_i, p_i)-pair order (a failed LU raises
-    SingularMatrixError naming its row in block order) and hold that LU.
-    Without a holder the call keeps its own, seeded, and clears it before
-    returning or raising. The call's one ``PairJacobian`` is laid out by its
-    first fresh LU and refilled by each later one.
+    ``held`` is the caller's holder: None, or a list that holds the pair
+    ``SineSeed``, followed by a ``_BlockOrderLu`` once one is made. Each
+    step is first solved by ``sparse_core.refine`` from the last thing held,
+    in block order, with its products from A, M and the step's diagonals
+    (``pair_operator``); when that declines, the LU, if any, is dropped and
+    ``sparse_core.fgmres`` solves the step from the seed. When that declines
+    too, the step takes the fresh path: factorise its Jacobian in
+    (y_i, p_i)-pair order (a failed LU raises SingularMatrixError naming its
+    row in block order) and hold that LU behind the seed. Without a holder
+    the call keeps its own, seeded, and clears it before returning or
+    raising. The call's one ``PairJacobian`` is laid out by its first fresh
+    LU and refilled by each later one.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -120,16 +124,19 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         y, p = x[:n], x[n:]
         d_yy = d * smoothed_max_prime(params, y)
         d_py = d * smoothed_max_second(params, y) * p
-        sol = refine(held[0], pair_operator(ops, alpha, d_yy, d_yy, d_py), -r) if held else None
+        pair = pair_operator(ops, alpha, d_yy, d_yy, d_py)
+        sol = refine(held[-1], pair, -r)
         if sol is None:
-            held.clear()  # free the old LU before the new one is built
+            del held[1:]  # free a held LU before anything else is built
+            sol = fgmres(held[0], pair, -r)
+        if sol is None:
             k = jacobian.at(d_yy, d_yy, d_py).tocsc()
             try:
                 lu = splu(k, **SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise singular_error(k, jacobian.order) from exc
             held.append(_BlockOrderLu(lu, jacobian.order))
-            sol = held[0].solve(-r)
+            sol = held[-1].solve(-r)
         return sol
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)

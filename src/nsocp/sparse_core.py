@@ -1,11 +1,12 @@
-"""Deterministic direct solves on scipy.sparse matrices, and refinement.
+"""Deterministic direct solves on scipy.sparse matrices, refinement and FGMRES.
 
 All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
 module pins down the error behavior the rest of the package relies on.
 ``solve_linear`` solves a system that its caller has equilibrated (each row
 scaled to max magnitude at most 1) and numbered in the order to factorise
 it in: the KKT step's reduced active-set system, which ``kkt_solver``
-assembles from the matrix of ``fe_mesh.PairJacobian``.
+assembles from the matrix of ``fe_mesh.PairJacobian`` for a step that
+``fgmres`` has declined.
 
 The system is factorised in single precision and its solution is refined
 in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput.
@@ -32,10 +33,19 @@ acceptance rule of the package. Beside the float32 LU of ``solve_linear``
 it refines the forward solves of ``state_solver``, the KKT steps of
 ``kkt_solver`` whose I_gamma and I_crit cover every node and the
 continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``, which
-solves in float32 and factorises nothing (``regpath`` from its own float64
-LU once refinement from the seed has declined), and the last two against
-the products of ``fe_mesh.pair_operator``. The module holds nothing between
-calls.
+solves in float32 and factorises nothing (``regpath`` also from its own
+float64 LU, once one is held), and the last two against the products of
+``fe_mesh.pair_operator``.
+
+``fgmres`` is flexible GMRES from x = 0, right-preconditioned by the same
+pair seed, which it calls as ``refine`` does (``_scaled_solve``), with the
+same acceptance rule read off its residual estimate (see MAX_KRYLOV) and
+one product of the true residual. It solves the KKT steps that refinement
+cannot finish: those with nodes outside I_gamma and I_crit, and those whose
+refinement declines. It also solves the continuation steps whose
+refinement declines. When it declines, within MAX_KRYLOV iterations, the
+KKT step falls through to ``solve_linear`` and the continuation step to
+``regpath``'s float64 LU. The module holds nothing between calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it.
@@ -47,6 +57,8 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import daxpy
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -57,6 +69,7 @@ __all__ = [
     "solve_linear",
     "singular_error",
     "refine",
+    "fgmres",
 ]
 
 # The SuperLU options of every LU in the package (this module's, the forward
@@ -90,10 +103,22 @@ REFINE_RTOL = 1e-14
 SETTLE_RTOL = 1e-12
 CONTRACTION = 0.5
 MAX_CORRECTIONS = 30
+# ``fgmres`` applies the same rule to the relative residual estimate of its
+# Arnoldi relation, |g_(j+1)| / ||b||_2: it accepts once the estimate is at
+# most REFINE_RTOL, or at most SETTLE_RTOL once it is more than CONTRACTION
+# times the estimate STALL_WINDOW iterations before (the rounding floor), and
+# gives up after MAX_KRYLOV iterations. Above SETTLE_RTOL a slow stretch is
+# not a stall: preconditioned by a seed, the estimate can stay near its start
+# for a few iterations and then fall by orders of magnitude in one. The
+# solution x it accepts must also pass one product,
+# ||b - k x||_2 <= SETTLE_RTOL ||b||_2.
+STALL_WINDOW = 3
+MAX_KRYLOV = 60
 
 
 class SparseError(ValueError):
-    """Malformed sparse data (bad indices, inconsistent dimensions)."""
+    """The exported base class of ``SingularMatrixError``; nothing in the
+    package raises it directly."""
 
 
 class SingularMatrixError(SparseError):
@@ -235,22 +260,21 @@ def refine(lu, k, b: np.ndarray):
     product fewer than it makes corrections.
 
     Each residual is scaled by the power of two nearest above its max norm,
-    which is exact, and cast to the precision of ``lu`` for the solve: a
-    float32 LU takes only float32 right-hand sides, and the scaling keeps
-    small residuals clear of float32's underflow. The result is accepted by
-    REFINE_RTOL, or by SETTLE_RTOL once the corrections stop contracting
-    (see there). ``solve_linear``'s float32 LU, the forward solves of
+    which is exact, and cast to the precision of ``lu`` for the solve
+    (``_scaled_solve``). The result is accepted by REFINE_RTOL, or by
+    SETTLE_RTOL once the corrections stop contracting (see there).
+    ``solve_linear``'s float32 LU, the forward solves of
     ``state_solver``, ``kkt_solver``'s steps refined from the pair seed and
-    ``regpath.solve_regularized_kkt`` all use it, so that is the one
-    acceptance rule of the package.
+    ``regpath.solve_regularized_kkt`` all use it, and ``fgmres`` applies the
+    same rule to its residual estimate, so that is the one acceptance rule
+    of the package.
     """
     dtype = _solve_dtype(lu)
     x = np.zeros(len(b))
     prev = np.inf
     for i in range(MAX_CORRECTIONS):
         r = b - k @ x if i else b  # x = 0 on the first pass, so no product
-        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
-        dx = scale * lu.solve((r / scale).astype(dtype, copy=False))  # float64
+        dx = _scaled_solve(lu, r, dtype)
         x += dx
         size, x_max = np.max(np.abs(dx)), np.max(np.abs(x))
         if size <= REFINE_RTOL * x_max:
@@ -259,6 +283,84 @@ def refine(lu, k, b: np.ndarray):
             return x if size <= SETTLE_RTOL * x_max else None
         prev = size
     return None
+
+
+def fgmres(seed, k, b: np.ndarray):
+    """The solution of k x = b by flexible GMRES (Saad, SIAM J. Sci. Comput.
+    14, 1993) from x = 0, right-preconditioned by ``seed``, which it calls as
+    ``refine`` calls an LU; ``k`` is the matrix or an operator with
+    ``k @ x``. None when it declines.
+
+    Each iteration solves with the seed for the latest Arnoldi vector, makes
+    one product with k, and orthogonalises the result against the basis by
+    classical Gram-Schmidt run twice (CGS2; Giraud et al., Numer. Math. 101,
+    2005). Givens rotations keep the least-squares problem upper triangular,
+    so that its residual estimate is read off each iteration. There is no
+    restart. The acceptance rule, with its one product of the true residual,
+    is set out beside ``refine``'s (see MAX_KRYLOV). The basis, the Arnoldi
+    vectors and their seed solves, grows by one vector of each per iteration
+    and is dropped before that product, so the solve holds about
+    2 iterations + 4 vectors of len(b) at its peak, and nothing once it
+    returns.
+    """
+    dtype = _solve_dtype(seed)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(len(b))
+    basis, directions = [b / beta], []  # the Arnoldi vectors v_j, and seed^-1 v_j
+    columns, rotations = [], []  # the rotated Hessenberg columns, and (c, s) of each
+    g = [beta]  # the rotated beta e_1; |g[-1]| is the residual estimate
+    estimates = [1.0]  # relative
+    for j in range(MAX_KRYLOV):
+        directions.append(_scaled_solve(seed, basis[j], dtype))
+        w = k @ directions[j]
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            coef = [v @ w for v in basis]
+            for c_i, v in zip(coef, basis):
+                w = daxpy(v, w, a=-c_i)  # in place, with no temporary
+            h += coef
+        w_norm = float(np.linalg.norm(w))
+        h = [*h.tolist(), w_norm]
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = float(np.hypot(h[j], h[j + 1]))
+        if not rho > 0.0:  # singular on the Krylov space, or not finite
+            return None
+        c, s = h[j] / rho, h[j + 1] / rho
+        rotations.append((c, s))
+        columns.append(h[:j] + [rho])
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        estimates.append(abs(g_next) / beta)
+        stalled = j + 1 >= STALL_WINDOW and (
+            estimates[-1] > CONTRACTION * estimates[-1 - STALL_WINDOW])
+        if estimates[-1] <= REFINE_RTOL or (stalled and estimates[-1] <= SETTLE_RTOL):
+            break
+        w /= w_norm
+        basis.append(w)
+    else:
+        return None
+    del basis, w
+    tri = np.zeros((len(columns), len(columns)))
+    for i, col in enumerate(columns):
+        tri[:i + 1, i] = col
+    y = solve_triangular(tri, g[:-1])
+    x = np.zeros(len(b))
+    for y_i, z in zip(y, directions):
+        x += y_i * z
+    del directions
+    return x if np.linalg.norm(b - k @ x) <= SETTLE_RTOL * beta else None
+
+
+def _scaled_solve(lu, r: np.ndarray, dtype) -> np.ndarray:
+    """lu^-1 r in float64 from a solve in ``dtype``, the precision of ``lu``:
+    r is scaled by the power of two nearest above its max norm, which is
+    exact, and cast to ``dtype``. A float32 LU takes only float32 right-hand
+    sides, and the scaling keeps small residuals clear of float32's
+    underflow."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
+    return scale * lu.solve((r / scale).astype(dtype, copy=False))  # float64
 
 
 def _solve_dtype(lu) -> np.dtype:

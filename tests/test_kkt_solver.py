@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
 
 from nsocp import kkt_solver, sparse_core
 from nsocp.examples import build_example, build_example1, build_example2
@@ -102,6 +102,12 @@ def newton_step(data, pt, sets, r, jacobian=None):
     if jacobian is None:
         jacobian = PairJacobian(data.ops, data.config.alpha)
     return kkt_solver._newton_step(data, pt, sets, r, seed, jacobian)
+
+
+def no_krylov_step(mp):
+    """Make FGMRES decline every step it is given, so that the step falls
+    through to the pair Jacobian and ``solve_linear``."""
+    mp.setattr(kkt_solver, "fgmres", lambda seed, k, b: None)
 
 
 class TestResidual:
@@ -309,9 +315,10 @@ def with_nd_order(space, order):
 
 
 class TestNewtonStepSolve:
-    """A step with nodes of all three kinds is assembled as the n + |S|
-    active-set system from the pair Jacobian, with the 3n Newton matrix
-    only as the oracle."""
+    """A step with nodes of all three kinds is solved by FGMRES from the pair
+    seed on the 2n pair system with the adjoint rows on N replaced, or, when
+    FGMRES declines, as the n + |S| active-set system from the pair
+    Jacobian, with the 3n Newton matrix only as the oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
@@ -327,11 +334,16 @@ class TestNewtonStepSolve:
         r = rng.standard_normal(3 * space.n)
         fixed, rhs = fixed_step(data, pt, sets, -r)
         ref = np.linalg.solve(fixed.toarray(), rhs)
-        jacobian = PairJacobian(data.ops, data.config.alpha)
-        x = newton_step(data, pt, sets, r, jacobian)
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # by FGMRES, which lays nothing out, and with FGMRES declining,
         # factorised when N is not empty
-        assert (jacobian.matrix is not None) == (2 in kind)
+        for krylov in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not krylov:
+                    no_krylov_step(mp)
+                jacobian = PairJacobian(data.ops, data.config.alpha)
+                x = newton_step(data, pt, sets, r, jacobian)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert (jacobian.matrix is not None) == (not krylov and 2 in kind)
 
     def test_step_does_not_depend_on_the_order(self):
         # lexicographic numbering in place of nested dissection moves only
@@ -423,7 +435,8 @@ def reduced_oracle(data, pt, sets):
 
 class TestNewtonLayout:
     """The pair Jacobian the factorising steps of one ``solve_kkt`` share:
-    laid out once, and refilled in place by each step."""
+    laid out once, and refilled in place by each step. A step factorises
+    only once FGMRES has declined it, so these tests make FGMRES decline."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 7, 9]))
@@ -446,8 +459,10 @@ class TestNewtonLayout:
             assert np.array_equal(sets.i_crit, np.flatnonzero(kind == 1))
             r = rng.standard_normal(3 * space.n)
             fresh = PairJacobian(data.ops, data.config.alpha)
-            x = newton_step(data, pt, sets, r, jacobian)
-            x0 = newton_step(data, pt, sets, r, fresh)
+            with pytest.MonkeyPatch.context() as mp:
+                no_krylov_step(mp)
+                x = newton_step(data, pt, sets, r, jacobian)
+                x0 = newton_step(data, pt, sets, r, fresh)
             assert np.array_equal(x.view(np.uint64), x0.view(np.uint64))
             jac, jac0 = jacobian.matrix, fresh.matrix
             assert np.array_equal(jac.indptr, jac0.indptr)
@@ -462,6 +477,7 @@ class TestNewtonLayout:
         data = mixed_data(space, 0.5, rng)
         jacobian, systems = PairJacobian(data.ops, data.config.alpha), []
         capture_solve_linear(monkeypatch, systems)
+        no_krylov_step(monkeypatch)
         n, d = space.n, data.ops.d
         a_diag, m_diag = data.ops.A.diagonal(), data.ops.M.diagonal()
         for _ in range(2):
@@ -482,8 +498,9 @@ class TestNewtonLayout:
         # example 2 at gamma = 1e-6 on this mesh runs to the iteration limit;
         # its first step, from zero, has every node critical and is refined
         # from the pair seed, and every later step has nodes outside
-        # I_gamma and I_crit and is factorised
+        # I_gamma and I_crit and, with FGMRES declining, is factorised
         data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
+        no_krylov_step(monkeypatch)
         diags, matrices = [], []
         sp_diags = sp.diags
 
@@ -690,9 +707,10 @@ class TestIterateIdentity:
         capture_solve_linear(monkeypatch, systems)
         _, rep = solve_kkt(data)
         assert rep.failure_reason == reason
-        # the first step is refined from the pair seed; the m = 65 cell
-        # factorises the two steps before its singular one
-        assert [lu for *_, lu in steps] == [False] + [m == 65] * (len(steps) - 1)
+        # the first step is refined from the pair seed; the m = 65 cell solves
+        # the two steps before its singular one by FGMRES, so no step is
+        # factorised
+        assert [lu for *_, lu in steps] == [False] * len(steps)
         for pt, sets, r, x, _ in steps:
             fixed, rhs = fixed_step(data, pt, sets, -r)
             ref = spsolve(fixed.tocsc(), rhs)
@@ -736,8 +754,9 @@ def seed_refs(monkeypatch):
 
 def no_seed_step(mp):
     """Make every Newton step factorise, as if refinement from the pair seed
-    declined."""
+    and FGMRES declined."""
     mp.setattr(kkt_solver, "refine", lambda lu, k, b: None)
+    no_krylov_step(mp)
 
 
 class TestFactorisationReuse:
@@ -784,20 +803,30 @@ class TestFactorisationReuse:
             assert rep.iterations == 3
         assert counting_splu.dtypes[made:] == []
 
-    def test_singular_verdict_is_a_singleton_pivot(self, counting_splu):
+    def test_singular_verdict_is_a_singleton_pivot(self, counting_splu, monkeypatch):
         # the verdict is the step's test of the pivot d_i p_i through which
         # dchi_i on a node outside I_gamma and I_crit is back-substituted,
-        # made before that step's LU; it names adjoint row n + i (n = 4096).
-        # The two earlier LUs are float32, and no float64 LU is made
+        # made from A, M and the diagonals before any solve; it names adjoint
+        # row n + i (n = 4096). The two earlier steps are solved by FGMRES, so
+        # no LU is made and the pair Jacobian is never laid out
         data, _ = build_example(2, build_space(build_mesh(65)), 1e-4, 1e-6)
+        jacobians = []
+
+        def recording(ops, alpha):
+            jacobians.append(PairJacobian(ops, alpha))
+            return jacobians[-1]
+
+        monkeypatch.setattr(kkt_solver, "PairJacobian", recording)
         _, rep = solve_kkt(data)
         assert rep.failure_reason == "matrix is singular (deficient pivot in row 5179)"
-        assert counting_splu.dtypes == [np.float32, np.float32]
+        assert counting_splu.dtypes == []
+        assert len(jacobians) == 1 and jacobians[0].matrix is None
 
-    def test_nothing_held_after_return(self, counting_splu, seed_refs, layouts):
+    def test_nothing_held_after_return(self, counting_splu, seed_refs, layouts, monkeypatch):
         # example 1 makes no LU; example 2 at gamma = 1e-6 on this mesh runs
-        # to the iteration limit, and every step after its first lays out or
-        # refills the pair Jacobian and factorises
+        # to the iteration limit, and every step after its first is solved by
+        # FGMRES, or, with FGMRES declining, lays out or refills the pair
+        # Jacobian and factorises
         data, _ = build_example1(build_space(build_mesh(17)))
         _, rep = solve_kkt(data)
         assert rep.converged and len(seed_refs) == 1
@@ -805,6 +834,10 @@ class TestFactorisationReuse:
         data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
         _, rep = solve_kkt(data)
         assert rep.iterations == kkt_solver.MAX_ITER and len(seed_refs) == 2
+        assert counting_splu.calls == 0 and layouts == []
+        no_krylov_step(monkeypatch)
+        _, rep = solve_kkt(data)
+        assert rep.iterations == kkt_solver.MAX_ITER and len(seed_refs) == 3
         assert counting_splu.calls == 24 and len(layouts) == 1
         gc.collect()
         assert all(ref() is None for ref in seed_refs)
@@ -845,14 +878,45 @@ class TestFactorisationReuse:
     def test_nothing_held_after_raise(self, counting_splu, seed_refs, layouts, monkeypatch):
         # in example 1 the first step was refined from the pair seed, and no
         # LU is made; in example 2 at gamma = 1e-6 on the m = 33 mesh the
-        # second step laid out the pair Jacobian and factorised
+        # second step was solved by FGMRES, or, with FGMRES declining, laid
+        # out the pair Jacobian and factorised
         refs = (seed_refs, layouts, counting_splu.refs)
         data, _ = build_example1(build_space(build_mesh(17)))
         self.interrupted_solve(data, refs, monkeypatch, failing=2)
         assert counting_splu.dtypes == [] and layouts == [] and len(seed_refs) == 1
         data, _ = build_example(2, build_space(build_mesh(33)), 1e-4, 1e-6)
         self.interrupted_solve(data, refs, monkeypatch, failing=3)
-        assert counting_splu.calls == 1 and len(layouts) == 1 and len(seed_refs) == 2
+        assert counting_splu.calls == 0 and layouts == [] and len(seed_refs) == 2
+        with monkeypatch.context() as mp:
+            no_krylov_step(mp)
+            self.interrupted_solve(data, refs, monkeypatch, failing=3)
+        assert counting_splu.calls == 1 and len(layouts) == 1 and len(seed_refs) == 3
+
+        # a raise inside a product of FGMRES, in the second step of the same
+        # cell, whose 24 steps after the first all take it: once the
+        # exception is handled and dropped, neither the seed nor a vector of
+        # the basis survives
+        basis, alive = [], []
+        fgmres = kkt_solver.fgmres
+
+        def failing_fgmres(seed, k, b):
+            def product(z):
+                basis.append(weakref.ref(z))
+                if len(basis) == 5:
+                    alive.append(sum(ref() is not None for ref in basis))
+                    raise RuntimeError("interrupted")
+                return k @ z
+
+            return fgmres(seed, LinearOperator(k.shape, matvec=product, dtype=float), b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kkt_solver, "fgmres", failing_fgmres)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                solve_kkt(data)
+        assert len(seed_refs) == 4 and alive == [5]
+        gc.collect()
+        assert seed_refs[3]() is None
+        assert all(ref() is None for ref in basis)
 
     def test_nothing_held_after_raise_before_first_step(self, counting_splu, seed_refs,
                                                          monkeypatch):
@@ -985,30 +1049,35 @@ class TestPairSeed:
         # weighs most against C~: the corrections from the seed shrink by
         # about 0.2 a step, but unevenly, and for this first step one fails
         # to halve above SETTLE_RTOL, so refinement declines and the step
-        # is factorised, by a float32 LU
+        # is solved by FGMRES from the same seed, with no LU, or, with
+        # FGMRES declining, factorised by a float32 LU
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         rng = np.random.default_rng(4)
         data = ProblemData(ops=ops, f=space.function(rng.standard_normal(space.n)),
                            y_d=space.function(rng.standard_normal(space.n)),
                            config=KktConfig(alpha=1e-6, gamma=1e-12))
-        seen = []
-        refine = kkt_solver.refine
-
-        def recording(*args):
-            seen.append(refine(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(kkt_solver, "refine", recording)
-        monkeypatch.setattr(kkt_solver, "MAX_ITER", 1)
-        pt, rep = solve_kkt(data)
-        assert rep.iterations == 1 and len(seen) == 1 and seen[0] is None
-        assert counting_splu.dtypes == [np.float32]
         zero = zero_point(ops)
         fixed, rhs = fixed_step(data, zero, index_sets(zero, data.config), -residual(data, zero))
         ref = np.linalg.solve(fixed.toarray(), rhs)
-        x = np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs])
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        refine = kkt_solver.refine
+        monkeypatch.setattr(kkt_solver, "MAX_ITER", 1)
+        for krylov in (True, False):
+            seen = []
+
+            def recording(*args):
+                seen.append(refine(*args))
+                return seen[-1]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(kkt_solver, "refine", recording)
+                if not krylov:
+                    no_krylov_step(mp)
+                pt, rep = solve_kkt(data)
+            assert rep.iterations == 1 and len(seen) == 1 and seen[0] is None
+            assert counting_splu.dtypes == ([] if krylov else [np.float32])
+            x = np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs])
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_refine_reads_float32(self):
         space = build_space(build_mesh(9))
@@ -1068,7 +1137,9 @@ class TestSeedStep:
 
     def test_declined_step_is_factorised_to_the_same_step(self, monkeypatch):
         # with no correction allowed, refinement from the seed declines, and
-        # so does that from the float32 LU: the step takes the float64 LU
+        # FGMRES solves the step with nothing laid out; with FGMRES declining
+        # too, refinement from the float32 LU declines as well, and the step
+        # takes the float64 LU
         space = build_space(build_mesh(9))
         rng = np.random.default_rng(6)
         data = mixed_data(space, 0.5, rng)
@@ -1078,6 +1149,10 @@ class TestSeedStep:
         refined = newton_step(data, pt, sets, r)
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
         jacobian = PairJacobian(data.ops, data.config.alpha)
+        krylov = newton_step(data, pt, sets, r, jacobian)
+        assert jacobian.matrix is None
+        assert np.linalg.norm(krylov - refined) <= 1e-10 * np.linalg.norm(refined)
+        no_krylov_step(monkeypatch)
         factorised = newton_step(data, pt, sets, r, jacobian)
         assert jacobian.matrix is not None
         assert np.linalg.norm(factorised - refined) <= 1e-10 * np.linalg.norm(refined)
@@ -1103,12 +1178,13 @@ class TestSeedStep:
     @pytest.mark.parametrize("example, m, gamma", [(1, 17, 1e-4), (2, 33, 1e-12)])
     def test_declined_refinement_falls_through_to_3n_path(self, example, m, gamma,
                                                           monkeypatch):
-        # with no correction allowed, refinement from the seed declines on
-        # every step, and so does that from every float32 LU: every step is
-        # factorised in float64
+        # with no correction allowed and FGMRES declining, refinement from the
+        # seed declines on every step, and so does that from every float32
+        # LU: every step is factorised in float64
         data, _ = build_example(example, build_space(build_mesh(m)), 1e-4, gamma)
         direct, rep = kkt_iterates(data, monkeypatch)
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        no_krylov_step(monkeypatch)
         calls = []
         solve = kkt_solver.solve_linear
 

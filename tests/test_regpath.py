@@ -107,7 +107,7 @@ class TestSolveRegularizedKkt:
 
         def recording_refine(lu, k, b):
             refined.append(k @ np.eye(k.shape[1]))
-            return None  # so the step factorises afresh
+            return None  # with FGMRES declining too, so the step factorises afresh
 
         def recording_splu(k, **kwargs):
             factorised.append(k)
@@ -116,6 +116,7 @@ class TestSolveRegularizedKkt:
         splu = regpath.splu
         monkeypatch.setattr(regpath, "newton", one_step)
         monkeypatch.setattr(regpath, "refine", recording_refine)
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         monkeypatch.setattr(regpath, "splu", recording_splu)
         solve_regularized_kkt(data, eps, (y, p), held=[None])
         (r, dx), = steps
@@ -304,7 +305,9 @@ class TestPathFactorisationReuse:
         data, _ = build(build_space(build_mesh(17)))
         held, rep = path_iterates(data, self.SCHEDULE, monkeypatch)
         calls = counting_splu.calls
-        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)  # every step fresh
+        # every step fresh
+        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         fresh, rep_fresh = path_iterates(data, self.SCHEDULE, monkeypatch)
         steps = sum(r.iterations for r in rep_fresh.inner_reports)
         assert counting_splu.calls - calls == steps  # one LU per step
@@ -319,6 +322,27 @@ class TestPathFactorisationReuse:
         for x, x0 in zip(held, fresh):
             assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
 
+    def test_krylov_runs_from_the_seed(self, ex1_small, counting_splu, path_seeds,
+                                       monkeypatch):
+        # every refinement declines, and FGMRES declines the first step only:
+        # that step holds a fresh LU behind the seed, and every later step,
+        # its refinement from that LU declined, is solved by FGMRES from the
+        # path's seed, never from the LU
+        _, data, _ = ex1_small
+        given = []
+        fgmres = regpath.fgmres
+
+        def first_declined(seed, k, b):
+            given.append(seed)
+            return None if len(given) == 1 else fgmres(seed, k, b)
+
+        monkeypatch.setattr(regpath, "refine", lambda lu, k, b: None)
+        monkeypatch.setattr(regpath, "fgmres", first_declined)
+        _, report = run_path(data, self.SCHEDULE)
+        assert not report.aborted and counting_splu.calls == 1 and len(path_seeds) == 1
+        assert len(given) == sum(r.iterations for r in report.inner_reports) > 1
+        assert all(seed is path_seeds[0]() for seed in given)
+
     def test_nothing_held_after_return(self, ex1_small, counting_splu, path_seeds):
         _, data, _ = ex1_small
         _, report = run_path(data, self.SCHEDULE)
@@ -330,7 +354,7 @@ class TestPathFactorisationReuse:
     def test_nothing_held_after_raise(self, ex1_small, counting_splu, path_seeds, layouts,
                                       monkeypatch):
         # the first step is refined from the seed, or, once every refinement
-        # declines, lays out the pair Jacobian and factorises
+        # and FGMRES decline, lays out the pair Jacobian and factorises
         _, data, _ = ex1_small
         for factorised in (False, True):
             calls = []
@@ -345,6 +369,7 @@ class TestPathFactorisationReuse:
                 mp.setattr(regpath, "smoothed_max_second", failing_second_step)
                 if factorised:
                     mp.setattr(regpath, "refine", lambda lu, k, b: None)
+                    mp.setattr(regpath, "fgmres", lambda seed, k, b: None)
                 with pytest.raises(RuntimeError, match="interrupted") as excinfo:
                     run_path(data, self.SCHEDULE)
             assert counting_splu.calls == len(layouts) == factorised
@@ -398,11 +423,12 @@ class TestPathJacobianLayout:
     def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, layouts,
                                                               monkeypatch):
         # each inner solve lays out its own pair-ordered Jacobian at its
-        # first fresh LU: example 1 on this mesh makes no LU, and example 2
-        # makes one, in its inner solve at eps = 1e-5, which does not
-        # converge. A path that lays out one Jacobian for all its solves
-        # walks through the same iterates
+        # first fresh LU: with FGMRES declining, example 1 on this mesh makes
+        # no LU, and example 2 makes one, in its inner solve at eps = 1e-5,
+        # which does not converge. A path that lays out one Jacobian for all
+        # its solves walks through the same iterates
         data, _ = build(build_space(build_mesh(17)))
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         lus = []
         splu = regpath.splu
 

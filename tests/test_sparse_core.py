@@ -12,6 +12,7 @@ from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
+    fgmres,
     refine,
     solve_linear,
 )
@@ -290,11 +291,12 @@ class TestSingularError:
         assert sparse_core.singular_error(k, np.arange(2001)).pivot_row == -1
 
     def test_continuation_lu(self, monkeypatch):
-        # every refinement declines, so the first step factorises
+        # every refinement and FGMRES decline, so the first step factorises
         data, _ = build_example2(build_space(build_mesh(9)), 1e-3, 1e-12)
         given = []
         monkeypatch.setattr(regpath, "splu", self.failing_splu(given))
         monkeypatch.setattr(regpath, "refine", lambda lu, k, b: None)
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         _, rep = regpath.solve_regularized_kkt(data, 1e-2)
         n = data.ops.space.n
         row = sparse_core._first_deficient_row(given[0])
@@ -450,11 +452,13 @@ class TestPivotTestReadsNoFactor:
         assert "solve" in counting_splu.served
         assert not counting_splu.served & self.FACTORS
 
-    def test_solve_kkt(self, counting_splu):
+    def test_solve_kkt(self, counting_splu, monkeypatch):
         from nsocp.examples import build_example2
         from nsocp.fe_mesh import assemble_operators, build_mesh, build_space
         from nsocp.kkt_solver import solve_kkt
-        # a converging cell some of whose steps are factorised afresh
+        # a converging cell some of whose steps are factorised afresh once
+        # FGMRES declines them
+        monkeypatch.setattr(kkt_solver, "fgmres", lambda seed, k, b: None)
         data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
@@ -470,8 +474,10 @@ class TestSharedLuOptions:
     def test_panel_is_small(self):
         assert 1 <= sparse_core.SPLU_OPTIONS["panel_size"] <= 4
 
-    def test_solve_kkt(self, counting_splu):
-        # a converging cell some of whose steps are factorised afresh
+    def test_solve_kkt(self, counting_splu, monkeypatch):
+        # a converging cell some of whose steps are factorised afresh once
+        # FGMRES declines them
+        monkeypatch.setattr(kkt_solver, "fgmres", lambda seed, k, b: None)
         data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-8)
         _, rep = kkt_solver.solve_kkt(data)
         assert rep.converged and counting_splu.calls >= 1
@@ -490,8 +496,10 @@ class TestSharedLuOptions:
         assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
 
     @pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
-    def test_run_path(self, counting_splu):
-        # a path whose refinement from the seed declines once, on this mesh
+    def test_run_path(self, counting_splu, monkeypatch):
+        # a path whose refinement from the seed declines once, on this mesh,
+        # and is factorised once FGMRES declines too
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         data, _ = build_example2(build_space(build_mesh(65)))
         _, report = regpath.run_path(
             data, regpath.RegPathConfig(tuple(10.0 ** -k for k in range(1, 7))))
@@ -520,8 +528,8 @@ class TestSolveLinearMemory:
         laid out then, the bytes of n floats and the peak at its exit; for a
         step that factorises also the peak when ``solve_linear`` is entered,
         the bytes of the matrix it gets and those of the Jacobian. The solve
-        refines every step from its pair seed; with ``fresh`` every step is
-        factorised instead."""
+        refines every step from its pair seed; with ``fresh`` refinement and
+        FGMRES decline, and every step is factorised instead."""
         step, solve = kkt_solver._newton_step, kkt_solver.solve_linear
         calls = []
 
@@ -544,6 +552,7 @@ class TestSolveLinearMemory:
         monkeypatch.setattr(kkt_solver, "solve_linear", traced_solve)
         if fresh:
             monkeypatch.setattr(kkt_solver, "refine", lambda lu, k, b: None)
+            monkeypatch.setattr(kkt_solver, "fgmres", lambda seed, k, b: None)
         data, _ = build_example1(build_space(build_mesh(m)))
         tracemalloc.start()
         try:
@@ -618,3 +627,132 @@ class TestRefine:
         seed, prod = _Counting(SineSeed(ops.space)), _Counting(k)
         assert refine(seed, prod, np.ones(ops.space.n)) is None
         assert (seed.calls, prod.calls) == (2, 1)
+
+
+def pair_system(m, alpha, seed):
+    """The pair system of a KKT step whose I_gamma and I_crit cover every node,
+    [[A + D 1{y>0}, M / alpha], [-M, A + D chi]] in the block order [y; p] of
+    the pair seed, for y of either sign and chi in [0, 1], with a right-hand
+    side: (operators, CSR matrix, b)."""
+    ops = assemble_operators(build_space(build_mesh(m)))
+    n, rng = ops.space.n, np.random.default_rng(seed)
+    d_plus = ops.d * (rng.standard_normal(n) > 0)
+    d_chi = ops.d * rng.uniform(0.0, 1.0, n)
+    k = sp.bmat([[ops.A + sp.diags(d_plus), ops.M / alpha],
+                 [-ops.M, ops.A + sp.diags(d_chi)]], format="csr")
+    return ops, k, rng.standard_normal(2 * n)
+
+
+class _Identity:
+    """A seed that solves nothing: FGMRES with it is GMRES on k itself."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def solve(self, b):
+        return b.copy()
+
+
+class TestFgmres:
+    """FGMRES from x = 0, right-preconditioned by a seed: one seed solve and
+    one product per iteration, then one product for the true residual."""
+
+    @pytest.mark.parametrize("m, alpha, seed", [(9, 1e-4, 0), (17, 1e-6, 1), (33, 1e-2, 2)])
+    def test_meets_its_rule(self, m, alpha, seed):
+        ops, k, b = pair_system(m, alpha, seed)
+        pair, prod = _Counting(SineSeed(ops.space, alpha)), _Counting(k)
+        x = fgmres(pair, prod, b)
+        assert x is not None and 2 <= pair.calls <= sparse_core.MAX_KRYLOV
+        assert prod.calls == pair.calls + 1
+        assert np.linalg.norm(b - k @ x) <= sparse_core.SETTLE_RTOL * np.linalg.norm(b)
+        ref = np.linalg.solve(k.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_zero_right_hand_side(self):
+        ops, k, b = pair_system(9, 1e-4, 0)
+        pair = _Counting(SineSeed(ops.space, 1e-4))
+        assert np.array_equal(fgmres(pair, k, np.zeros_like(b)), np.zeros_like(b))
+        assert pair.calls == 0
+
+    def test_stalled_seed_declines(self):
+        # a seed that never reaches the first unknown: k seed^-1 is singular
+        # and b lies outside its range, so no iterate of this Krylov space
+        # solves k x = b. The estimate stalls near 0.8 for a dozen
+        # iterations; then the rotated Hessenberg factor turns nearly
+        # singular, the estimate falls below REFINE_RTOL on rounding alone
+        # (the basis stays orthonormal to 1e-15), and the one product of the
+        # true residual, which reads about 15 ||b||, declines the solution
+        ops, k, b = pair_system(9, 1e-4, 3)
+        stalled = SineSeed(ops.space, 1e-4)
+        solve = stalled.solve
+
+        def blind(r):
+            z = solve(r)
+            z[0] = 0.0
+            return z
+
+        stalled.solve = blind
+        pair, prod = _Counting(stalled), _Counting(k)
+        assert fgmres(pair, prod, b) is None
+        assert prod.calls == pair.calls + 1 and pair.calls < sparse_core.MAX_KRYLOV
+
+    def test_iteration_cap(self, monkeypatch):
+        # GMRES on k itself contracts steadily but slowly: it is not solved
+        # within MAX_KRYLOV iterations, and is with a larger cap
+        ops, k, b = pair_system(17, 1e-2, 4)
+        plain = _Counting(_Identity(len(b)))
+        assert fgmres(plain, k, b) is None
+        assert plain.calls == sparse_core.MAX_KRYLOV
+        monkeypatch.setattr(sparse_core, "MAX_KRYLOV", 4 * sparse_core.MAX_KRYLOV)
+        x = fgmres(_Identity(len(b)), k, b)
+        assert x is not None
+        assert np.linalg.norm(b - k @ x) <= sparse_core.SETTLE_RTOL * np.linalg.norm(b)
+
+    def test_true_residual_decides(self):
+        # the same solve with its last product, the check of the true
+        # residual, planted 1e-9 off: the estimate is met, and it declines
+        ops, k, b = pair_system(9, 1e-4, 5)
+        pair = _Counting(SineSeed(ops.space, 1e-4))
+        assert fgmres(pair, k, b) is not None
+        checked = pair.calls + 1
+
+        class Planted(_Counting):
+            def __matmul__(self, x):
+                y = super().__matmul__(x)
+                return y + 1e-9 * np.linalg.norm(b) if self.calls == checked else y
+
+        prod = Planted(k)
+        assert fgmres(SineSeed(ops.space, 1e-4), prod, b) is None
+        assert prod.calls == checked
+
+    def test_peak_of_a_long_solve(self, monkeypatch):
+        # the first Krylov step of example 2 at m = 65, gamma = 1e-6 (n = 4096)
+        # takes about 53 iterations; its basis grows two vectors of 2n floats
+        # per iteration, with about four more at the peak (109.6 of 110
+        # measured at 53)
+        data, _ = build_example2(build_space(build_mesh(65)), 1e-4, 1e-6)
+        given = []
+
+        class Stop(Exception):
+            pass
+
+        def first(seed, k, b):
+            given.append((seed, k, b))
+            raise Stop
+
+        monkeypatch.setattr(kkt_solver, "fgmres", first)
+        with pytest.raises(Stop):
+            kkt_solver.solve_kkt(data)
+        seed, k, b = given[0]
+        pair = _Counting(seed)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            x = fgmres(pair, k, b)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert x is not None and 45 <= pair.calls < sparse_core.MAX_KRYLOV
+        assert peak <= (2 * pair.calls + 4) * b.nbytes
