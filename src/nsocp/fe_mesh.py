@@ -229,11 +229,11 @@ class SineSeed:
     Appl. 7, 2000).
 
     The seed solves in float32, as its ``dtype`` says, and
-    ``sparse_core.refine`` refines from it in float64 as from a float32 LU
-    (Langou et al., SC 2006). It is an approximate inverse in any precision:
-    refinement makes up (h^2/24) K (x) K and a step's diagonals, and float32
-    rounding adds only about eps32 cond(A) to the factor by which it
-    contracts. The seed holds float32 copies of phi and lam_a, made from the
+    ``sparse_core.refine`` refines from it in float64, as mixed-precision
+    refinement does from a float32 LU (Langou et al., SC 2006). It is an
+    approximate inverse in any precision: refinement makes up
+    (h^2/24) K (x) K and a step's diagonals, and float32 rounding adds only
+    about eps32 cond(A) to the factor by which it contracts. The seed holds float32 copies of phi and lam_a, made from the
     space's cached float64 ``spectrum``, and no factor; a pair seed also
     holds its n inverse eigenvalues, computed in float64 and kept in
     complex64.

@@ -41,7 +41,7 @@ before any solve. Such a step, and a step whose refinement declines, is
 then solved by ``sparse_core.fgmres`` from the same pair seed, on the 2n
 pair system in which adjoint row n + i, for each i in N, is replaced by
 A_ii e_i with right-hand side A_ii dy_i: the prox row, scaled like the rows
-around it. dchi on N follows from the adjoint rows, in block order.
+around it.
 
 Only a step that FGMRES declines is factorised. It takes the pair system
 from the call's ``fe_mesh.PairJacobian`` (the layout ``regpath``
@@ -50,9 +50,11 @@ factorises too), node by node in the nested-dissection order
 with D 1{y>0}, D chi and 0 by each. Each row is scaled by its largest entry
 in the 3n matrix, as in the pivot test. The state rows and the adjoint rows
 on S, in the columns dy on S and dp, are handed to
-``sparse_core.solve_linear``, which names a deficient row in the same 3n
-numbering (state row i as i, adjoint row i as n + i). A step refined from
-the seed or solved by FGMRES gives no verdict.
+``sparse_core.solve_linear``, whose one float64 LU names a deficient row in
+the same 3n numbering (state row i as i, adjoint row i as n + i). A step
+refined from the seed or solved by FGMRES gives no verdict. However [dy; dp]
+was solved, dchi on N follows from the adjoint rows of the pair system, in
+block order. No LU outlives its step.
 """
 
 from __future__ import annotations
@@ -242,48 +244,42 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
             return kz
 
         dyp = fgmres(seed, LinearOperator(pair.shape, matvec=fixed, dtype=float), rhs)
-        if dyp is not None:
-            dchi[rest] = (-r[n + rest] - (pair @ dyp)[n + rest]) / d_p[rest]
-    if dyp is not None:
-        return np.concatenate([dyp, dchi])
+    if dyp is None:
+        jac = jacobian.at(d_plus, d_chi)  # its (p, y) diagonal is -M_ii
+        order, nd = jacobian.order, ops.space.nd_order
+        # each row is scaled by its largest entry in the 3n matrix, where adjoint
+        # row n + i also holds the pivot d_i p_i, which has passed its test above
+        scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
+        scale[1::2] = np.maximum(scale[1::2], np.abs(d_p[nd]))
+        inv = 1.0 / scale
+        piv = d_p[nd] * inv[1::2]
+        free_k = free[nd]  # N, by position in nd
 
-    jac = jacobian.at(d_plus, d_chi)  # its (p, y) diagonal is -M_ii
-    order, nd = jacobian.order, ops.space.nd_order
-    # each row is scaled by its largest entry in the 3n matrix, where adjoint
-    # row n + i also holds the pivot d_i p_i, which has passed its test above
-    scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
-    scale[1::2] = np.maximum(scale[1::2], np.abs(d_p[nd]))
-    inv = 1.0 / scale
-    piv = d_p[nd] * inv[1::2]
-    free_k = free[nd]  # N, by position in nd
-
-    eq = sp.csr_matrix((jac.data * np.repeat(inv, np.diff(jac.indptr)), jac.indices, jac.indptr),
-                       shape=jac.shape)
-    # dy_i on N from its prox row d_i dy_i = -r3_i scaled like every row, by
-    # its largest entry (d_i (1 / d_i) is not 1 at every h); the fixed terms
-    # are moved to the right-hand side in the scaled rows
-    dy = np.zeros(n)
-    dy[rest] = (-r[2 * n + rest] / d[rest]) / (d[rest] * (1.0 / d[rest]))
-    x = np.concatenate([dy, np.zeros(n)])[order]  # [dy; dp] in pair order
-    b = -r[:2 * n][order] / scale
-    moved = eq @ x  # the fixed dy_N and D p dchi_S
-    moved[1::2] += piv * dchi[nd]
-    adj = 2 * np.flatnonzero(free_k) + 1  # the adjoint rows on N
-    back = eq[adj]
-    # every state row and the adjoint rows on S; the columns dy on S and every dp
-    every = np.ones(n, dtype=bool)
-    rows = np.flatnonzero(np.column_stack([every, ~free_k]).ravel())
-    cols = np.flatnonzero(np.column_stack([~free_k, every]).ravel())
-    eq = eq[rows]  # one copy of the system at a time
-    eq = eq[:, cols]
-    k = eq.tocsc()
-    del eq
-    x[cols] = solve_linear(k, order[rows], (b - moved)[rows])
-    dchi[nd[free_k]] = (b[adj] - back @ x) / piv[free_k]
-    out = np.empty(3 * n)
-    out[order] = x
-    out[2 * n:] = dchi
-    return out
+        eq = sp.csr_matrix((jac.data * np.repeat(inv, np.diff(jac.indptr)), jac.indices,
+                            jac.indptr), shape=jac.shape)
+        # dy_i on N from its prox row d_i dy_i = -r3_i scaled like every row, by
+        # its largest entry (d_i (1 / d_i) is not 1 at every h); the fixed terms
+        # are moved to the right-hand side in the scaled rows
+        dy = np.zeros(n)
+        dy[rest] = (-r[2 * n + rest] / d[rest]) / (d[rest] * (1.0 / d[rest]))
+        x = np.concatenate([dy, np.zeros(n)])[order]  # [dy; dp] in pair order
+        b = -r[:2 * n][order] / scale
+        moved = eq @ x  # the fixed dy_N and D p dchi_S
+        moved[1::2] += piv * dchi[nd]
+        # every state row and the adjoint rows on S; the columns dy on S and every dp
+        every = np.ones(n, dtype=bool)
+        rows = np.flatnonzero(np.column_stack([every, ~free_k]).ravel())
+        cols = np.flatnonzero(np.column_stack([~free_k, every]).ravel())
+        eq = eq[rows]  # one copy of the system at a time
+        eq = eq[:, cols]
+        k = eq.tocsc()
+        del eq
+        x[cols] = solve_linear(k, order[rows], (b - moved)[rows])
+        dyp = np.empty(2 * n)
+        dyp[order] = x
+    if len(rest):  # dchi on N from the adjoint rows, through the pivots d_i p_i
+        dchi[rest] = (-r[n + rest] - (pair @ dyp)[n + rest]) / d_p[rest]
+    return np.concatenate([dyp, dchi])
 
 
 def _adjoint_row_scale(ops: FeOperators, d_chi: np.ndarray, d_p: np.ndarray) -> np.ndarray:

@@ -10,23 +10,21 @@ system, with the multiplier extracted as chi = max_eps'(y). Each fixed-eps
 solve runs ``state_solver.newton`` on the stacked vector (y, p).
 
 Every Jacobian is K0 = [[A, M / alpha], [-M, A]] plus the diagonals
-D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` holds one pair
+D max_eps'(y) and D max_eps''(y) o p, so ``run_path`` makes one pair
 ``fe_mesh.SineSeed`` of K0, a float32 solve, for the whole eps schedule.
 Each Newton step is first solved by ``sparse_core.refine`` in float64 from
-the last thing held, in the seed's block order [y; p], with its products
-from A, M and the step's diagonals (``fe_mesh.pair_operator``). When
-refinement declines, a held LU is dropped and ``sparse_core.fgmres``
-solves the step from the seed, never from an LU. Only when FGMRES declines
-too is the step's Jacobian factorised by a float64 LU, which is held
-behind the seed. That Jacobian comes from the solve's
-``fe_mesh.PairJacobian``, the layout the KKT step factorises too: the
-unknowns numbered node by node, as (y_i, p_i) pairs in the mesh's
-nested-dissection order, which is computed only then. The LU solves in
-block order by permuting to and from that order. The layout is made at the
-first fresh LU of each fixed-eps solve and kept for the rest of it; each LU
-refills all three varying diagonals, so nothing of an earlier step survives
-in it. A failed LU names its row through ``sparse_core.singular_error``.
-The holder is cleared when the path returns or raises.
+that seed, in the seed's block order [y; p], with its products from A, M
+and the step's diagonals (``fe_mesh.pair_operator``). When refinement
+declines, ``sparse_core.fgmres`` solves the step from the same seed. Only
+when FGMRES declines too is the step's Jacobian factorised, by
+``sparse_core.solve_linear``'s float64 LU, which names a deficient row in
+block order. That Jacobian comes from the solve's ``fe_mesh.PairJacobian``,
+the layout the KKT step factorises too: the unknowns numbered node by node,
+as (y_i, p_i) pairs in the mesh's nested-dissection order, which is
+computed only then. Each row is scaled by its largest entry. The layout is
+made at the first LU of each fixed-eps solve and refilled by each later
+one with all three varying diagonals, so nothing of an earlier step
+survives in it. No LU is held: each is dropped once its step is solved.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
@@ -48,7 +46,7 @@ from .nonsmooth import (
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import SPLU_OPTIONS, fgmres, refine, singular_error
+from .sparse_core import fgmres, refine, solve_linear
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
                            solve_state_regularized)
 
@@ -84,22 +82,19 @@ class RegPathConfig:
 
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
-                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, held=None):
+                          init: Optional[tuple[np.ndarray, np.ndarray]] = None, seed=None):
     """Newton solve of the smoothed coupled system in (y, p); a non-finite
     ``init`` raises ValueError.
 
-    ``held`` is the caller's holder: None, or a list that holds the pair
-    ``SineSeed``, followed by a ``_BlockOrderLu`` once one is made. Each
-    step is first solved by ``sparse_core.refine`` from the last thing held,
-    in block order, with its products from A, M and the step's diagonals
-    (``pair_operator``); when that declines, the LU, if any, is dropped and
-    ``sparse_core.fgmres`` solves the step from the seed. When that declines
-    too, the step takes the fresh path: factorise its Jacobian in
-    (y_i, p_i)-pair order (a failed LU raises SingularMatrixError naming its
-    row in block order) and hold that LU behind the seed. Without a holder
-    the call keeps its own, seeded, and clears it before returning or
-    raising. The call's one ``PairJacobian`` is laid out by its first fresh
-    LU and refilled by each later one.
+    ``seed`` is the pair ``SineSeed`` of the caller's path, or None for one
+    made by the call. Each step is first solved by ``sparse_core.refine``
+    from the seed, in block order, with its products from A, M and the
+    step's diagonals (``pair_operator``); when that declines,
+    ``sparse_core.fgmres`` solves the step from the same seed. When that
+    declines too, the step's Jacobian, from the call's one ``PairJacobian``
+    in (y_i, p_i)-pair order, is row-equilibrated and solved by
+    ``sparse_core.solve_linear``, whose singular verdict names its row in
+    block order.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -110,9 +105,8 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     fvec = m @ data.f.coeffs
     ydvec = data.y_d.coeffs
     jacobian = PairJacobian(ops, alpha)
-    own = held is None
-    if own:
-        held = [SineSeed(ops.space, alpha)]
+    if seed is None:
+        seed = SineSeed(ops.space, alpha)
 
     def residual(x):
         y, p = x[:n], x[n:]
@@ -125,18 +119,17 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         d_yy = d * smoothed_max_prime(params, y)
         d_py = d * smoothed_max_second(params, y) * p
         pair = pair_operator(ops, alpha, d_yy, d_yy, d_py)
-        sol = refine(held[-1], pair, -r)
+        sol = refine(seed, pair, -r)
         if sol is None:
-            del held[1:]  # free a held LU before anything else is built
-            sol = fgmres(held[0], pair, -r)
+            sol = fgmres(seed, pair, -r)
         if sol is None:
-            k = jacobian.at(d_yy, d_yy, d_py).tocsc()
-            try:
-                lu = splu(k, **SPLU_OPTIONS)
-            except RuntimeError as exc:
-                raise singular_error(k, jacobian.order) from exc
-            held.append(_BlockOrderLu(lu, jacobian.order))
-            sol = held[-1].solve(-r)
+            jac = jacobian.at(d_yy, d_yy, d_py)
+            scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
+            k = sp.csr_matrix((jac.data * np.repeat(1.0 / scale, np.diff(jac.indptr)),
+                               jac.indices, jac.indptr), shape=jac.shape).tocsc()
+            order = jacobian.order
+            sol = np.empty(2 * n)
+            sol[order] = solve_linear(k, order, -r[order] / scale)
         return sol
 
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
@@ -145,26 +138,8 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
     try:
         x, report = newton(x0, residual, step, TOL_RESIDUAL, MAX_ITER)
     finally:
-        del jacobian  # nothing outlives the call, even from a traceback's frame
-        if own:
-            held.clear()
+        del jacobian, seed  # nothing outlives the call, even from a traceback's frame
     return (ops.space.function(x[:n]), ops.space.function(x[n:])), report
-
-
-class _BlockOrderLu:
-    """A float64 LU of the Jacobian in (y_i, p_i)-pair order that solves for
-    [y; p] in block order, as the pair ``SineSeed`` does."""
-
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, lu, order: np.ndarray):
-        self._lu, self._order = lu, order
-        self.shape = lu.shape
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty(len(b))
-        x[self._order] = self._lu.solve(b[self._order])
-        return x
 
 
 @dataclass
@@ -189,8 +164,8 @@ class PathAbortedError(RuntimeError):
 
 def run_path(data: ProblemData, cfg: RegPathConfig):
     """Continuation over the eps schedule; each solve warm-starts from the
-    previous iterate, and all of them share one seeded holder (see the
-    module docstring), which is cleared on return or raise.
+    previous iterate, and all of them share one pair seed (see the module
+    docstring), which is dropped on return or raise.
     The first solve that fails ends the path, which then returns the last
     converged iterate, or raises PathAbortedError with the report if that
     was the first solve. Returns the final iterate packaged as a KKT point
@@ -198,10 +173,10 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
     ops = data.ops
     report = PathReport([], [], [])
     init = pt = None
-    held = [SineSeed(ops.space, data.config.alpha)]  # for the whole schedule
+    seed = SineSeed(ops.space, data.config.alpha)  # for the whole schedule
     try:
         for eps in cfg.eps_schedule:
-            (yf, pf), rep = solve_regularized_kkt(data, eps, init, held=held)
+            (yf, pf), rep = solve_regularized_kkt(data, eps, init, seed)
             report.eps_values.append(eps)
             report.inner_reports.append(rep)
             if not rep.converged:
@@ -213,7 +188,7 @@ def run_path(data: ProblemData, cfg: RegPathConfig):
             pt = KktPoint(yf, pf, ops.space.function(chi))
             report.limit_residuals.append(float(np.linalg.norm(kkt_solver.residual(data, pt))))
     finally:
-        held.clear()
+        del seed
     if pt is None:
         raise PathAbortedError(report)
     return pt, report

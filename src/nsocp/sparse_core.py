@@ -8,34 +8,27 @@ it in: the KKT step's reduced active-set system, which ``kkt_solver``
 assembles from the matrix of ``fe_mesh.PairJacobian`` for a step that
 ``fgmres`` has declined.
 
-The system is factorised in single precision and its solution is refined
-in double (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput.
-40, 2018): after row equilibration it is well conditioned, and the float32
-factors take half the memory and less time. A float32 LU is kept when a
-condition estimate passes (a transposed solve of a fixed probe and a solve
-of its result, which read neither factor) and ``refine`` accepts its
-solution. Otherwise a float64 LU takes its place, with the same estimate at
-a tighter threshold and one correction of its solution. Only that float64
-LU says singular, naming a deficient row in the caller's numbering.
+It is factorised once, by a float64 LU, and its solution gets one
+correction. The LU is tested by a condition estimate that reads neither
+factor (a transposed solve of a fixed probe and a solve of its result), and
+a singular verdict names a deficient row in the caller's numbering.
 ``singular_error`` is the one way a failed ``splu`` names its row, here and
-in the float64 LUs of ``state_solver`` and ``regpath``.
+in the forward LU of ``state_solver``.
 
-``SPLU_OPTIONS`` are the SuperLU options of every LU in the package: this
-module's and those of ``state_solver`` and ``regpath``, which call their own
-``splu`` with them and factorise in float64. Beside the caller's order and
-threshold pivoting they fix a small panel, which bounds the work arrays
+``SPLU_OPTIONS`` are the SuperLU options of the package's two LUs: this
+module's and the forward LU of ``state_solver``, which calls its own
+``splu`` with them. Both factorise in float64. Beside the caller's order
+and threshold pivoting they fix a small panel, which bounds the work arrays
 SuperLU holds on top of the finished factors.
 
-``refine`` is iterative refinement in float64 from an LU or any other
-solve of a nearby system, in float32 or float64 (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., ch. 12), with the one
-acceptance rule of the package. Beside the float32 LU of ``solve_linear``
-it refines the forward solves of ``state_solver``, the KKT steps of
+``refine`` is iterative refinement in float64 from a seed, a solve of a
+nearby system in float32 or float64 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 12), with the one acceptance rule of the
+package. It refines the forward solves of ``state_solver``, the KKT steps of
 ``kkt_solver`` whose I_gamma and I_crit cover every node and the
 continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``, which
-solves in float32 and factorises nothing (``regpath`` also from its own
-float64 LU, once one is held), and the last two against the products of
-``fe_mesh.pair_operator``.
+solves in float32 and factorises nothing, and the last two against the
+products of ``fe_mesh.pair_operator``.
 
 ``fgmres`` is flexible GMRES from x = 0, right-preconditioned by the same
 pair seed, which it calls as ``refine`` does (``_scaled_solve``), with the
@@ -44,8 +37,8 @@ one product of the true residual. It solves the KKT steps that refinement
 cannot finish: those with nodes outside I_gamma and I_crit, and those whose
 refinement declines. It also solves the continuation steps whose
 refinement declines. When it declines, within MAX_KRYLOV iterations, the
-KKT step falls through to ``solve_linear`` and the continuation step to
-``regpath``'s float64 LU. The module holds nothing between calls.
+KKT step and the continuation step fall through to ``solve_linear``. The
+module holds nothing between calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it.
@@ -72,14 +65,14 @@ __all__ = [
     "fgmres",
 ]
 
-# The SuperLU options of every LU in the package (this module's, the forward
-# solves' and the continuation step's): the matrix is factorised in the order
-# it is given, with threshold partial pivoting, in panels of 4 columns. gstrf
-# allocates its panel work arrays in proportion to rows x panel size and frees
-# them only once the factors are complete, so at the peak they sit on top of
-# the factors. On the reduced KKT matrix at m = 257, SuperLU's default panel
-# of 20 columns adds 45 MB and 4 columns add 13 MB, with the same fill and
-# row pivots and a factor time within run-to-run spread; 2 and 1 columns are
+# The SuperLU options of every LU in the package (``solve_linear``'s and the
+# forward solves'): the matrix is factorised in the order it is given, with
+# threshold partial pivoting, in panels of 4 columns. gstrf allocates its
+# panel work arrays in proportion to rows x panel size and frees them only
+# once the factors are complete, so at the peak they sit on top of the
+# factors. On the reduced KKT matrix at m = 257, SuperLU's default panel of 20
+# columns adds 45 MB and 4 columns add 13 MB, with the same fill and row
+# pivots and a factor time within run-to-run spread; 2 and 1 columns are
 # slower.
 SPLU_OPTIONS = MappingProxyType(
     {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 4})
@@ -90,15 +83,13 @@ SPLU_OPTIONS = MappingProxyType(
 # 1 / PIVOT_RTOL or more (max|z| / max|s| for z = k^-T s, or the same for
 # the solve with k that follows; see _probe).
 PIVOT_RTOL = 1e-14
-# A float32 LU of the reduced system is given up for a float64 one when its
-# probe solve grows by 1 / SINGLE_PIVOT_RTOL or more (about 1 / eps32).
-SINGLE_PIVOT_RTOL = 1e-7
 # Refinement accepts a solution once a correction is at most REFINE_RTOL times
 # it (max norms). When a correction is more than CONTRACTION times the one
 # before, the corrections have reached their rounding floor, and it accepts
 # only if that correction is at most SETTLE_RTOL times the solution; it also
 # gives up after MAX_CORRECTIONS corrections. On example 2 the corrections
-# from a float32 LU level off at 1.4e-14 to 8.8e-14 of the solution.
+# from a float32 LU of the step levelled off at 1.4e-14 to 8.8e-14 of the
+# solution.
 REFINE_RTOL = 1e-14
 SETTLE_RTOL = 1e-12
 CONTRACTION = 0.5
@@ -145,65 +136,35 @@ class CsrMatrix(sp.csr_matrix):
 
 def solve_linear(k: sp.csc_matrix, rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution of k x = b for a row-equilibrated CSC matrix ``k``, from
-    its LU in the order it is given: single precision refined to double when
-    that works, else double. ``rows[i]`` is the caller's number of row i.
+    its float64 LU in the order it is given (no fill-reducing column
+    ordering), with threshold partial pivoting, and one correction.
+    ``rows[i]`` is the caller's number of row i.
 
-    The float32 LU (``_single_lu``) is kept when it factorises, passes the
-    probe test below at growth 1 / SINGLE_PIVOT_RTOL and ``refine`` accepts
-    its solution. Otherwise it is dropped for the float64 path
-    (``_double_lu``): a float64 LU that passes the probe test at growth
-    1 / PIVOT_RTOL, or raises SingularMatrixError naming the row as
-    ``rows[i]``, and one correction of its solution. So only the float64 LU
-    ever says singular: a singular system makes refinement from a float32 LU
-    decline, so it reaches the float64 LU and its probe test.
+    A failed ``splu``, or an LU that fails the probe test (``_probe``),
+    raises SingularMatrixError naming the row as ``rows[i]``.
     """
-    x = _single_lu(k, b)
-    if x is not None:
-        return x
-    lu = _double_lu(k, rows)
+    try:
+        lu = splu(k, **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise singular_error(k, rows) from exc
+    z, regular = _probe(lu)
+    if not regular:
+        raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
     x = lu.solve(b)
     x += lu.solve(b - k @ x)
     return x
 
 
-def _single_lu(k: sp.csc_matrix, b: np.ndarray):
-    """The float64 solution of k x = b refined from a float32 LU of ``k``, or
-    None when ``splu`` fails, the probe grows by 1 / SINGLE_PIVOT_RTOL or
-    more, or ``refine`` declines."""
-    try:
-        lu = splu(k.astype(np.float32), **SPLU_OPTIONS)
-    except RuntimeError:
-        return None
-    if not _probe(lu, SINGLE_PIVOT_RTOL)[1]:
-        return None
-    return refine(lu, k, b)
-
-
-def _double_lu(k: sp.csc_matrix, rows: np.ndarray):
-    """Float64 sparse LU of ``k`` in the order it is given (no fill-reducing
-    column ordering), with threshold partial pivoting, and its singularity
-    test: SingularMatrixError names the row as ``rows[i]``, the caller's
-    number of row i of ``k``."""
-    try:
-        lu = splu(k, **SPLU_OPTIONS)
-    except RuntimeError as exc:
-        raise singular_error(k, rows) from exc
-    z, regular = _probe(lu, PIVOT_RTOL)
-    if not regular:
-        raise SingularMatrixError(int(rows[np.argmax(np.abs(z))]))
-    return lu
-
-
-def _probe(lu, rtol: float):
-    """(z, whether ``lu`` passes): a condition estimate, in the precision of
-    ``lu``, of the system k it factorises, which must be row-equilibrated.
+def _probe(lu):
+    """(z, whether ``lu`` passes): a condition estimate of the system k it
+    factorises, which must be row-equilibrated.
 
     The test is a LINPACK-style condition estimate with a fixed probe s
     (Cline, Moler, Stewart and Wilkinson, SIAM J. Numer. Anal. 16, 1979;
     Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     ch. 15): a transposed solve z = k^-T s, then y = k^-1 w with
     w = z / max|z|. The rows of k have max magnitude at most 1, so a growth
-    max|z| / max|s| or max|y| / max|w| of at least 1 / ``rtol``, or a
+    max|z| / max|s| or max|y| / max|w| of at least 1 / PIVOT_RTOL, or a
     non-finite z or y, fails it. The second solve catches a singular system
     whose right null vector is nearly orthogonal to s, for which z stays
     moderate (two equal columns did so under some elimination orders). z
@@ -216,12 +177,11 @@ def _probe(lu, rtol: float):
     # probe is to the null vector e_i - e_k of two equal columns) and z
     # points along the left null vector
     s = np.random.default_rng(20171).standard_normal(lu.shape[0])
-    s = s.astype(_solve_dtype(lu), copy=False)
     z = lu.solve(s, trans="T")
     z_max = np.max(np.abs(z))
     y_max = np.max(np.abs(lu.solve(z / z_max)))
     # written so that a NaN fails it
-    return z, bool(z_max * rtol < np.max(np.abs(s)) and y_max * rtol < 1.0)
+    return z, bool(z_max * PIVOT_RTOL < np.max(np.abs(s)) and y_max * PIVOT_RTOL < 1.0)
 
 
 def singular_error(k, rows: np.ndarray) -> SingularMatrixError:
@@ -251,30 +211,28 @@ def _first_deficient_row(m_sp) -> int:
     return -1
 
 
-def refine(lu, k, b: np.ndarray):
-    """Iterative refinement x <- x + LU^-1 (b - k x) in float64 from x = 0,
-    with ``lu`` a float32 or float64 factorisation of k or of a nearby
-    matrix, or a caller's seed (a ``fe_mesh.SineSeed`` solves in float32),
-    and ``k`` the matrix or an operator with ``k @ x``; None when it
-    declines. The first residual is b itself, so a refinement makes one
-    product fewer than it makes corrections.
+def refine(seed, k, b: np.ndarray):
+    """Iterative refinement x <- x + seed^-1 (b - k x) in float64 from x = 0,
+    with ``seed`` a solve of k or of a nearby matrix that has a ``dtype``
+    (a ``fe_mesh.SineSeed`` solves in float32), and ``k`` the matrix or an
+    operator with ``k @ x``; None when it declines. The first residual is b
+    itself, so a refinement makes one product fewer than it makes
+    corrections.
 
     Each residual is scaled by the power of two nearest above its max norm,
-    which is exact, and cast to the precision of ``lu`` for the solve
+    which is exact, and cast to the precision of ``seed`` for the solve
     (``_scaled_solve``). The result is accepted by REFINE_RTOL, or by
-    SETTLE_RTOL once the corrections stop contracting (see there).
-    ``solve_linear``'s float32 LU, the forward solves of
-    ``state_solver``, ``kkt_solver``'s steps refined from the pair seed and
-    ``regpath.solve_regularized_kkt`` all use it, and ``fgmres`` applies the
-    same rule to its residual estimate, so that is the one acceptance rule
-    of the package.
+    SETTLE_RTOL once the corrections stop contracting (see there). The
+    forward solves of ``state_solver``, ``kkt_solver``'s steps refined from
+    the pair seed and ``regpath.solve_regularized_kkt`` all use it, and
+    ``fgmres`` applies the same rule to its residual estimate, so that is the
+    one acceptance rule of the package.
     """
-    dtype = _solve_dtype(lu)
     x = np.zeros(len(b))
     prev = np.inf
     for i in range(MAX_CORRECTIONS):
         r = b - k @ x if i else b  # x = 0 on the first pass, so no product
-        dx = _scaled_solve(lu, r, dtype)
+        dx = _scaled_solve(seed, r)
         x += dx
         size, x_max = np.max(np.abs(dx)), np.max(np.abs(x))
         if size <= REFINE_RTOL * x_max:
@@ -288,8 +246,8 @@ def refine(lu, k, b: np.ndarray):
 def fgmres(seed, k, b: np.ndarray):
     """The solution of k x = b by flexible GMRES (Saad, SIAM J. Sci. Comput.
     14, 1993) from x = 0, right-preconditioned by ``seed``, which it calls as
-    ``refine`` calls an LU; ``k`` is the matrix or an operator with
-    ``k @ x``. None when it declines.
+    ``refine`` does; ``k`` is the matrix or an operator with ``k @ x``. None
+    when it declines.
 
     Each iteration solves with the seed for the latest Arnoldi vector, makes
     one product with k, and orthogonalises the result against the basis by
@@ -303,7 +261,6 @@ def fgmres(seed, k, b: np.ndarray):
     2 iterations + 4 vectors of len(b) at its peak, and nothing once it
     returns.
     """
-    dtype = _solve_dtype(seed)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros(len(b))
@@ -312,7 +269,7 @@ def fgmres(seed, k, b: np.ndarray):
     g = [beta]  # the rotated beta e_1; |g[-1]| is the residual estimate
     estimates = [1.0]  # relative
     for j in range(MAX_KRYLOV):
-        directions.append(_scaled_solve(seed, basis[j], dtype))
+        directions.append(_scaled_solve(seed, basis[j]))
         w = k @ directions[j]
         h = np.zeros(j + 1)
         for _ in range(2):
@@ -353,19 +310,10 @@ def fgmres(seed, k, b: np.ndarray):
     return x if np.linalg.norm(b - k @ x) <= SETTLE_RTOL * beta else None
 
 
-def _scaled_solve(lu, r: np.ndarray, dtype) -> np.ndarray:
-    """lu^-1 r in float64 from a solve in ``dtype``, the precision of ``lu``:
-    r is scaled by the power of two nearest above its max norm, which is
-    exact, and cast to ``dtype``. A float32 LU takes only float32 right-hand
-    sides, and the scaling keeps small residuals clear of float32's
-    underflow."""
+def _scaled_solve(seed, r: np.ndarray) -> np.ndarray:
+    """seed^-1 r in float64 from a solve in ``seed.dtype``: r is scaled by
+    the power of two nearest above its max norm, which is exact, and cast to
+    that precision. A float32 seed takes float32 right-hand sides, and the
+    scaling keeps small residuals clear of float32's underflow."""
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(r)))[1])
-    return scale * lu.solve((r / scale).astype(dtype, copy=False))  # float64
-
-
-def _solve_dtype(lu) -> np.dtype:
-    """The precision ``lu`` solves in: its ``dtype``, which a seed has.
-    SuperLU does not expose it, but a solve with no right-hand side returns
-    an empty array of that type."""
-    dtype = getattr(lu, "dtype", None)
-    return dtype if dtype is not None else lu.solve(np.empty((lu.shape[0], 0), np.float32)).dtype
+    return scale * seed.solve((r / scale).astype(seed.dtype, copy=False))  # float64

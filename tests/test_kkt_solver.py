@@ -927,16 +927,15 @@ class TestFactorisationReuse:
 
 
 class TestSinglePrecisionAgainstDouble:
-    """Each faster LU path against the one it replaces, iterate by iterate,
-    on the m = 33 and 65 cells of both tables and the gamma = 1e-6 cells
-    that fail: the float32 LU refined in float64 against the float64 LU
-    path, and the steps refined from the pair seed against factorised ones.
+    """The steps refined from the pair seed, or solved by FGMRES from it,
+    against the float64 LU of every step, iterate by iterate, on the m = 33
+    and 65 cells of both tables and the gamma = 1e-6 cells that fail.
 
     Every cell must reach the same decision. On the converged cells every
     iterate's y and p must agree to 1e-10 relative. A failing cell ends where
     the Newton systems turn singular or the active sets cycle, and rounding
-    is amplified there (its last iterates' y moved by up to 1e-8 between the
-    float32 and float64 paths), so only its decision is compared. chi is
+    is amplified there (its last iterates' y moved by up to 1e-8 between a
+    float32 and a float64 LU), so only its decision is compared. chi is
     reported, not judged: any change of SuperLU's rounding moves it through
     the pivot d_i p_i (run pytest with -rP to see the lines)."""
 
@@ -969,15 +968,6 @@ class TestSinglePrecisionAgainstDouble:
         if rep.converged:
             assert moved[0] <= 1e-10 and moved[1] <= 1e-10
         return rep
-
-    @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
-    def test_iterates_match_double_lu(self, example, m, alpha, gamma, monkeypatch):
-        data, _ = build_example(example, build_space(build_mesh(m)), alpha, gamma)
-        # with every step factorised, so that each takes a fresh LU, and
-        # then with every fresh float32 LU declined
-        no_seed_step(monkeypatch)
-        self.compare(data, monkeypatch,
-                     lambda mp: mp.setattr(sparse_core, "_single_lu", lambda k, b: None))
 
     @pytest.mark.parametrize("example, m, alpha, gamma", CELLS)
     def test_iterates_match_without_pair_lu(self, example, m, alpha, gamma, monkeypatch):
@@ -1050,7 +1040,7 @@ class TestPairSeed:
         # about 0.2 a step, but unevenly, and for this first step one fails
         # to halve above SETTLE_RTOL, so refinement declines and the step
         # is solved by FGMRES from the same seed, with no LU, or, with
-        # FGMRES declining, factorised by a float32 LU
+        # FGMRES declining, factorised by the float64 LU
         space = build_space(build_mesh(5))
         ops = assemble_operators(space)
         rng = np.random.default_rng(4)
@@ -1075,17 +1065,16 @@ class TestPairSeed:
                     no_krylov_step(mp)
                 pt, rep = solve_kkt(data)
             assert rep.iterations == 1 and len(seen) == 1 and seen[0] is None
-            assert counting_splu.dtypes == ([] if krylov else [np.float32])
+            assert counting_splu.dtypes == ([] if krylov else [np.float64])
             x = np.concatenate([pt.y.coeffs, pt.p.coeffs, pt.chi.coeffs])
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_refine_reads_float32(self):
         space = build_space(build_mesh(9))
         for seed in (SineSeed(space), SineSeed(space, 1e-4)):
-            # refine reads the precision of an LU from its dtype or a solve
-            # with no columns, and casts each residual to it
+            # refine reads the precision of a seed from its dtype, and casts
+            # each residual to it
             assert seed.dtype == np.float32
-            assert sparse_core._solve_dtype(seed) == np.float32
             for dtype in (np.float32, np.float64):
                 assert seed.solve(np.ones(seed.shape[0], dtype)).dtype == np.float32
 
@@ -1138,8 +1127,7 @@ class TestSeedStep:
     def test_declined_step_is_factorised_to_the_same_step(self, monkeypatch):
         # with no correction allowed, refinement from the seed declines, and
         # FGMRES solves the step with nothing laid out; with FGMRES declining
-        # too, refinement from the float32 LU declines as well, and the step
-        # takes the float64 LU
+        # too, the step takes the float64 LU
         space = build_space(build_mesh(9))
         rng = np.random.default_rng(6)
         data = mixed_data(space, 0.5, rng)
@@ -1179,8 +1167,7 @@ class TestSeedStep:
     def test_declined_refinement_falls_through_to_3n_path(self, example, m, gamma,
                                                           monkeypatch):
         # with no correction allowed and FGMRES declining, refinement from the
-        # seed declines on every step, and so does that from every float32
-        # LU: every step is factorised in float64
+        # seed declines on every step: every step is factorised in float64
         data, _ = build_example(example, build_space(build_mesh(m)), 1e-4, gamma)
         direct, rep = kkt_iterates(data, monkeypatch)
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)

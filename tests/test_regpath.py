@@ -113,12 +113,12 @@ class TestSolveRegularizedKkt:
             factorised.append(k)
             return splu(k, **kwargs)
 
-        splu = regpath.splu
+        splu = sparse_core.splu
         monkeypatch.setattr(regpath, "newton", one_step)
         monkeypatch.setattr(regpath, "refine", recording_refine)
         monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
-        monkeypatch.setattr(regpath, "splu", recording_splu)
-        solve_regularized_kkt(data, eps, (y, p), held=[None])
+        monkeypatch.setattr(sparse_core, "splu", recording_splu)
+        solve_regularized_kkt(data, eps, (y, p))
         (r, dx), = steps
 
         a, mm, d = ops.A.toarray(), ops.M.toarray(), ops.d
@@ -135,9 +135,12 @@ class TestSolveRegularizedKkt:
         assert np.array_equal(refined[0], ref.toarray())
         # factorised with the unknowns numbered node by node, (y_i, p_i) in
         # nested-dissection order, and stored entry for entry as sp.bmat and
-        # the permutation store them
+        # the permutation store them, each row scaled by its largest entry
         order = np.ravel(np.column_stack([space.nd_order, space.nd_order + n]))
-        ref = ref[order][:, order].tocsc()
+        ref = ref[order][:, order]
+        inv = 1.0 / np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
+        ref.data *= np.repeat(inv, np.diff(ref.indptr))
+        ref = ref.tocsc()
         got = factorised[0]
         assert got.format == ref.format and got.shape == ref.shape
         # the layout keeps the planted 0 stored
@@ -284,7 +287,7 @@ def path_iterates(data, cfg, monkeypatch):
 
 @pytest.fixture
 def path_seeds(monkeypatch):
-    """Weak references to the seed of each holder ``regpath`` makes."""
+    """Weak references to each pair seed ``regpath`` makes."""
     refs = []
 
     def recording(space, alpha):
@@ -296,7 +299,8 @@ def path_seeds(monkeypatch):
     return refs
 
 
-@pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
+# the path's LUs are made by sparse_core.solve_linear
+@pytest.mark.parametrize("counting_splu", [sparse_core], indirect=True, ids=["regpath"])
 class TestPathFactorisationReuse:
     SCHEDULE = RegPathConfig(tuple(10.0 ** -k for k in range(1, 7)))
 
@@ -325,9 +329,8 @@ class TestPathFactorisationReuse:
     def test_krylov_runs_from_the_seed(self, ex1_small, counting_splu, path_seeds,
                                        monkeypatch):
         # every refinement declines, and FGMRES declines the first step only:
-        # that step holds a fresh LU behind the seed, and every later step,
-        # its refinement from that LU declined, is solved by FGMRES from the
-        # path's seed, never from the LU
+        # that step is factorised, and every later step is solved by FGMRES
+        # from the path's seed
         _, data, _ = ex1_small
         given = []
         fgmres = regpath.fgmres
@@ -342,6 +345,20 @@ class TestPathFactorisationReuse:
         assert not report.aborted and counting_splu.calls == 1 and len(path_seeds) == 1
         assert len(given) == sum(r.iterations for r in report.inner_reports) > 1
         assert all(seed is path_seeds[0]() for seed in given)
+
+    def test_alpha_1e6_path_factorises_twice(self, counting_splu, path_seeds, layouts):
+        # example 2 at alpha = 1e-6 on this mesh cycles at eps = 1e-4 and
+        # aborts there. Two of that solve's steps are declined by refinement
+        # and by FGMRES, and each makes its own float64 LU, since no LU is
+        # held; nothing of the path outlives it
+        data, _ = build_example2(build_space(build_mesh(33)), alpha=1e-6)
+        _, report = run_path(data, self.SCHEDULE)
+        assert report.aborted and report.failure_reason == "inner solve failed at eps = 0.0001"
+        assert [r.iterations for r in report.inner_reports] == [3, 2, 4, 50]
+        assert counting_splu.dtypes == [np.float64] * 2
+        assert len(path_seeds) == len(layouts) == 1
+        gc.collect()
+        assert all(ref() is None for ref in path_seeds + layouts + counting_splu.refs)
 
     def test_nothing_held_after_return(self, ex1_small, counting_splu, path_seeds):
         _, data, _ = ex1_small
@@ -381,7 +398,7 @@ class TestPathFactorisationReuse:
 
 
 class TestPathSeed:
-    """The holder of a path starts with the pair seed: a solve of
+    """A path solves from the pair seed: a solve of
     [[A, M~ / alpha], [-M~, A]] by the sine transform of the grid, in the
     block order [y; p]."""
 
@@ -423,23 +440,23 @@ class TestPathJacobianLayout:
     def test_laid_out_once_with_the_iterates_of_one_per_solve(self, build, layouts,
                                                               monkeypatch):
         # each inner solve lays out its own pair-ordered Jacobian at its
-        # first fresh LU: with FGMRES declining, example 1 on this mesh makes
-        # no LU, and example 2 makes one, in its inner solve at eps = 1e-5,
-        # which does not converge. A path that lays out one Jacobian for all
-        # its solves walks through the same iterates
+        # first LU: with FGMRES declining, example 1 on this mesh makes
+        # no LU, and example 2 makes three, all in its inner solve at
+        # eps = 1e-4. A path that lays out one Jacobian for all its solves
+        # walks through the same iterates
         data, _ = build(build_space(build_mesh(17)))
         monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         lus = []
-        splu = regpath.splu
+        splu = sparse_core.splu
 
         def counting_splu(*args, **kwargs):
             lus.append(1)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(regpath, "splu", counting_splu)
+        monkeypatch.setattr(sparse_core, "splu", counting_splu)
         own, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
-        assert len(lus) == (build is build_example2)
-        assert len(layouts) == len(lus)  # one per solve that factorises
+        assert len(lus) == 3 * (build is build_example2)
+        assert len(layouts) == min(len(lus), 1)  # one per solve that factorises
         shared = []
 
         def one_per_path(ops, alpha):
@@ -451,7 +468,7 @@ class TestPathJacobianLayout:
         made = len(lus)
         once, _ = path_iterates(data, self.SCHEDULE, monkeypatch)
         assert len(lus) == 2 * made
-        assert len(layouts) == made + min(made, 1)  # at most one for the whole path
+        assert len(layouts) == 2 * min(made, 1)  # at most one for the whole path
         assert len(once) == len(own)
         for x, x0 in zip(once, own):
             assert np.array_equal(x, x0)
@@ -462,13 +479,13 @@ class TestPathJacobianLayout:
         space = build_space(build_mesh(17))
         data, _ = build_example1(space)
         lus = []
-        splu = regpath.splu
+        splu = sparse_core.splu
 
         def counting_splu(*args, **kwargs):
             lus.append(1)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(regpath, "splu", counting_splu)
+        monkeypatch.setattr(sparse_core, "splu", counting_splu)
         _, report = run_path(data, self.SCHEDULE)
         assert not report.aborted and lus == [] and layouts == []
         assert "nd_order" not in vars(space)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 from nsocp import kkt_solver, regpath, sparse_core, state_solver
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
+from nsocp.nonsmooth import SmoothedMaxParams, smoothed_max_prime, smoothed_max_second
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
@@ -260,7 +260,7 @@ class TestSolveLinear:
 
 class TestSingularError:
     """A failed ``splu`` of the forward solve or of the continuation step
-    names its deficient row as ``_double_lu`` does, through the caller's
+    names its deficient row as ``solve_linear`` does, through the caller's
     order: ``singular_error`` runs the dense search on the matrix given to
     ``splu`` and maps the row it finds back."""
 
@@ -293,8 +293,8 @@ class TestSingularError:
     def test_continuation_lu(self, monkeypatch):
         # every refinement and FGMRES decline, so the first step factorises
         data, _ = build_example2(build_space(build_mesh(9)), 1e-3, 1e-12)
-        given = []
-        monkeypatch.setattr(regpath, "splu", self.failing_splu(given))
+        given, splu = [], sparse_core.splu
+        monkeypatch.setattr(sparse_core, "splu", self.failing_splu(given))
         monkeypatch.setattr(regpath, "refine", lambda lu, k, b: None)
         monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
         _, rep = regpath.solve_regularized_kkt(data, 1e-2)
@@ -303,6 +303,34 @@ class TestSingularError:
         order = np.column_stack([data.ops.space.nd_order, data.ops.space.nd_order + n]).ravel()
         assert rep.failure_reason == str(SingularMatrixError(int(order[row])))
         assert 0 <= order[row] < 2 * n
+        # a Jacobian planted singular: y lies outside the smoothing band but
+        # at node i, where p_i sets the (p_i, y_i) entry, a rank-one change
+        # of the Jacobian at p = 0, to the value that makes it singular. Its
+        # LU is made, and the probe names the row in block order where the
+        # left null vector of the row-equilibrated Jacobian is largest
+        ops, eps, alpha = data.ops, 1e-2, data.config.alpha
+        params = SmoothedMaxParams(eps)
+        y = np.random.default_rng(0).choice([-1.0, 1.0], n) * 2 * eps
+        i = n // 2
+        y[i] = eps / 2
+        j11 = ops.A.toarray() + np.diag(ops.d * smoothed_max_prime(params, y))
+        mm = ops.M.toarray()
+        jac = np.block([[j11, mm / alpha], [-mm, j11]])
+        shift = -1.0 / np.linalg.inv(jac)[i, n + i]
+        jac[n + i, i] += shift
+        p = np.zeros(n)
+        p[i] = shift / (ops.d[i] * smoothed_max_second(params, y)[i])
+        lus = []
+
+        def made(k, **kwargs):
+            lus.append(splu(k, **kwargs))
+            return lus[-1]
+
+        monkeypatch.setattr(sparse_core, "splu", made)
+        _, rep = regpath.solve_regularized_kkt(data, eps, (y, p))
+        u = np.linalg.svd(jac)[0][:, -1] * np.max(np.abs(jac), axis=1)
+        assert len(lus) == 1 and rep.iterations == 0
+        assert rep.failure_reason == str(SingularMatrixError(int(np.argmax(np.abs(u)))))
 
 
 @pytest.fixture
@@ -341,8 +369,7 @@ class TestHeldFactorisation:
 
     def test_dependent_row_after_good_one_names_a_dependent_row(self, splu_calls):
         # after a regular matrix with the same pattern, the singular one gets
-        # a fresh float32 LU, which cannot pass, and then the float64 LU,
-        # whose pivot test must name the row
+        # a fresh float64 LU, whose pivot test must name the row
         for seed in range(20):
             rng = np.random.default_rng(seed)
             dense = rng.standard_normal((8, 8))
@@ -354,7 +381,7 @@ class TestHeldFactorisation:
             solve(good, np.ones(8))
             with pytest.raises(SingularMatrixError) as exc:
                 solve(dense, np.ones(8))
-            assert len(splu_calls) == 3, seed
+            assert len(splu_calls) == 2, seed
             assert exc.value.pivot_row in (i, j, k), seed
 
 
@@ -373,38 +400,24 @@ def splu_dtypes(monkeypatch):
 
 
 class TestMixedPrecision:
-    """A fresh LU of the reduced system is a float32 SuperLU refined in
-    float64; a float64 LU replaces it when it fails, and gives every
+    """The one LU of a reduced system is a float64 SuperLU, with one
+    correction of its solution: it solves to float64 accuracy, solves
+    backward stably a system that float32 cannot resolve, and gives every
     singular verdict."""
-
-    def test_holder_keeps_the_float32_superlu(self, splu_dtypes, monkeypatch):
-        # nothing is held between calls; the LU a fresh solve refines from
-        # is the float32 SuperLU itself
-        rng = np.random.default_rng(2)
-        dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        lus = []
-        refine = sparse_core.refine
-        monkeypatch.setattr(sparse_core, "refine",
-                            lambda lu, k, b: lus.append(lu) or refine(lu, k, b))
-        solve(dense, rng.standard_normal(6))
-        assert splu_dtypes == [np.float32]
-        lu, = lus
-        assert isinstance(lu, SuperLU)
-        assert lu.solve(np.ones(6, dtype=np.float32)).dtype == np.float32
 
     def test_float32_solution_has_float64_accuracy(self, splu_dtypes):
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((40, 40)) + 10 * np.eye(40)
         b = rng.standard_normal(40)
         x = solve(dense, b)
-        assert splu_dtypes == [np.float32]
+        assert splu_dtypes == [np.float64]
         ref = np.linalg.solve(dense, b)
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_singular_in_float32_regular_in_float64(self, splu_dtypes):
         # rows i and j differ by 1e-9 after equilibration (their largest
-        # entries are equal), less than float32 resolves: the float32 LU
-        # fails, and the float64 LU solves the system backward stably
+        # entries are equal), less than float32 resolves: the float64 LU
+        # solves the system backward stably
         for seed in range(10):
             rng = np.random.default_rng(seed)
             dense = rng.standard_normal((8, 8))
@@ -417,15 +430,14 @@ class TestMixedPrecision:
             b = rng.standard_normal(8)
             del splu_dtypes[:]
             x = solve(dense, b)
-            assert splu_dtypes == [np.float32, np.float64], seed
+            assert splu_dtypes == [np.float64], seed
             backward = np.max(np.abs(dense @ x - b)) / (
                 np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b)))
             assert backward <= 1e-12, seed
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
     def test_example2_step_needs_no_float64_lu(self, alpha, splu_dtypes):
-        # every step is refined from the pair seed, so no LU is made; a step
-        # it could not serve would take a float32 LU, never a float64 one
+        # every step is refined from the pair seed, so no LU is made
         data, _ = build_example2(build_space(build_mesh(33)), alpha, 1e-12)
         kkt_solver.solve_kkt(data)
         assert splu_dtypes == []
@@ -446,9 +458,8 @@ class TestPivotTestReadsNoFactor:
         dense[5] = dense[1] + dense[2]
         with pytest.raises(SingularMatrixError):
             solve(dense, np.ones(8))
-        # one LU for the regular system; a float32 and a float64 one for the
-        # singular system, whose verdict only the float64 LU gives
-        assert counting_splu.calls == 3
+        # one LU for the regular system and one for the singular system
+        assert counting_splu.calls == 2
         assert "solve" in counting_splu.served
         assert not counting_splu.served & self.FACTORS
 
@@ -495,7 +506,8 @@ class TestSharedLuOptions:
         assert rep.converged and counting_splu.calls >= 1
         assert counting_splu.kwargs == [dict(sparse_core.SPLU_OPTIONS)] * counting_splu.calls
 
-    @pytest.mark.parametrize("counting_splu", [regpath], indirect=True, ids=["regpath"])
+    # the path's LUs are made by solve_linear
+    @pytest.mark.parametrize("counting_splu", [sparse_core], indirect=True, ids=["regpath"])
     def test_run_path(self, counting_splu, monkeypatch):
         # a path whose refinement from the seed declines once, on this mesh,
         # and is factorised once FGMRES declines too

@@ -535,9 +535,9 @@ class TestSeededForwardSolves:
         data, _ = build_example1(space)
         prob = StateProblem(data.ops, data.f)
         forward = _CountingSplu(state_solver.splu)
-        path = _CountingSplu(regpath.splu)
+        path = _CountingSplu(sparse_core.splu)
         monkeypatch.setattr(state_solver, "splu", forward)
-        monkeypatch.setattr(regpath, "splu", path)
+        monkeypatch.setattr(sparse_core, "splu", path)
         pt, report = regpath.run_path(data, RegPathConfig(tuple(10.0 ** -k for k in range(1, 7))))
         assert not report.aborted and path.calls == 0
         h = space.function(np.random.default_rng(7).standard_normal(space.n))
