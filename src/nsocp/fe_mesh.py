@@ -229,8 +229,9 @@ class SineSeed:
     Appl. 7, 2000).
 
     The seed solves in float32, as its ``dtype`` says, and
-    ``sparse_core.refine`` refines from it in float64, as mixed-precision
-    refinement does from a float32 LU (Langou et al., SC 2006). It is an
+    ``sparse_core.refine`` refines from a pair seed in float64, as
+    mixed-precision refinement does from a float32 LU (Langou et al., SC
+    2006); the stiffness seed preconditions ``sparse_core.cg``. It is an
     approximate inverse in any precision: refinement makes up
     (h^2/24) K (x) K and a step's diagonals, and float32 rounding adds only
     about eps32 cond(A) to the factor by which it contracts. The seed holds float32 copies of phi and lam_a, made from the

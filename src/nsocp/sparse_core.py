@@ -1,4 +1,4 @@
-"""Deterministic direct solves on scipy.sparse matrices, refinement and FGMRES.
+"""Deterministic direct solves on scipy.sparse matrices, refinement, FGMRES and CG.
 
 All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
 module pins down the error behavior the rest of the package relies on.
@@ -24,11 +24,10 @@ SuperLU holds on top of the finished factors.
 ``refine`` is iterative refinement in float64 from a seed, a solve of a
 nearby system in float32 or float64 (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., ch. 12), with the one acceptance rule of the
-package. It refines the forward solves of ``state_solver``, the KKT steps of
-``kkt_solver`` whose I_gamma and I_crit cover every node and the
-continuation steps of ``regpath``, each from a ``fe_mesh.SineSeed``, which
-solves in float32 and factorises nothing, and the last two against the
-products of ``fe_mesh.pair_operator``.
+package. It refines the KKT steps of ``kkt_solver`` whose I_gamma and
+I_crit cover every node and the continuation steps of ``regpath``, each
+from a pair ``fe_mesh.SineSeed``, which solves in float32 and factorises
+nothing, against the products of ``fe_mesh.pair_operator``.
 
 ``fgmres`` is flexible GMRES from x = 0, right-preconditioned by the same
 pair seed, which it calls as ``refine`` does (``_scaled_solve``), with the
@@ -37,8 +36,15 @@ one product of the true residual. It solves the KKT steps that refinement
 cannot finish: those with nodes outside I_gamma and I_crit, and those whose
 refinement declines. It also solves the continuation steps whose
 refinement declines. When it declines, within MAX_KRYLOV iterations, the
-KKT step and the continuation step fall through to ``solve_linear``. The
-module holds nothing between calls.
+KKT step and the continuation step fall through to ``solve_linear``.
+
+``cg`` is conjugate gradients from x = 0 for the symmetric positive
+definite forward steps of ``state_solver``, A + diag(c) with c >= 0,
+preconditioned by the stiffness seed, which it calls as ``refine`` does,
+with ``fgmres``'s acceptance rule (``_krylov_accepts`` holds it for both)
+and one product of the true residual. When it declines, the forward step
+falls through to that module's own LU. The module holds nothing between
+calls.
 
 ``CsrMatrix.from_scipy`` returns a scipy CSR matrix in canonical form; A and
 M are built with it.
@@ -63,6 +69,7 @@ __all__ = [
     "singular_error",
     "refine",
     "fgmres",
+    "cg",
 ]
 
 # The SuperLU options of every LU in the package (``solve_linear``'s and the
@@ -94,15 +101,16 @@ REFINE_RTOL = 1e-14
 SETTLE_RTOL = 1e-12
 CONTRACTION = 0.5
 MAX_CORRECTIONS = 30
-# ``fgmres`` applies the same rule to the relative residual estimate of its
-# Arnoldi relation, |g_(j+1)| / ||b||_2: it accepts once the estimate is at
-# most REFINE_RTOL, or at most SETTLE_RTOL once it is more than CONTRACTION
-# times the estimate STALL_WINDOW iterations before (the rounding floor), and
-# gives up after MAX_KRYLOV iterations. Above SETTLE_RTOL a slow stretch is
-# not a stall: preconditioned by a seed, the estimate can stay near its start
-# for a few iterations and then fall by orders of magnitude in one. The
-# solution x it accepts must also pass one product,
-# ||b - k x||_2 <= SETTLE_RTOL ||b||_2.
+# ``fgmres`` and ``cg`` apply the same rule (``_krylov_accepts``) to a
+# relative residual estimate: FGMRES's from its Arnoldi relation,
+# |g_(j+1)| / ||b||_2, and CG's ||r||_2 / ||b||_2 with r updated by
+# recurrence. Each accepts once the estimate is at most REFINE_RTOL, or at
+# most SETTLE_RTOL once it is more than CONTRACTION times the estimate
+# STALL_WINDOW iterations before (the rounding floor), and gives up after
+# MAX_KRYLOV iterations. Above SETTLE_RTOL a slow stretch is not a stall:
+# preconditioned by a seed, the estimate can stay near its start for a few
+# iterations and then fall by orders of magnitude in one. The solution x
+# either accepts must also pass one product, ||b - k x||_2 <= SETTLE_RTOL ||b||_2.
 STALL_WINDOW = 3
 MAX_KRYLOV = 60
 
@@ -222,11 +230,11 @@ def refine(seed, k, b: np.ndarray):
     Each residual is scaled by the power of two nearest above its max norm,
     which is exact, and cast to the precision of ``seed`` for the solve
     (``_scaled_solve``). The result is accepted by REFINE_RTOL, or by
-    SETTLE_RTOL once the corrections stop contracting (see there). The
-    forward solves of ``state_solver``, ``kkt_solver``'s steps refined from
-    the pair seed and ``regpath.solve_regularized_kkt`` all use it, and
-    ``fgmres`` applies the same rule to its residual estimate, so that is the
-    one acceptance rule of the package.
+    SETTLE_RTOL once the corrections stop contracting (see there).
+    ``kkt_solver``'s steps refined from the pair seed and
+    ``regpath.solve_regularized_kkt`` use it, and ``fgmres`` and ``cg``
+    apply the same rule to their residual estimates, so that is the one
+    acceptance rule of the package.
     """
     x = np.zeros(len(b))
     prev = np.inf
@@ -290,9 +298,7 @@ def fgmres(seed, k, b: np.ndarray):
         g[j], g_next = c * g[j], -s * g[j]
         g.append(g_next)
         estimates.append(abs(g_next) / beta)
-        stalled = j + 1 >= STALL_WINDOW and (
-            estimates[-1] > CONTRACTION * estimates[-1 - STALL_WINDOW])
-        if estimates[-1] <= REFINE_RTOL or (stalled and estimates[-1] <= SETTLE_RTOL):
+        if _krylov_accepts(estimates):
             break
         w /= w_norm
         basis.append(w)
@@ -308,6 +314,58 @@ def fgmres(seed, k, b: np.ndarray):
         x += y_i * z
     del directions
     return x if np.linalg.norm(b - k @ x) <= SETTLE_RTOL * beta else None
+
+
+def cg(seed, k, b: np.ndarray):
+    """The solution of k x = b for a symmetric positive definite k by
+    conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) from
+    x = 0, preconditioned by ``seed``, which it calls as ``refine`` does;
+    ``k`` is the matrix or an operator with ``k @ x``. None when it
+    declines.
+
+    Each iteration makes one seed solve and one product with k, and updates
+    the residual r by recurrence, so that ||r||_2 / ||b||_2 is its residual
+    estimate. It uses ``fgmres``'s acceptance rule (see MAX_KRYLOV), with
+    the same one product of the true residual, and declines a step whose
+    curvature p k p is not positive, which a k that is not positive
+    definite, or a non-finite value, makes. It holds five vectors of
+    len(b): x, the residual, its seed solve, the direction and its product.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros(len(b))
+    x, r, p, rz = np.zeros(len(b)), b.copy(), np.zeros(len(b)), 1.0
+    estimates = [1.0]  # relative
+    for _ in range(MAX_KRYLOV):
+        z = _scaled_solve(seed, r)
+        rz, rz_prev = float(r @ z), rz
+        p *= rz / rz_prev  # p = 0 on the first pass, which so sets p = z
+        p += z
+        q = k @ p
+        curvature = float(p @ q)
+        if not curvature > 0.0:  # not positive definite, or not finite
+            return None
+        step = rz / curvature
+        x = daxpy(p, x, a=step)  # in place, with no temporary
+        r = daxpy(q, r, a=-step)
+        estimates.append(float(np.linalg.norm(r)) / beta)
+        if _krylov_accepts(estimates):
+            break
+    else:
+        return None
+    return x if np.linalg.norm(b - k @ x) <= SETTLE_RTOL * beta else None
+
+
+def _krylov_accepts(estimates: list) -> bool:
+    """Whether a Krylov solve whose relative residual estimates, from 1.0 at
+    x = 0 on, are ``estimates`` accepts its latest iterate: at most
+    REFINE_RTOL, or at most SETTLE_RTOL once it is more than CONTRACTION
+    times the estimate STALL_WINDOW iterations before. A NaN never meets
+    it."""
+    latest = estimates[-1]
+    stalled = len(estimates) > STALL_WINDOW and (
+        latest > CONTRACTION * estimates[-1 - STALL_WINDOW])
+    return latest <= REFINE_RTOL or (stalled and latest <= SETTLE_RTOL)
 
 
 def _scaled_solve(seed, r: np.ndarray) -> np.ndarray:

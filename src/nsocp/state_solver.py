@@ -8,14 +8,14 @@ directional derivative of the control-to-state map are one forward solve
 of A y + D phi(y) = M g with different phi. Also provides the linear
 operators G_chi representing generalized-derivative elements.
 
-Every n x n matrix is A + diag(c) with c in [0, d], which lies within
-[1, 1.06] A, and the sine basis of the grid diagonalises A. So each Newton
-step is solved by ``sparse_core.refine`` from ``fe_mesh.SineSeed(space)``, a
-float32 solve of A by the sine transform, refined in float64 with the
-products A x + c x taken from A and c; A + diag(c) is never formed. When
-refinement declines, the step is solved by sparse LU of
-(A + diag(c))[nd][:, nd], in the mesh's nested-dissection order nd.
-Nothing outlives a solve.
+Every n x n matrix is A + diag(c) with c in [0, d], which is symmetric
+positive definite and lies within [1, 1.06] A, and the sine basis of the
+grid diagonalises A. So each Newton step is solved by ``sparse_core.cg``,
+conjugate gradients in float64 preconditioned by ``fe_mesh.SineSeed(space)``,
+a float32 solve of A by the sine transform, with the products A x + c x
+taken from A and c; A + diag(c) is never formed. When CG declines, the step
+is solved by sparse LU of (A + diag(c))[nd][:, nd], in the mesh's
+nested-dissection order nd. Nothing outlives a solve.
 
 A forward solve starts from zero or from a given ``init``. The finite
 difference check starts each perturbed state S(u + t h) from S(u): the
@@ -34,7 +34,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 
 from .fe_mesh import FeFunction, FeOperators, SineSeed
 from .nonsmooth import SmoothedMaxParams, max0, smoothed_max, smoothed_max_prime
-from .sparse_core import SPLU_OPTIONS, SingularMatrixError, refine, singular_error
+from .sparse_core import SPLU_OPTIONS, SingularMatrixError, cg, singular_error
 
 __all__ = [
     "StateProblem",
@@ -121,11 +121,11 @@ def _lu_solve(ops: FeOperators, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _shifted_solve(ops: FeOperators, seed: SineSeed, c: np.ndarray, rhs: np.ndarray):
-    """Solve (A + diag(c)) x = rhs, c in [0, d], by ``refine`` from the
-    stiffness seed ``seed``, or by ``_lu_solve`` when refinement declines."""
+    """Solve (A + diag(c)) x = rhs, c in [0, d], by ``cg`` preconditioned
+    by the stiffness seed ``seed``, or by ``_lu_solve`` when CG declines."""
     a = ops.A
     op = LinearOperator(a.shape, matvec=lambda x: a @ x + c * x, dtype=float)
-    x = refine(seed, op, rhs)
+    x = cg(seed, op, rhs)
     return _lu_solve(ops, c, rhs) if x is None else x
 
 

@@ -12,6 +12,7 @@ from nsocp.nonsmooth import SmoothedMaxParams, smoothed_max_prime, smoothed_max_
 from nsocp.sparse_core import (
     CsrMatrix,
     SingularMatrixError,
+    cg,
     fgmres,
     refine,
     solve_linear,
@@ -497,8 +498,8 @@ class TestSharedLuOptions:
     @pytest.mark.parametrize("counting_splu", [state_solver], indirect=True,
                              ids=["state_solver"])
     def test_forward_solve(self, counting_splu, monkeypatch):
-        # every refinement from the seed declines, so each step takes the LU
-        monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
+        # every CG solve from the seed declines, so each step takes the LU
+        monkeypatch.setattr(state_solver, "cg", lambda seed, k, b: None)
         data, _ = build_example1(build_space(build_mesh(9)))
         space = data.ops.space
         _, rep = state_solver.solve_state(state_solver.StateProblem(data.ops, data.f),
@@ -768,3 +769,144 @@ class TestFgmres:
             tracemalloc.stop()
         assert x is not None and 45 <= pair.calls < sparse_core.MAX_KRYLOV
         assert peak <= (2 * pair.calls + 4) * b.nbytes
+
+
+class TestKrylovAcceptance:
+    """The one acceptance rule of ``fgmres`` and ``cg``, on relative residual
+    estimates that start from 1.0 at x = 0."""
+
+    def test_accepts_below_refine_rtol(self):
+        assert sparse_core._krylov_accepts([1.0, sparse_core.REFINE_RTOL])
+        assert not sparse_core._krylov_accepts([1.0, 2 * sparse_core.REFINE_RTOL])
+
+    def test_settles_only_once_stalled(self):
+        settled = sparse_core.SETTLE_RTOL
+        window = sparse_core.STALL_WINDOW
+        # below SETTLE_RTOL, and more than CONTRACTION times the estimate
+        # STALL_WINDOW iterations before: the rounding floor
+        assert sparse_core._krylov_accepts([1.0] + [settled] * (window + 1))
+        # still falling by more than CONTRACTION over the window
+        assert not sparse_core._krylov_accepts([1.0] + [4 * settled] + [settled] * window)
+        assert not sparse_core._krylov_accepts([1.0] + [settled] * window)
+        # too few iterations to tell
+        assert not sparse_core._krylov_accepts([1.0] + [settled] * (window - 1))
+        # stalled above SETTLE_RTOL is a slow stretch, not the floor
+        assert not sparse_core._krylov_accepts([1.0] + [2 * settled] * (window + 1))
+
+    def test_nan_never_meets_it(self):
+        assert not sparse_core._krylov_accepts([1.0] + [np.nan] * 4)
+
+
+def forward_system(m, kind):
+    """A + diag(c) of a forward step on the m-grid, for c = 0, a random 0/d
+    mask, or c = d, with a right-hand side: (operators, c, CSR matrix, b)."""
+    ops = assemble_operators(build_space(build_mesh(m)))
+    rng = np.random.default_rng(m)
+    c = {"zero": 0.0 * ops.d, "mask": ops.d * (rng.uniform(size=ops.space.n) < 0.5),
+         "d": ops.d}[kind]
+    return ops, c, (ops.A + sp.diags(c)).tocsr(), rng.standard_normal(ops.space.n)
+
+
+class TestCg:
+    """CG from x = 0, preconditioned by the stiffness seed: one seed solve and
+    one product per iteration, then one product for the true residual."""
+
+    @pytest.mark.parametrize("kind", ["zero", "mask", "d"])
+    @pytest.mark.parametrize("m", [9, 17, 33])
+    def test_matches_the_forward_lu(self, m, kind):
+        ops, c, k, b = forward_system(m, kind)
+        seed, prod = _Counting(SineSeed(ops.space)), _Counting(k)
+        x = cg(seed, prod, b)
+        assert x is not None and 2 <= seed.calls <= sparse_core.MAX_KRYLOV
+        assert prod.calls == seed.calls + 1
+        assert np.linalg.norm(b - k @ x) <= sparse_core.SETTLE_RTOL * np.linalg.norm(b)
+        ref = state_solver._lu_solve(ops, c, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_zero_right_hand_side(self):
+        ops, _, k, b = forward_system(9, "d")
+        seed = _Counting(SineSeed(ops.space))
+        assert np.array_equal(cg(seed, k, np.zeros_like(b)), np.zeros_like(b))
+        assert seed.calls == 0
+
+    def test_odd_in_the_right_hand_side(self):
+        # every scaling, cast, transform, product and dot product of the
+        # solve only flips sign, so the solve of -b is -x bit for bit
+        ops, _, k, b = forward_system(17, "mask")
+        seed = SineSeed(ops.space)
+        x, x_neg = cg(seed, k, b), cg(seed, k, -b)
+        assert np.array_equal((-x).view(np.uint64), x_neg.view(np.uint64))
+
+    def test_seed_blind_to_one_unknown_declines(self):
+        # a seed that never reaches the first unknown: every direction is 0
+        # there, so no iterate solves k x = b, and the residual estimate,
+        # which CG updates by recurrence, stalls near 0.1 until the cap
+        ops, _, k, b = forward_system(33, "zero")
+        blinded = SineSeed(ops.space)
+        solve = blinded.solve
+
+        def blind(r):
+            z = solve(r)
+            z[0] = 0.0
+            return z
+
+        blinded.solve = blind
+        seed, prod = _Counting(blinded), _Counting(k)
+        assert cg(seed, prod, b) is None
+        assert seed.calls == prod.calls == sparse_core.MAX_KRYLOV
+
+    def test_true_residual_decides(self):
+        # the same solve with its last product, the check of the true
+        # residual, planted 1e-9 off: the estimate is met, and it declines
+        ops, _, k, b = forward_system(17, "mask")
+        seed = _Counting(SineSeed(ops.space))
+        assert cg(seed, k, b) is not None
+        checked = seed.calls + 1
+
+        class Planted(_Counting):
+            def __matmul__(self, x):
+                y = super().__matmul__(x)
+                return y + 1e-9 * np.linalg.norm(b) if self.calls == checked else y
+
+        prod = Planted(k)
+        assert cg(SineSeed(ops.space), prod, b) is None
+        assert prod.calls == checked
+
+    def test_not_positive_definite_declines(self):
+        # A - 5 I on the 3 x 3 interior grid of h = 1/4 is indefinite (A has
+        # eigenvalues 1.17 to 6.83): the first direction has negative
+        # curvature, and CG declines after that one product
+        ops = assemble_operators(build_space(build_mesh(4)))
+        prod = _Counting((ops.A - 5.0 * sp.identity(ops.space.n)).tocsr())
+        assert cg(SineSeed(ops.space), prod, np.ones(ops.space.n)) is None
+        assert prod.calls == 1
+
+    def test_iteration_cap(self, monkeypatch):
+        # CG on A itself contracts steadily but slowly: at m = 33 it is not
+        # solved within MAX_KRYLOV iterations, and is with a larger cap
+        ops, _, k, b = forward_system(33, "zero")
+        plain = _Counting(_Identity(len(b)))
+        assert cg(plain, k, b) is None
+        assert plain.calls == sparse_core.MAX_KRYLOV
+        monkeypatch.setattr(sparse_core, "MAX_KRYLOV", 4 * sparse_core.MAX_KRYLOV)
+        x = cg(_Identity(len(b)), k, b)
+        assert x is not None
+        assert np.linalg.norm(b - k @ x) <= sparse_core.SETTLE_RTOL * np.linalg.norm(b)
+
+    def test_peak_does_not_grow_with_iterations(self, monkeypatch):
+        # five vectors of len(b) persist, x, the residual, its seed solve,
+        # the direction and its product, and a seed solve and the final
+        # product add a few temporaries: at about 136 iterations the peak is
+        # about 7.6 vectors
+        ops, _, k, b = forward_system(33, "zero")
+        monkeypatch.setattr(sparse_core, "MAX_KRYLOV", 4 * sparse_core.MAX_KRYLOV)
+        plain = _Counting(_Identity(len(b)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            x = cg(plain, k, b)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert x is not None and plain.calls > 2 * 60
+        assert peak <= 9 * b.nbytes

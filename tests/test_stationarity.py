@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from nsocp.examples import build_example2
+from nsocp import state_solver, stationarity
+from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import assemble_operators, build_mesh, build_space, interpolate
 from nsocp.kkt_solver import KktConfig, KktPoint, ProblemData, recover_control, solve_kkt
-from nsocp.state_solver import StateProblem, solve_state
+from nsocp.state_solver import (
+    StateProblem,
+    check_symmetric_derivative,
+    directional_derivative,
+    solve_state,
+)
 from nsocp.stationarity import (
     check_bouligand_residual,
     check_chi_admissible,
@@ -133,6 +139,85 @@ class TestConvergedPoint:
         assert len(values) == len(quotients) == 2 * len(dirs)
         assert max(abs(v) for v in values) > 1e-6
         assert np.max(np.abs(np.array(values) - np.array(quotients))) <= 1e-9
+
+
+class TestLinearDerivativeShortcut:
+    """Where the zero band of y is empty, S'(u; .) is linear and its discrete
+    solve odd in h bit for bit, so ``check_primal_stationarity`` solves each
+    direction once; a point with a nonempty band solves each sign."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(prob, y, h, zero_tol):
+            calls.append(h)
+            return directional_derivative(prob, y, h, zero_tol)
+
+        monkeypatch.setattr(stationarity, "directional_derivative", counting)
+        return calls
+
+    @staticmethod
+    def two_solve_values(data, pt, dirs):
+        """The values of the loop that solves along h and along -h."""
+        ops, alpha = data.ops, data.config.alpha
+        prob = StateProblem(ops, data.f)
+        u = recover_control(pt, alpha)
+        misfit = ops.M @ (pt.y.coeffs - data.y_d.coeffs)
+        values = []
+        for h in dirs:
+            for sgn in (1.0, -1.0):
+                hs = ops.space.function(sgn * h.coeffs)
+                delta, rep = directional_derivative(prob, pt.y, hs)
+                assert rep.converged
+                values.append(float(misfit @ delta.coeffs
+                                    + alpha * (u.coeffs @ (ops.M @ hs.coeffs))))
+        return values
+
+    def test_empty_band_solves_once_per_direction(self, counted):
+        space = build_space(build_mesh(17))
+        data, _ = build_example1(space)
+        pt, rep = solve_kkt(data)
+        assert rep.converged and check_strong_sign(pt.y, pt.p).n_band_nodes == 0
+        dirs = sample_directions(space, n_random=20)
+        got = check_primal_stationarity(data, pt, dirs)
+        assert len(counted) == len(dirs)
+        want = self.two_solve_values(data, pt, dirs)
+        assert len(got.values) == 2 * len(dirs)
+        assert np.array_equal(np.array(got.values).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+    def test_nonempty_band_solves_each_sign(self, counted):
+        # the interpolated exact state of example 2 vanishes on the right half
+        space = build_space(build_mesh(17))
+        data, exact = build_example2(space)
+        y = interpolate(space, exact.y)
+        pt = KktPoint(y, interpolate(space, exact.p), space.zero())
+        assert check_strong_sign(pt.y, pt.p).n_band_nodes > 0
+        dirs = sample_directions(space, n_random=3)
+        got = check_primal_stationarity(data, pt, dirs)
+        assert len(counted) == 2 * len(dirs)
+        assert [h.coeffs[0] for h in counted[1::2]] == [-h.coeffs[0] for h in dirs]
+        assert got.values == self.two_solve_values(data, pt, dirs)
+
+    def test_symmetric_derivative_solves_both_signs(self, monkeypatch):
+        # the Gateaux test itself compares the two solves, so it never
+        # takes the shortcut, even where the band is empty
+        space = build_space(build_mesh(17))
+        data, _ = build_example1(space)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return directional_derivative(*args)
+
+        prob = StateProblem(data.ops, data.f)
+        y, _ = solve_state(prob, space.zero())
+        assert check_strong_sign(y, space.zero()).n_band_nodes == 0
+        monkeypatch.setattr(state_solver, "directional_derivative", counting)
+        h = space.function(np.random.default_rng(8).standard_normal(space.n))
+        assert check_symmetric_derivative(prob, space.zero(), h)
+        assert len(calls) == 2
 
 
 class TestHierarchySeparation:
