@@ -10,10 +10,12 @@ factorisation: A, or the pair system [[A, M~ / alpha], [-M~, A]] on [y; p]
 in lexicographic block order. ``pair_operator`` applies, in the same
 order, a pair system with M and three diagonals, from A, M and the
 diagonals alone, so that ``sparse_core.refine`` can solve it in float64
-from the seed with no matrix formed. ``PairJacobian`` lays out that pair
-system once as a matrix, node by node in nested-dissection order, for the
-KKT and continuation steps that factorise it, and writes its three
-diagonals in place for each of them; no other module writes into it.
+from the seed with no matrix formed; ``pair_row_scale`` gives the largest
+entry of each of its rows. ``PairJacobian`` lays out that pair system once
+as a matrix, node by node in nested-dissection order, writes its three
+diagonals in place for each step that factorises it, and ``solve``
+factorises it: the one LU rung of the KKT and continuation steps. No other
+module writes into it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .sparse_core import CsrMatrix
+from .sparse_core import CsrMatrix, solve_linear
 
 __all__ = [
     "MeshError",
@@ -40,6 +42,7 @@ __all__ = [
     "sine_spectrum",
     "SineSeed",
     "pair_operator",
+    "pair_row_scale",
     "PairJacobian",
     "interpolate",
     "linf_nodal_error",
@@ -234,10 +237,10 @@ class SineSeed:
     2006); the stiffness seed preconditions ``sparse_core.cg``. It is an
     approximate inverse in any precision: refinement makes up
     (h^2/24) K (x) K and a step's diagonals, and float32 rounding adds only
-    about eps32 cond(A) to the factor by which it contracts. The seed holds float32 copies of phi and lam_a, made from the
-    space's cached float64 ``spectrum``, and no factor; a pair seed also
-    holds its n inverse eigenvalues, computed in float64 and kept in
-    complex64.
+    about eps32 cond(A) to the factor by which it contracts. The seed holds
+    float32 copies of phi and lam_a, made from the space's cached float64
+    ``spectrum``, and no factor; a pair seed also holds its n inverse
+    eigenvalues, computed in float64 and kept in complex64.
     """
 
     dtype = np.dtype(np.float32)
@@ -281,6 +284,26 @@ def pair_operator(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> Linea
                                a @ p + d_pp * p + (d_py * y - m @ y)])
 
     return LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+
+
+def pair_row_scale(ops: FeOperators, alpha: float, d_yy, d_pp, d_py=0.0) -> np.ndarray:
+    """The largest magnitude in each row of ``pair_operator``'s system, in its
+    block order, from A, M and the three diagonals with no layout. A maximum
+    is exact, so these are the row maxima of ``PairJacobian.at`` bit for bit,
+    those of M / alpha too: rounding x (1 / alpha) is monotone in x, so it
+    commutes with the max."""
+    a, m = ops.A, ops.M
+    off = []  # the largest off-diagonal magnitude in each row of A and of M
+    for blk in (a, m):
+        mag = np.abs(blk.data)
+        mag[blk.indices == np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))] = 0.0
+        off.append(np.maximum.reduceat(mag, blk.indptr[:-1]))
+    a_off, m_off = off
+    a_diag, m_diag = a.diagonal(), m.diagonal()
+    m_row = np.maximum(m_off, np.abs(m_diag)) * (1.0 / alpha)
+    return np.concatenate([np.maximum.reduce([a_off, np.abs(a_diag + d_yy), m_row]),
+                           np.maximum.reduce([a_off, np.abs(a_diag + d_pp), m_off,
+                                              np.abs(d_py - m_diag)])])
 
 
 class PairJacobian:
@@ -348,6 +371,47 @@ class PairJacobian:
         self.matrix.sort_indices()  # row by row, in place
         self.order = np.column_stack([nd, nd + n]).ravel()
         self._yy, self._py = state + before, adjoint + before  # by node, lexicographic
+
+    def solve(self, d_yy, d_pp, d_py, b, scale, fixed=None, dy_fixed=None,
+              shift=None) -> np.ndarray:
+        """[dy; dp] in block order from the float64 LU of the pair system with
+        the three diagonals for ``b``, each row and its entry of ``b`` scaled
+        by ``scale`` (both in block order): the last rung of the KKT and
+        continuation steps. The KKT step passes its nodes N as ``fixed``,
+        their dy as ``dy_fixed`` and the already-scaled D p dchi of the
+        adjoint rows as ``shift``; those move to the right-hand side, and only
+        the state rows and the adjoint rows outside N, in the columns dy
+        outside N and every dp, are kept, one copy alive at a time.
+        ``sparse_core.solve_linear`` factorises them in pair order and names a
+        deficient row in block order (adjoint row i as n + i). No LU outlives
+        the call."""
+        jac = self.at(d_yy, d_pp, d_py)
+        order, n = self.order, self.ops.space.n
+        scale = scale[order]
+        # divided by the scale, not multiplied by its inverse: that rounding
+        # moves which later continuation steps FGMRES declines, and made the
+        # alpha = 1e-6 path of example 2 at m = 33 factorise three times, not two
+        b = b[order] / scale
+        eq = sp.csr_matrix((jac.data * np.repeat(1.0 / scale, np.diff(jac.indptr)), jac.indices,
+                            jac.indptr), shape=jac.shape)
+        del scale  # so that only b is held beside the system from here on
+        rows = cols = slice(None)
+        if fixed is not None:
+            dy = np.zeros(2 * n)  # in block order
+            dy[fixed] = dy_fixed
+            moved = eq @ dy[order]
+            moved[1::2] += shift[self.ops.space.nd_order]
+            b -= moved
+            rows = np.flatnonzero(~np.isin(order, n + fixed))
+            cols = np.flatnonzero(~np.isin(order, fixed))
+            eq = eq[rows]  # one copy of the system at a time
+            eq = eq[:, cols]
+        k = eq.tocsc()
+        del eq
+        x = solve_linear(k, order[rows], b[rows])
+        out = np.empty(2 * n) if fixed is None else dy
+        out[order[cols]] = x
+        return out
 
 
 def interpolate(space: FeSpace, g: Callable) -> FeFunction:

@@ -43,18 +43,11 @@ pair system in which adjoint row n + i, for each i in N, is replaced by
 A_ii e_i with right-hand side A_ii dy_i: the prox row, scaled like the rows
 around it.
 
-Only a step that FGMRES declines is factorised. It takes the pair system
-from the call's ``fe_mesh.PairJacobian`` (the layout ``regpath``
-factorises too), node by node in the nested-dissection order
-``FeSpace.nd_order``, laid out by the first such step and refilled in place
-with D 1{y>0}, D chi and 0 by each. Each row is scaled by its largest entry
-in the 3n matrix, as in the pivot test. The state rows and the adjoint rows
-on S, in the columns dy on S and dp, are handed to
-``sparse_core.solve_linear``, whose one float64 LU names a deficient row in
-the same 3n numbering (state row i as i, adjoint row i as n + i). A step
-refined from the seed or solved by FGMRES gives no verdict. However [dy; dp]
-was solved, dchi on N follows from the adjoint rows of the pair system, in
-block order. No LU outlives its step.
+Only a step that FGMRES declines is factorised, by the call's
+``fe_mesh.PairJacobian.solve`` with dy fixed on N and the row scale of the
+pivot test; its verdict names rows in the 3n numbering. A step refined from
+the seed or solved by FGMRES gives no verdict. However [dy; dp] was solved,
+dchi on N follows from the adjoint rows of the pair system, in block order.
 """
 
 from __future__ import annotations
@@ -63,12 +56,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .fe_mesh import FeFunction, FeOperators, PairJacobian, SineSeed, pair_operator
+from .fe_mesh import (FeFunction, FeOperators, PairJacobian, SineSeed, pair_operator,
+                      pair_row_scale)
 from .nonsmooth import max0, prox, prox_active
-from .sparse_core import PIVOT_RTOL, SingularMatrixError, fgmres, refine, solve_linear
+from .sparse_core import PIVOT_RTOL, SingularMatrixError, fgmres, refine
 from .state_solver import newton
 
 __all__ = [
@@ -207,7 +200,7 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
     module docstring sets out, with no 3n matrix. ``jacobian`` is the call's
     ``PairJacobian``, which only a step that FGMRES leaves unsolved lays out
     or refills. A deficient pivot d_i p_i, or a singular verdict of
-    ``solve_linear``, raises SingularMatrixError."""
+    ``PairJacobian.solve``, raises SingularMatrixError."""
     ops = data.ops
     d = ops.d
     n = len(d)
@@ -221,18 +214,19 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
     d_plus[sets.i_plus] = d[sets.i_plus]
     d_chi = d * pt.chi.coeffs
     d_p = d * pt.p.coeffs
-    if len(rest):
-        # adjoint row n + i scaled by its largest entry in the 3n matrix, which
-        # also holds the pivot d_i p_i
-        piv = d_p * (1.0 / _adjoint_row_scale(ops, d_chi, d_p))
-        bad = free & (np.abs(piv) < PIVOT_RTOL)
-        if bad.any():
-            raise SingularMatrixError(n + int(np.flatnonzero(bad)[0]))
     rhs = -r[:2 * n]
     rhs[n:] -= d_p * dchi
     pair = pair_operator(ops, cfg.alpha, d_plus, d_chi)
     dyp = None if len(rest) else refine(seed, pair, rhs)
     if dyp is None:
+        # each row scaled by its largest entry in the 3n matrix, where adjoint
+        # row n + i also holds the pivot d_i p_i, tested on N before any solve
+        scale = pair_row_scale(ops, cfg.alpha, d_plus, d_chi)
+        scale[n:] = np.maximum(scale[n:], np.abs(d_p))
+        piv = d_p * (1.0 / scale[n:])
+        bad = free & (np.abs(piv) < PIVOT_RTOL)
+        if bad.any():
+            raise SingularMatrixError(n + int(np.flatnonzero(bad)[0]))
         # adjoint row n + i on N becomes A_ii dy_i = A_ii (-r3_i / d_i), the
         # prox row scaled like the rows around it
         a_rest = ops.A.diagonal()[rest]
@@ -245,55 +239,13 @@ def _newton_step(data: ProblemData, pt: KktPoint, sets: IndexSets, r: np.ndarray
 
         dyp = fgmres(seed, LinearOperator(pair.shape, matvec=fixed, dtype=float), rhs)
     if dyp is None:
-        jac = jacobian.at(d_plus, d_chi)  # its (p, y) diagonal is -M_ii
-        order, nd = jacobian.order, ops.space.nd_order
-        # each row is scaled by its largest entry in the 3n matrix, where adjoint
-        # row n + i also holds the pivot d_i p_i, which has passed its test above
-        scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
-        scale[1::2] = np.maximum(scale[1::2], np.abs(d_p[nd]))
-        inv = 1.0 / scale
-        piv = d_p[nd] * inv[1::2]
-        free_k = free[nd]  # N, by position in nd
-
-        eq = sp.csr_matrix((jac.data * np.repeat(inv, np.diff(jac.indptr)), jac.indices,
-                            jac.indptr), shape=jac.shape)
         # dy_i on N from its prox row d_i dy_i = -r3_i scaled like every row, by
-        # its largest entry (d_i (1 / d_i) is not 1 at every h); the fixed terms
-        # are moved to the right-hand side in the scaled rows
-        dy = np.zeros(n)
-        dy[rest] = (-r[2 * n + rest] / d[rest]) / (d[rest] * (1.0 / d[rest]))
-        x = np.concatenate([dy, np.zeros(n)])[order]  # [dy; dp] in pair order
-        b = -r[:2 * n][order] / scale
-        moved = eq @ x  # the fixed dy_N and D p dchi_S
-        moved[1::2] += piv * dchi[nd]
-        # every state row and the adjoint rows on S; the columns dy on S and every dp
-        every = np.ones(n, dtype=bool)
-        rows = np.flatnonzero(np.column_stack([every, ~free_k]).ravel())
-        cols = np.flatnonzero(np.column_stack([~free_k, every]).ravel())
-        eq = eq[rows]  # one copy of the system at a time
-        eq = eq[:, cols]
-        k = eq.tocsc()
-        del eq
-        x[cols] = solve_linear(k, order[rows], (b - moved)[rows])
-        dyp = np.empty(2 * n)
-        dyp[order] = x
+        # its largest entry (d_i (1 / d_i) is not 1 at every h)
+        dy_rest = (-r[2 * n + rest] / d[rest]) / (d[rest] * (1.0 / d[rest]))
+        dyp = jacobian.solve(d_plus, d_chi, 0.0, -r[:2 * n], scale, rest, dy_rest, piv * dchi)
     if len(rest):  # dchi on N from the adjoint rows, through the pivots d_i p_i
         dchi[rest] = (-r[n + rest] - (pair @ dyp)[n + rest]) / d_p[rest]
     return np.concatenate([dyp, dchi])
-
-
-def _adjoint_row_scale(ops: FeOperators, d_chi: np.ndarray, d_p: np.ndarray) -> np.ndarray:
-    """The largest magnitude in adjoint row n + i of the 3n Newton matrix, by
-    node, from A, M and the diagonals: that of the off-diagonal A_ij, of
-    A_ii + d_i chi_i, of M_ij and of the pivot d_i p_i. A maximum is exact,
-    so it is the scale the laid-out pair Jacobian gives that row."""
-    a, m = ops.A, ops.M
-    n = len(d_p)
-    off = np.abs(a.data)
-    off[a.indices == np.repeat(np.arange(n), np.diff(a.indptr))] = 0.0
-    scale = np.maximum(np.maximum.reduceat(off, a.indptr[:-1]), np.abs(a.diagonal() + d_chi))
-    scale = np.maximum(scale, np.maximum.reduceat(np.abs(m.data), m.indptr[:-1]))
-    return np.maximum(scale, np.abs(d_p))
 
 
 def recover_control(pt: KktPoint, alpha: float) -> FeFunction:

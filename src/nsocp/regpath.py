@@ -16,15 +16,9 @@ Each Newton step is first solved by ``sparse_core.refine`` in float64 from
 that seed, in the seed's block order [y; p], with its products from A, M
 and the step's diagonals (``fe_mesh.pair_operator``). When refinement
 declines, ``sparse_core.fgmres`` solves the step from the same seed. Only
-when FGMRES declines too is the step's Jacobian factorised, by
-``sparse_core.solve_linear``'s float64 LU, which names a deficient row in
-block order. That Jacobian comes from the solve's ``fe_mesh.PairJacobian``,
-the layout the KKT step factorises too: the unknowns numbered node by node,
-as (y_i, p_i) pairs in the mesh's nested-dissection order, which is
-computed only then. Each row is scaled by its largest entry. The layout is
-made at the first LU of each fixed-eps solve and refilled by each later
-one with all three varying diagonals, so nothing of an earlier step
-survives in it. No LU is held: each is dropped once its step is solved.
+when FGMRES declines too is the step factorised, by the fixed-eps solve's
+``fe_mesh.PairJacobian.solve`` (the KKT step's last rung too), with each row
+scaled by its largest entry, from ``fe_mesh.pair_row_scale``.
 
 ``verify_lemma_rate`` starts each smoothed state S_eps(u) from S(u).
 """
@@ -35,18 +29,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kkt_solver
 from .kkt_solver import KktPoint, ProblemData
-from .fe_mesh import FeFunction, PairJacobian, SineSeed, pair_operator
+from .fe_mesh import FeFunction, PairJacobian, SineSeed, pair_operator, pair_row_scale
 from .nonsmooth import (
     SmoothedMaxParams,
     smoothed_max,
     smoothed_max_prime,
     smoothed_max_second,
 )
-from .sparse_core import fgmres, refine, solve_linear
+from .sparse_core import fgmres, refine
 from .state_solver import (NewtonReport, StateProblem, m_norm, newton, solve_state,
                            solve_state_regularized)
 
@@ -83,18 +76,13 @@ class RegPathConfig:
 
 def solve_regularized_kkt(data: ProblemData, eps: float,
                           init: Optional[tuple[np.ndarray, np.ndarray]] = None, seed=None):
-    """Newton solve of the smoothed coupled system in (y, p); a non-finite
-    ``init`` raises ValueError.
+    """Newton solve of the smoothed coupled system in (y, p); an ``init``
+    that is not two finite arrays of shape (n,) raises ValueError.
 
     ``seed`` is the pair ``SineSeed`` of the caller's path, or None for one
-    made by the call. Each step is first solved by ``sparse_core.refine``
-    from the seed, in block order, with its products from A, M and the
-    step's diagonals (``pair_operator``); when that declines,
-    ``sparse_core.fgmres`` solves the step from the same seed. When that
-    declines too, the step's Jacobian, from the call's one ``PairJacobian``
-    in (y_i, p_i)-pair order, is row-equilibrated and solved by
-    ``sparse_core.solve_linear``, whose singular verdict names its row in
-    block order.
+    made by the call. Each step is solved as the module docstring sets out:
+    by ``refine`` from the seed, then ``fgmres``, then the call's one
+    ``PairJacobian``, whose singular verdict names its row in block order.
     """
     params = SmoothedMaxParams(eps)
     ops = data.ops
@@ -123,15 +111,11 @@ def solve_regularized_kkt(data: ProblemData, eps: float,
         if sol is None:
             sol = fgmres(seed, pair, -r)
         if sol is None:
-            jac = jacobian.at(d_yy, d_yy, d_py)
-            scale = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])
-            k = sp.csr_matrix((jac.data * np.repeat(1.0 / scale, np.diff(jac.indptr)),
-                               jac.indices, jac.indptr), shape=jac.shape).tocsc()
-            order = jacobian.order
-            sol = np.empty(2 * n)
-            sol[order] = solve_linear(k, order, -r[order] / scale)
+            sol = jacobian.solve(d_yy, d_yy, d_py, -r, pair_row_scale(ops, alpha, d_yy, d_yy, d_py))
         return sol
 
+    if init is not None and [np.shape(v) for v in init] != [(n,)] * 2:
+        raise ValueError(f"initial point must be two arrays of shape ({n},)")
     x0 = np.zeros(2 * n) if init is None else np.concatenate(init)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial point must be finite")

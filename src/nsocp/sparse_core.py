@@ -4,9 +4,9 @@ All heavy lifting (CSR arithmetic, sparse LU) is delegated to scipy; this
 module pins down the error behavior the rest of the package relies on.
 ``solve_linear`` solves a system that its caller has equilibrated (each row
 scaled to max magnitude at most 1) and numbered in the order to factorise
-it in: the KKT step's reduced active-set system, which ``kkt_solver``
-assembles from the matrix of ``fe_mesh.PairJacobian`` for a step that
-``fgmres`` has declined.
+it in: the pair system of a continuation step, or the KKT step's reduced
+active-set system, that ``fe_mesh.PairJacobian.solve`` makes for a step
+that ``fgmres`` has declined.
 
 It is factorised once, by a float64 LU, and its solution gets one
 correction. The LU is tested by a condition estimate that reads neither
@@ -36,7 +36,7 @@ one product of the true residual. It solves the KKT steps that refinement
 cannot finish: those with nodes outside I_gamma and I_crit, and those whose
 refinement declines. It also solves the continuation steps whose
 refinement declines. When it declines, within MAX_KRYLOV iterations, the
-KKT step and the continuation step fall through to ``solve_linear``.
+step falls through to ``fe_mesh.PairJacobian.solve``.
 
 ``cg`` is conjugate gradients from x = 0 for the symmetric positive
 definite forward steps of ``state_solver``, A + diag(c) with c >= 0,

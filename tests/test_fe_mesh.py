@@ -15,6 +15,7 @@ from nsocp.fe_mesh import (
     export_vtk,
     interpolate,
     linf_nodal_error,
+    pair_row_scale,
     sine_spectrum,
 )
 from nsocp.state_solver import m_norm
@@ -342,6 +343,26 @@ class TestPairJacobian:
             want = np.block([[a + np.diag(d_yy), m_alpha],
                              [-ops.M.toarray() + np.diag(d_py), a + np.diag(d_pp)]])
             assert np.array_equal(full.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [5, 17])
+    @pytest.mark.parametrize("alpha", [1e-5, 0.7])
+    def test_row_scale_is_the_row_maxima_of_the_layout(self, m, alpha):
+        # a maximum is exact, and rounding x (1 / alpha) is monotone, so the
+        # scale read from A, M and the diagonals is the layout's bit for bit:
+        # with array and scalar diagonals, d_py nonzero, and diagonal entries
+        # that vanish (A_ii - 4) or dominate their rows. At alpha = 1e-5 M / alpha
+        # leads the state rows, where max_j |M_ij| / alpha differs in the last bit
+        ops = assemble_operators(build_space(build_mesh(m)))
+        n = ops.space.n
+        d_yy, d_pp, d_py = np.random.default_rng(m).standard_normal((3, n))
+        jacobian = PairJacobian(ops, alpha)
+        for diags in ((d_yy, d_pp, d_py), (d_yy, d_pp), (0.0, 0.0), (0.3, -4.0, -2.5),
+                      (-4.0, 1e3, 1e3), (d_yy, -4.0, 1e3 * d_py)):
+            maxima = np.abs(jacobian.at(*diags).toarray()).max(axis=1)  # in pair order
+            want = np.empty(2 * n)
+            want[jacobian.order] = maxima
+            got = pair_row_scale(ops, alpha, *diags)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_layout_peak(self, m):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, spsolve
 
-from nsocp import kkt_solver, sparse_core
+from nsocp import fe_mesh, kkt_solver, sparse_core
 from nsocp.examples import build_example, build_example1, build_example2
 from nsocp.fe_mesh import PairJacobian, SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.kkt_solver import (
@@ -406,13 +406,13 @@ class TestNewtonStepSolve:
 
 def capture_solve_linear(mp, systems):
     """Record each matrix the step hands ``solve_linear`` in ``systems``."""
-    solve = kkt_solver.solve_linear
+    solve = fe_mesh.solve_linear
 
     def recording(k, rows, b):
         systems.append((k.copy(), rows.copy()))
         return solve(k, rows, b)
 
-    mp.setattr(kkt_solver, "solve_linear", recording)
+    mp.setattr(fe_mesh, "solve_linear", recording)
 
 
 def reduced_oracle(data, pt, sets):
@@ -1151,13 +1151,13 @@ class TestSeedStep:
         space = build_space(build_mesh(33))
         data, _ = build_example1(space)
         calls = []
-        solve = kkt_solver.solve_linear
+        solve = fe_mesh.solve_linear
 
         def recording(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(kkt_solver, "solve_linear", recording)
+        monkeypatch.setattr(fe_mesh, "solve_linear", recording)
         _, rep = solve_kkt(data)
         assert rep.converged and rep.iterations == 3
         assert calls == [] and layouts == []
@@ -1173,13 +1173,13 @@ class TestSeedStep:
         monkeypatch.setattr(sparse_core, "MAX_CORRECTIONS", 0)
         no_krylov_step(monkeypatch)
         calls = []
-        solve = kkt_solver.solve_linear
+        solve = fe_mesh.solve_linear
 
         def counting(*args):
             calls.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(kkt_solver, "solve_linear", counting)
+        monkeypatch.setattr(fe_mesh, "solve_linear", counting)
         fallen, rep_fallen = kkt_iterates(data, monkeypatch)
         assert rep.converged and (rep.iterations, rep.failure_reason) == (
             rep_fallen.iterations, rep_fallen.failure_reason)

@@ -74,6 +74,15 @@ class TestSolveRegularizedKkt:
         with pytest.raises(ValueError):
             solve_regularized_kkt(data, 1e-2, (y0, np.zeros(space.n)))
 
+    @pytest.mark.parametrize("init", [(np.zeros(100), np.zeros(28)),
+                                      (np.zeros(5), np.zeros(5))], ids=["split", "short"])
+    def test_init_of_wrong_shape_rejected(self, ex1_small, init):
+        # n = 64 on this mesh: 128 entries split at the wrong place, and two
+        # arrays too short for a product with M
+        _, data, _ = ex1_small
+        with pytest.raises(ValueError, match=r"two arrays of shape \(64,\)"):
+            solve_regularized_kkt(data, 1e-2, init)
+
     def test_single_step_path_matches_direct_solve(self, ex1_small):
         _, data, _ = ex1_small
         (y, p), rep = solve_regularized_kkt(data, 1e-3)

@@ -5,7 +5,7 @@ import pytest
 
 import scipy.sparse as sp
 
-from nsocp import kkt_solver, regpath, sparse_core, state_solver
+from nsocp import fe_mesh, kkt_solver, regpath, sparse_core, state_solver
 from nsocp.examples import build_example1, build_example2
 from nsocp.fe_mesh import SineSeed, assemble_operators, build_mesh, build_space
 from nsocp.nonsmooth import SmoothedMaxParams, smoothed_max_prime, smoothed_max_second
@@ -543,7 +543,7 @@ class TestSolveLinearMemory:
         the bytes of the matrix it gets and those of the Jacobian. The solve
         refines every step from its pair seed; with ``fresh`` refinement and
         FGMRES decline, and every step is factorised instead."""
-        step, solve = kkt_solver._newton_step, kkt_solver.solve_linear
+        step, solve = kkt_solver._newton_step, fe_mesh.solve_linear
         calls = []
 
         def traced_step(data, pt, sets, r, seed, jacobian):
@@ -562,7 +562,7 @@ class TestSolveLinearMemory:
             return solve(k, rows, b)
 
         monkeypatch.setattr(kkt_solver, "_newton_step", traced_step)
-        monkeypatch.setattr(kkt_solver, "solve_linear", traced_solve)
+        monkeypatch.setattr(fe_mesh, "solve_linear", traced_solve)
         if fresh:
             monkeypatch.setattr(kkt_solver, "refine", lambda lu, k, b: None)
             monkeypatch.setattr(kkt_solver, "fgmres", lambda seed, k, b: None)
@@ -582,6 +582,33 @@ class TestSolveLinearMemory:
         for c in fresh:
             laid_out = 0 if c["held"] else c["jacobian"]
             assert c["factorize"] - c["entry"] <= laid_out + c["jacobian"] + 2.5 * c["k"]
+
+    @pytest.mark.parametrize("m", [33, 65, 129])
+    def test_peak_of_continuation_rung(self, m, monkeypatch):
+        # one smoothed solve of example 2 with every step on the LU rung, from
+        # its entry: the rung keeps every row and column of the pair system,
+        # so it makes no copy to select them (3.14-3.24 times the laid-out
+        # Jacobian measured at m = 33 to 129; 3.85-3.96 when it selected them)
+        monkeypatch.setattr(regpath, "refine", lambda seed, k, b: None)
+        monkeypatch.setattr(regpath, "fgmres", lambda seed, k, b: None)
+        made = []
+
+        def recording(ops, alpha):
+            made.append(fe_mesh.PairJacobian(ops, alpha))
+            return made[-1]
+
+        monkeypatch.setattr(regpath, "PairJacobian", recording)
+        data, _ = build_example2(build_space(build_mesh(m)))
+        data.ops.space.nd_order  # computed before the trace
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, rep = regpath.solve_regularized_kkt(data, 1e-1)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations >= 1
+        assert peak <= 3.4 * _nbytes(made[0].matrix)
 
     @pytest.mark.parametrize("m", [33, 65])
     def test_peak_of_refined_step(self, m, monkeypatch):
